@@ -386,8 +386,9 @@ def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         logits = np.asarray(out["logits"], dtype=np.float64)
         preds = np.argmax(logits, axis=1)
         correct += int(np.sum(preds == ds_std.labels[start:start + batch_size]))
-        for j in range(len(x)):
-            rows.append([start + j, int(preds[j])] + [repr(v) for v in logits[j]])
+        # tolist() yields Python floats, whose repr is the shortest exact form
+        for j, (pred, row) in enumerate(zip(preds.tolist(), logits.tolist())):
+            rows.append([start + j, pred] + [repr(v) for v in row])
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

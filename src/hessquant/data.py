@@ -10,6 +10,7 @@ space.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,7 +120,7 @@ def ingest_csv(path: str, n_features: int = N_FEATURES,
                 raise CSVFormatError(lineno, f"label is not an integer: {lab_raw!r}") from None
             if not 0 <= lab < n_classes:
                 raise CSVFormatError(lineno, f"label {lab} outside 0..{n_classes - 1}")
-            if not all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 raise CSVFormatError(lineno, "non-finite feature value")
             rows.append(feats)
             labels.append(lab)

@@ -5,6 +5,9 @@ topological order.  Quant nodes emit integer codes per the clip-round-scale
 rule (data, scale, and zero point arrive as inputs; bit width, signedness,
 narrow-range, and rounding mode are attributes).  The interpreter runs
 integer tensors in exact integer arithmetic and everything else in float64.
+Exact integer tensors are int64 while their bounds fit and Python-int object
+arrays past that; an integer MatMul shares `quantize.int_matmul`, which uses
+a float64 BLAS product below 2^53, int64 below 2^62 and 16-bit limbs above.
 
 The exported form of an IntegerModel keeps the scale arithmetic split around
 each ReLU (Mul by the dequantization scale before, Mul by the reciprocal
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import IntegerModel
+from .quantize import IntegerModel, int_codes, int_matmul, int_to_float
 
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
@@ -325,21 +328,16 @@ def _as_scalar(a) -> float:
     return arr.reshape(()).item()
 
 
-def _int_matmul_eval(a: np.ndarray, b: np.ndarray, bits_bound: int) -> np.ndarray:
-    if bits_bound <= 62 and a.dtype != object and b.dtype != object:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    ao = a.astype(object) if a.dtype != object else a
-    bo = b.astype(object) if b.dtype != object else b
-    return np.dot(ao, bo)
-
-
 def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Reference interpretation of the graph on the given inputs.
 
-    Integer tensors use exact integer arithmetic (int64 when the inferred
-    width bound allows, arbitrary-precision objects otherwise); Quant follows
-    its attributes; Softmax and scale multiplications run in float64.
-    Returns the declared outputs by name.
+    Integer tensors use exact integer arithmetic.  Integer MatMul runs the
+    shared `quantize.int_matmul` kernel, which picks a float64 BLAS, int64 or
+    limb-split Python-int product from the operands' observed magnitudes;
+    Add and Mul of integers run in int64 when the inferred width bound allows
+    and on arbitrary-precision objects otherwise.  Quant follows its
+    attributes; Softmax and scale multiplications run in float64.  Returns
+    the declared outputs by name.
     """
     typed = infer_shapes(g)
     env: dict[str, np.ndarray] = {}
@@ -372,7 +370,7 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             a, b = vals
             ta, tb = (typed.tensors[n] for n in node.inputs)
             if ta.kind == "int" and tb.kind == "int":
-                out = _int_matmul_eval(a, b, typed.tensors[node.output].bits)
+                out = int_matmul(a, b)
             else:
                 out = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         elif node.kind == "Add":
@@ -392,15 +390,15 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
                 out = a * b
             else:
                 a = vals[0] if typed.tensors[node.inputs[0]].kind == "real" \
-                    else _int_to_float(vals[0])
+                    else int_to_float(vals[0])
                 b = vals[1] if typed.tensors[node.inputs[1]].kind == "real" \
-                    else _int_to_float(vals[1])
+                    else int_to_float(vals[1])
                 out = a * b
         elif node.kind == "Relu":
             zero = 0 if typed.tensors[node.output].kind == "int" else 0.0
             out = np.maximum(vals[0], zero)
         elif node.kind == "Softmax":
-            z = _int_to_float(vals[0]) if typed.tensors[node.inputs[0]].kind == "int" \
+            z = int_to_float(vals[0]) if typed.tensors[node.inputs[0]].kind == "int" \
                 else np.asarray(vals[0], dtype=np.float64)
             zmax = z.max(axis=-1, keepdims=True)
             ez = np.exp(z - zmax)
@@ -411,13 +409,6 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             raise EvalError(f"node {node.output}: unsupported operator {node.kind}")
         env[node.output] = out
     return {name: env[name] for name in g.outputs}
-
-
-def _int_to_float(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return np.array([[float(v) for v in row] for row in a]) if a.ndim == 2 \
-            else np.array([float(v) for v in a.ravel()]).reshape(a.shape)
-    return a.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +685,7 @@ def _tensor_from_doc(doc: dict, where: str) -> np.ndarray:
         data = doc["data"]
         if doc["kind"] == "real":
             return np.array([float(v) for v in data], dtype=np.float64).reshape(shape)
-        if int(doc.get("bits", 62)) <= 62:
-            return np.array([int(v) for v in data], dtype=np.int64).reshape(shape)
-        return np.array([int(v) for v in data], dtype=object).reshape(shape)
+        return int_codes(data).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad tensor document ({exc})") from None
 

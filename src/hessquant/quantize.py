@@ -14,6 +14,14 @@ right shift.  Activation scales are snapped to powers of two and multiplier
 mantissas are kept small enough that the reference float64 evaluation of an
 exported graph reproduces the integer pipeline exactly at the bit widths the
 tool targets.
+
+Integer arithmetic is exact at every width, and its representation follows
+from bounds the code already has rather than from an option: bias codes are
+int64 whenever every value fits, `int_matmul` runs a float64 BLAS product
+while every partial sum stays below 2^53, an int64 product below 2^62 and a
+16-bit limb split recombined as Python ints above that, and `requantize`
+stays in int64 while max|acc| * mantissa + 2^(shift-1) fits.  Python-int
+object arrays appear only for values that do not fit int64.
 """
 
 from __future__ import annotations
@@ -209,17 +217,89 @@ def _rescale_dyadic(mantissa: int, shift: int, mantissa_bits: int) -> DyadicScal
     return _canonical_dyadic(mantissa, shift)
 
 
+# ---------------------------------------------------------------------------
+# Exact integer kernels
+
+_INT64_LIMIT = 1 << 63
+_FLOAT_EXACT = 1 << 53     # every integer below this is a float64
+_INT64_SAFE = 1 << 62      # int64 results stay below this, so one more add fits
+_LIMB_BITS = 16
+
+
+def max_abs(a: np.ndarray) -> int:
+    """max |a| of an integer array (int64 or Python-int objects) as an int."""
+    if a.size == 0:
+        return 0
+    return max(-int(a.min()), int(a.max()))
+
+
+def int_to_float(a: np.ndarray) -> np.ndarray:
+    """float64 copy of an integer array; Python ints convert one by one."""
+    if a.dtype == object:
+        return np.array([float(v) for v in a.ravel()]).reshape(a.shape)
+    return a.astype(np.float64)
+
+
+def int_codes(values) -> np.ndarray:
+    """Integer codes as int64 when every value fits, else Python-int objects."""
+    vals = [int(v) for v in values]
+    fits = all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in vals)
+    return np.array(vals, dtype=np.int64 if fits else object)
+
+
 def requantize(acc, scale: DyadicScale):
     """Multiply-and-shift requantization of integer accumulator values.
 
     Computes (acc * mantissa + 2^(shift-1)) >> shift with an arithmetic right
     shift; the additive term makes it round-half-up for non-negative inputs.
-    Works elementwise on integer arrays and on plain ints.
+    Works elementwise on integer arrays and on plain ints.  Fixed-width
+    arrays run in int64 while max|acc| * mantissa + 2^(shift-1) fits it and
+    are promoted to Python ints otherwise, so the result never wraps.
     """
     m, c = scale.mantissa, scale.shift
-    if c == 0:
-        return acc * m
-    return (acc * m + (1 << (c - 1))) >> c
+    half = (1 << (c - 1)) if c else 0
+    if isinstance(acc, np.integer):
+        acc = int(acc)
+    elif isinstance(acc, np.ndarray) and acc.dtype != object:
+        fits = max_abs(acc) * m + half < _INT64_LIMIT
+        acc = acc.astype(np.int64, copy=False) if fits else acc.astype(object)
+    return (acc * m + half) >> c
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer product of 2-d arrays a @ b, by the bound n*max|a|*max|b|.
+
+    - below 2^53 every partial sum is an integer a float64 holds exactly, so a
+      float64 BLAS product cast back to int64 is exact;
+    - below 2^62 an int64 product;
+    - above that b splits into 16-bit limbs whose products take one of the
+      paths above and recombine as Python ints (object result); operands too
+      wide for limbs fall back to a Python-int dot product.
+
+    int64 results are below 2^62 in magnitude, so adding one more int64 value
+    of that size cannot wrap.
+    """
+    n = a.shape[-1]
+    a_max, b_max = max(max_abs(a), 1), max(max_abs(b), 1)
+    bound = n * a_max * b_max
+    if bound < _FLOAT_EXACT:
+        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        return prod.astype(np.int64)
+    if bound < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    if (n * a_max) << _LIMB_BITS >= _INT64_SAFE:
+        return np.dot(a.astype(object), b.astype(object))
+    limbs = []
+    rest = b
+    while max_abs(rest) >> _LIMB_BITS:
+        limbs.append(rest & ((1 << _LIMB_BITS) - 1))
+        rest = rest >> _LIMB_BITS  # arithmetic shift keeps the sign in the top limb
+    limbs.append(rest)
+    acc = 0
+    for k, limb in enumerate(limbs):
+        part = int_matmul(a, limb.astype(np.int64)).astype(object)
+        acc = acc + (part << (_LIMB_BITS * k))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +585,7 @@ class IntLayer:
     q_weights: np.ndarray          # int64 codes, shape (fan_in, fan_out)
     weight_bits: int
     weight_scale: DyadicScale
-    q_bias: np.ndarray             # accumulator-precision integer codes
+    q_bias: np.ndarray             # accumulator codes: int64, objects past int64
     act_bits: int                  # output activation width (unused on the last layer)
     requant: DyadicScale | None    # None on the last layer
     act_exp: int | None            # output activation scale is 2^(-act_exp)
@@ -574,6 +654,9 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
 
     in_real = 2 * max(fq.input_max, 1e-12) / (2 ** schema.input_bits - 1)
     input_scale = to_dyadic(in_real, mantissa_bits=multiplier_bits)
+    if input_scale.mantissa == 0:
+        raise LoweringError(f"input scale {in_real:.3g} rounds to zero at "
+                            f"{schema.input_bits} bits")
     beta_in = input_scale.value * (2 ** schema.input_bits - 1) / 2
     input_params = QuantParams(scale=input_scale.value, zero_point=0,
                                bits=schema.input_bits, signed=True, symmetric=True,
@@ -595,15 +678,15 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
 
         w_real = calibrate(layer.weights, b_w, symmetric=True).scale
         w_scale = to_dyadic(w_real, mantissa_bits=multiplier_bits)
+        if w_scale.mantissa == 0:
+            raise LoweringError(f"layer {i}: weight scale {w_real:.3g} rounds to "
+                                f"zero at {b_w} bits")
         lo, hi = _int_range(b_w, signed=True)
         q_w = np.clip(np.rint(layer.weights / w_scale.value), lo, hi).astype(np.int64)
 
         bias_scale = w_scale.value * prev_scale.value
-        if accumulator_bits <= 62:
-            q_b = np.clip(np.rint(layer.bias / bias_scale), acc_lo, acc_hi).astype(np.int64)
-        else:
-            q_b = np.array([min(max(int(round(v / bias_scale)), acc_lo), acc_hi)
-                            for v in layer.bias], dtype=object)
+        q_b = int_codes(min(max(int(round(v / bias_scale)), acc_lo), acc_hi)
+                        for v in layer.bias.tolist())
 
         last = i == model.n_layers - 1
         # Mantissa budget that keeps acc * mantissa exact in float64 when the
@@ -637,31 +720,16 @@ def _log(op_log, op: str, domain: str) -> None:
         op_log.append((op, domain))
 
 
-def _int_matmul(h: np.ndarray, layer: IntLayer, b_in: int, acc_bits: int, op_log):
-    """Exact integer h @ W + bias, in int64 when bounds allow, else split into
-    16-bit weight limbs whose partial products fit int64 and recombined as
-    arbitrary-precision Python integers."""
-    n = layer.q_weights.shape[0]
-    w_mag = 1 << (layer.weight_bits - 1)
-    h_mag = 1 << b_in  # covers signed and unsigned incoming codes
-    bound = n * w_mag * h_mag
-    if bound < (1 << 62):
-        acc = h.astype(np.int64) @ layer.q_weights
-        _log(op_log, "matmul", "int")
-        if layer.q_bias.dtype == object:
-            acc = acc.astype(object) + layer.q_bias
-        else:
-            acc = acc + layer.q_bias
-        _log(op_log, "add_bias", "int")
-        return acc
-    lo_limb = (layer.q_weights & 0xFFFF).astype(np.int64)
-    hi_limb = layer.q_weights >> 16  # arithmetic shift keeps the sign in the top limb
-    h64 = h.astype(np.int64) if h.dtype != object else h
-    acc_lo = h64 @ lo_limb
-    acc_hi = h64 @ hi_limb
+def _int_matmul(h: np.ndarray, layer: IntLayer, op_log):
+    """Exact integer h @ W + bias; int64 while the sum fits, else Python ints."""
+    acc = int_matmul(h, layer.q_weights)
     _log(op_log, "matmul", "int")
-    acc = (acc_hi.astype(object) << 16) + acc_lo.astype(object)
-    acc = acc + (layer.q_bias if layer.q_bias.dtype == object else layer.q_bias.astype(object))
+    # int64 products stay below 2^62, so a bias below 2^62 cannot wrap the add.
+    if acc.dtype == object or layer.q_bias.dtype == object \
+            or max_abs(layer.q_bias) >= _INT64_SAFE:
+        acc = acc.astype(object) + layer.q_bias.astype(object)
+    else:
+        acc = acc + layer.q_bias
     _log(op_log, "add_bias", "int")
     return acc
 
@@ -679,9 +747,8 @@ def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     x = nn.check_matrix(x, cols=im.layers[0].q_weights.shape[0])
     _log(op_log, "quantize_input", "real")
     h = quantize(x, im.input_params)
-    for i, layer in enumerate(im.layers):
-        b_in = im.schema.input_act_bits(i)
-        acc = _int_matmul(h, layer, b_in, im.accumulator_bits, op_log)
+    for layer in im.layers:
+        acc = _int_matmul(h, layer, op_log)
         if layer.requant is not None:
             q = requantize(acc, layer.requant)
             _log(op_log, "requantize", "int")
@@ -693,11 +760,7 @@ def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
         else:
             q_logits = acc
     _log(op_log, "dequantize_output", "real")
-    if q_logits.dtype == object:
-        logits = np.array([[float(v) for v in row] for row in q_logits]) * im.output_scale.value
-    else:
-        logits = q_logits.astype(np.float64) * im.output_scale.value
-    return logits, q_logits
+    return int_to_float(q_logits) * im.output_scale.value, q_logits
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +818,11 @@ def load_integer_model(path: str) -> IntegerModel:
                                signed=True, symmetric=True, alpha=-beta_in, beta=beta_in)
     layers = []
     for entry in doc["layers"]:
-        bias_dtype = np.int64 if acc_bits <= 62 else object
         layers.append(IntLayer(
             q_weights=np.array(entry["q_weights"], dtype=np.int64),
             weight_bits=entry["weight_bits"],
             weight_scale=DyadicScale(**entry["weight_scale"]),
-            q_bias=np.array([int(v) for v in entry["q_bias"]], dtype=bias_dtype),
+            q_bias=int_codes(entry["q_bias"]),
             act_bits=entry["act_bits"],
             requant=None if entry["requant"] is None else DyadicScale(**entry["requant"]),
             act_exp=entry["act_exp"],

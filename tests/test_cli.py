@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hessquant import cli, ir
+from hessquant import cli, data, ir, nn
 
 
 def write_config(tmp_path, **overrides):
@@ -94,6 +94,19 @@ def test_run_ir_consumes_optimized_graph(pipeline):
     assert counts == sorted(counts, reverse=True)
     g = ir.load_graph(os.path.join(out, "graph_opt.json"))
     assert ir.validate(g) == []
+
+
+def test_run_ir_logits_are_plain_floats_that_round_trip(pipeline):
+    _, _, out = pipeline
+    with open(os.path.join(out, "ir_outputs.csv")) as fh:
+        lines = fh.read().splitlines()
+    model, mean, std = nn.load_model(os.path.join(out, "model.json"))
+    ds = data.standardize(data.ingest_csv(os.path.join(out, "dataset.csv")),
+                          mean=mean, std=std)
+    g = ir.load_graph(os.path.join(out, "graph.json"))
+    want = ir.evaluate(g, {"x": ds.features})["logits"]
+    got = [[float(cell) for cell in line.split(",")[2:]] for line in lines[1:]]
+    assert got == want.tolist()
 
 
 def test_estimate_and_report(pipeline, tmp_path):
@@ -222,4 +235,23 @@ def test_exit_2_on_lowering_error(tmp_path, pipeline):
             blob = fh.read()
         with open(os.path.join(alt_out, name), "wb") as fh:
             fh.write(blob)
+    assert cli.main(["quantize", "--config", config]) == 2
+
+
+def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
+    # a 32-bit layer whose weights stay below 0.5 needs a scale under 2^-32
+    _, _, out = pipeline
+    config, alt_out = write_config(
+        tmp_path, quantize={"source": "schema", "accumulator_bits": 96},
+        schema={"weight_bits": [32, 32, 32], "activation_bits": [32, 32, 32],
+                "input_bits": 32},
+        qat={"epochs": 1})
+    os.makedirs(alt_out, exist_ok=True)
+    with open(os.path.join(out, "dataset.csv"), "rb") as fh:
+        blob = fh.read()
+    with open(os.path.join(alt_out, "dataset.csv"), "wb") as fh:
+        fh.write(blob)
+    model, mean, std = nn.load_model(os.path.join(out, "model.json"))
+    model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
+    nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
     assert cli.main(["quantize", "--config", config]) == 2

@@ -1,9 +1,10 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from hessquant import data, nn
+from hessquant import data, ir, nn
 from hessquant import quantize as qz
 
 
@@ -146,6 +147,121 @@ def test_requantize_handles_python_int_objects():
     out = qz.requantize(acc, d)
     assert out[0] == (2**70 * 5 + 8) >> 4
     assert out[1] == (-(2**68) * 5 + 8) >> 4
+
+
+def test_requantize_promotes_instead_of_wrapping():
+    # 2^62 * 3 does not fit int64; the product must not wrap
+    d = qz.DyadicScale(mantissa=3, shift=1)
+    assert qz.requantize(np.array([2**62]), d).tolist() == [3 * 2**61]
+    assert qz.requantize(np.array([-(2**62)]), d).tolist() == [-3 * 2**61]
+    assert qz.requantize(np.int64(2**62), d) == 3 * 2**61
+
+
+def test_requantize_stays_int64_while_the_product_fits():
+    d = qz.DyadicScale(mantissa=3, shift=1)
+    out = qz.requantize(np.array([2**60, -(2**60), 7]), d)
+    assert out.dtype == np.int64
+    assert out.tolist() == [3 * 2**59, -3 * 2**59, 11]
+
+
+# --- the shared exact integer matmul kernel -----------------------------------
+
+def _py_matmul(a, b):
+    """Reference a @ b as a loop over Python ints."""
+    cols = list(zip(*b))
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
+def _near_max_operand(rng, rows, cols, bits, full_axis):
+    """Random signed ints in [-2^bits, 2^bits].  The row (full_axis 0) or
+    column (full_axis 1) at index 0 holds values 1 or 2 below +2^bits, so one
+    output entry nearly reaches the bound n * max|a| * max|b| and still has
+    low bits that a rounding path would lose."""
+    hi = 1 << bits
+    vals = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rows)]
+    for k in range(cols if full_axis == 0 else rows):
+        i, j = (0, k) if full_axis == 0 else (k, 0)
+        vals[i][j] = hi - rng.randint(1, 3)
+    dtype = np.int64 if bits < 63 else object
+    return np.array(vals, dtype=dtype)
+
+
+# (bits of a, bits of b) with fan-in n = 8, so the bound is 2^(3 + a + b):
+# float64 BLAS below 2^53, int64 below 2^62, 16-bit limbs above, and a
+# Python-int dot product when a itself is too wide for limbs.
+@pytest.mark.parametrize("a_bits,b_bits", [
+    (10, 12), (24, 25), (25, 25), (26, 26), (28, 29), (29, 29),
+    (29, 30), (30, 40), (20, 62), (40, 70), (50, 20), (70, 70)])
+def test_int_matmul_matches_python_ints_on_every_path(a_bits, b_bits):
+    rng = random.Random(a_bits * 100 + b_bits)
+    n = 8
+    a = _near_max_operand(rng, 5, n, a_bits, full_axis=0)
+    b = _near_max_operand(rng, n, 4, b_bits, full_axis=1)
+    got = qz.int_matmul(a, b)
+    assert got.tolist() == _py_matmul(a.tolist(), b.tolist())
+    bound = n * qz.max_abs(a) * qz.max_abs(b)
+    assert got.dtype == (np.int64 if bound < 2**62 else object)
+
+
+def test_int_matmul_float_path_would_be_inexact_past_2_53():
+    # 8 * (2^27 - 1)^2 = 2^57 - 2^31 + 8 lies between float64 neighbours 32
+    # apart: a float64 product rounds it, the kernel must not
+    a = np.full((1, 8), 2**27 - 1, dtype=np.int64)
+    b = np.full((8, 1), 2**27 - 1, dtype=np.int64)
+    got = qz.int_matmul(a, b)
+    assert int(got[0, 0]) == 8 * (2**27 - 1) ** 2
+    assert int((a.astype(float) @ b.astype(float))[0, 0]) != 8 * (2**27 - 1) ** 2
+
+
+def _py_int_forward(im, x):
+    """Integer codes of an IntegerModel replayed on Python ints."""
+    h = [[int(v) for v in row] for row in qz.quantize(x, im.input_params)]
+    for layer in im.layers:
+        acc = [[v + int(b) for v, b in zip(row, layer.q_bias)]
+               for row in _py_matmul(h, layer.q_weights.tolist())]
+        if layer.requant is None:
+            return acc
+        m, c = layer.requant.mantissa, layer.requant.shift
+        qmax = (1 << layer.act_bits) - 1
+        h = [[min(max((v * m + (1 << (c - 1))) >> c, 0), qmax) for v in row]
+             for row in acc]
+    raise AssertionError("model has no layers")
+
+
+def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
+    # 32-bit weights and activations: every accumulator bound is past 2^62,
+    # and the first layer's biases do not fit int64 at all
+    rng = random.Random(5)
+    scale = qz.DyadicScale(mantissa=1, shift=31)
+    beta = scale.value * (2**32 - 1) / 2
+    params = qz.QuantParams(scale=scale.value, zero_point=0, bits=32, signed=True,
+                            symmetric=True, alpha=-beta, beta=beta)
+
+    def layer(fan_in, fan_out, bias_bits, requant):
+        w = [[rng.randint(-2**31, 2**31 - 1) for _ in range(fan_out)]
+             for _ in range(fan_in)]
+        return qz.IntLayer(
+            q_weights=np.array(w, dtype=np.int64), weight_bits=32, weight_scale=scale,
+            q_bias=qz.int_codes(rng.randint(-2**bias_bits, 2**bias_bits)
+                                for _ in range(fan_out)),
+            act_bits=32, requant=requant, act_exp=None if requant is None else 0)
+
+    im = qz.IntegerModel(
+        layers=[layer(6, 5, 66, qz.DyadicScale(mantissa=3, shift=31)),
+                layer(5, 3, 40, None)],
+        input_params=params, input_scale=scale, output_scale=scale,
+        accumulator_bits=96,
+        schema=qz.QuantSchema(weight_bits=(32, 32), activation_bits=(32, 32),
+                              input_bits=32))
+    assert im.layers[0].q_bias.dtype == object
+    assert im.layers[1].q_bias.dtype == np.int64
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(12, 6))
+    logits, codes = qz.int_forward(im, x)
+    assert codes.dtype == object
+    want = _py_int_forward(im, x)
+    assert codes.tolist() == want
+    assert logits.tolist() == [[float(v) * scale.value for v in row] for row in want]
 
 
 # --- schemas -----------------------------------------------------------------
@@ -338,6 +454,62 @@ def test_lower_wide_accumulator_uses_object_arrays(qat_setup):
     im = qz.lower(fq, accumulator_bits=72)
     logits, _ = qz.int_forward(im, va.features[:16])
     assert np.all(np.isfinite(logits))
+
+
+def test_lower_rejects_weight_scale_that_rounds_to_zero(qat_setup):
+    # at 32 bits a weight range below 0.5 needs a scale under 2^-32, which no
+    # 31-bit shift reaches; the mantissa would round to 0
+    model, tr, _ = qat_setup
+    small = model.copy()
+    small.layers[1].weights *= 0.25 / np.max(np.abs(small.layers[1].weights))
+    fq = qz.calibrate_fake_quant(small, qz.QuantSchema.homogeneous(32, 3), tr)
+    with pytest.raises(qz.LoweringError, match="layer 1: weight scale"):
+        qz.lower(fq, accumulator_bits=96)
+
+
+def test_lower_rejects_input_scale_that_rounds_to_zero(qat_setup):
+    model, tr, _ = qat_setup
+    tiny = data.Dataset(features=tr.features * (0.25 / np.max(np.abs(tr.features))),
+                        labels=tr.labels)
+    fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(32, 3), tiny)
+    with pytest.raises(qz.LoweringError, match="input scale"):
+        qz.lower(fq, accumulator_bits=96)
+
+
+@pytest.fixture(scope="module")
+def wide_lowered(qat_setup):
+    """A 16-bit coupled model lowered with a 64-bit accumulator."""
+    model, tr, va = qat_setup
+    cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=5e-4, seed=0)
+    fq = qz.qat_train(model, tr, qz.QuantSchema.coupled((16, 16, 16)), cfg, val=va)
+    return qz.lower(fq, accumulator_bits=64), va
+
+
+def test_wide_accumulator_biases_stay_int64_through_save_and_load(tmp_path,
+                                                                  wide_lowered):
+    im, va = wide_lowered
+    assert [l.q_bias.dtype for l in im.layers] == [np.int64] * 3
+    path = tmp_path / "im.json"
+    qz.save_integer_model(im, str(path))
+    back = qz.load_integer_model(str(path))
+    assert [l.q_bias.dtype for l in back.layers] == [np.int64] * 3
+    for a, b in zip(im.layers, back.layers):
+        assert np.array_equal(a.q_bias, b.q_bias)
+    a, qa = qz.int_forward(im, va.features)
+    b, qb = qz.int_forward(back, va.features)
+    assert qa.dtype == np.int64
+    assert np.array_equal(qa, qb) and a.tobytes() == b.tobytes()
+
+
+def test_wide_int_forward_matches_ir_evaluate_bit_for_bit(wide_lowered):
+    im, va = wide_lowered
+    logits, codes = qz.int_forward(im, va.features)
+    assert logits.tobytes() == (codes.astype(np.float64)
+                                * im.output_scale.value).tobytes()
+    g = ir.export_graph(im)
+    for graph in (g, ir.merge_scales_relu(ir.fold_constants(g))):
+        got = ir.evaluate(graph, {"x": va.features})["logits"]
+        assert got.tobytes() == logits.tobytes()
 
 
 def test_integer_model_round_trip(tmp_path, lowered):
