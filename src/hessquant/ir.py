@@ -7,7 +7,7 @@ narrow-range, and rounding mode are attributes).  The interpreter runs
 integer tensors in exact integer arithmetic and everything else in float64.
 Exact integer tensors are int64 while their bounds fit and Python-int object
 arrays past that; an integer MatMul shares `quantize.int_matmul`, which uses
-a float64 BLAS product below 2^53, int64 below 2^62 and 16-bit limbs above.
+a float64 BLAS product below 2^53, int64 below 2^62 and Python ints above.
 
 The exported form of an IntegerModel keeps the scale arithmetic split around
 each ReLU (Mul by the dequantization scale before, Mul by the reciprocal
@@ -333,7 +333,7 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
 
     Integer tensors use exact integer arithmetic.  Integer MatMul runs the
     shared `quantize.int_matmul` kernel, which picks a float64 BLAS, int64 or
-    limb-split Python-int product from the operands' observed magnitudes;
+    Python-int product from the operands' observed magnitudes;
     Add and Mul of integers run in int64 when the inferred width bound allows
     and on arbitrary-precision objects otherwise.  Quant follows its
     attributes; Softmax and scale multiplications run in float64.  Returns

@@ -19,9 +19,9 @@ Integer arithmetic is exact at every width, and its representation follows
 from bounds the code already has rather than from an option: bias codes are
 int64 whenever every value fits, `int_matmul` runs a float64 BLAS product
 while every partial sum stays below 2^53, an int64 product below 2^62 and a
-16-bit limb split recombined as Python ints above that, and `requantize`
-stays in int64 while max|acc| * mantissa + 2^(shift-1) fits.  Python-int
-object arrays appear only for values that do not fit int64.
+Python-int dot product above that, and `requantize` stays in int64 while
+max|acc| * mantissa + 2^(shift-1) fits.  Python-int object arrays appear
+only for values that do not fit int64.
 """
 
 from __future__ import annotations
@@ -223,7 +223,6 @@ def _rescale_dyadic(mantissa: int, shift: int, mantissa_bits: int) -> DyadicScal
 _INT64_LIMIT = 1 << 63
 _FLOAT_EXACT = 1 << 53     # every integer below this is a float64
 _INT64_SAFE = 1 << 62      # int64 results stay below this, so one more add fits
-_LIMB_BITS = 16
 
 
 def max_abs(a: np.ndarray) -> int:
@@ -272,34 +271,19 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     - below 2^53 every partial sum is an integer a float64 holds exactly, so a
       float64 BLAS product cast back to int64 is exact;
     - below 2^62 an int64 product;
-    - above that b splits into 16-bit limbs whose products take one of the
-      paths above and recombine as Python ints (object result); operands too
-      wide for limbs fall back to a Python-int dot product.
+    - above that a Python-int dot product (object result).
 
     int64 results are below 2^62 in magnitude, so adding one more int64 value
     of that size cannot wrap.
     """
     n = a.shape[-1]
-    a_max, b_max = max(max_abs(a), 1), max(max_abs(b), 1)
-    bound = n * a_max * b_max
+    bound = n * max(max_abs(a), 1) * max(max_abs(b), 1)
     if bound < _FLOAT_EXACT:
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return prod.astype(np.int64)
     if bound < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    if (n * a_max) << _LIMB_BITS >= _INT64_SAFE:
-        return np.dot(a.astype(object), b.astype(object))
-    limbs = []
-    rest = b
-    while max_abs(rest) >> _LIMB_BITS:
-        limbs.append(rest & ((1 << _LIMB_BITS) - 1))
-        rest = rest >> _LIMB_BITS  # arithmetic shift keeps the sign in the top limb
-    limbs.append(rest)
-    acc = 0
-    for k, limb in enumerate(limbs):
-        part = int_matmul(a, limb.astype(np.int64)).astype(object)
-        acc = acc + (part << (_LIMB_BITS * k))
-    return acc
+    return np.dot(a.astype(object), b.astype(object))
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,8 @@ def _near_max_operand(rng, rows, cols, bits, full_axis):
 
 
 # (bits of a, bits of b) with fan-in n = 8, so the bound is 2^(3 + a + b):
-# float64 BLAS below 2^53, int64 below 2^62, 16-bit limbs above, and a
-# Python-int dot product when a itself is too wide for limbs.
+# float64 BLAS below 2^53, int64 below 2^62 and a Python-int dot product
+# above, including operands that are themselves past int64.
 @pytest.mark.parametrize("a_bits,b_bits", [
     (10, 12), (24, 25), (25, 25), (26, 26), (28, 29), (29, 29),
     (29, 30), (30, 40), (20, 62), (40, 70), (50, 20), (70, 70)])
