@@ -149,24 +149,30 @@ def _load_model(out_dir: str):
     return model, mean, std, path
 
 
+def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
+    """The schema section as a QuantSchema; coupled activations when it has
+    no activation_bits, arch.input_bits when it has no input_bits."""
+    sec = cfg["schema"]
+    if sec is None:
+        raise ConfigError(f"{command}.source is 'schema' but no schema is configured")
+    try:
+        wb = tuple(int(b) for b in sec["weight_bits"])
+        ab = sec.get("activation_bits")
+        input_bits = int(sec.get("input_bits", cfg["arch"]["input_bits"]))
+        if ab is None:
+            return quantize.QuantSchema.coupled(wb, input_bits=input_bits)
+        return quantize.QuantSchema(weight_bits=wb,
+                                    activation_bits=tuple(int(b) for b in ab),
+                                    input_bits=input_bits)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad schema section: {exc}") from None
+
+
 def _schema_from_config(cfg: dict, out_dir: str, inputs: dict) -> quantize.QuantSchema:
     source = cfg["quantize"]["source"]
     if source == "schema" or (source == "allocation" and cfg["schema"] is not None
                               and not os.path.exists(os.path.join(out_dir, "allocation.json"))):
-        if cfg["schema"] is None:
-            raise ConfigError("quantize.source is 'schema' but no schema is configured")
-        sec = cfg["schema"]
-        try:
-            wb = tuple(int(b) for b in sec["weight_bits"])
-            ab = sec.get("activation_bits")
-            input_bits = int(sec.get("input_bits", cfg["arch"]["input_bits"]))
-            if ab is None:
-                return quantize.QuantSchema.coupled(wb, input_bits=input_bits)
-            return quantize.QuantSchema(weight_bits=wb,
-                                        activation_bits=tuple(int(b) for b in ab),
-                                        input_bits=input_bits)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad schema section: {exc}") from None
+        return _schema_section(cfg, "quantize")
     if source != "allocation":
         raise ConfigError(f"unknown quantize.source {source!r}")
     path = _require_file(os.path.join(out_dir, "allocation.json"),
@@ -433,18 +439,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         inputs[path] = sha256_file(path)
         schema = allocate.load_allocation(path).schema
     elif source == "schema":
-        if cfg["schema"] is None:
-            raise ConfigError("estimate.source is 'schema' but no schema is configured")
-        sec = cfg["schema"]
-        wb = tuple(int(b) for b in sec["weight_bits"])
-        ab = sec.get("activation_bits")
-        schema = (quantize.QuantSchema.coupled(wb, input_bits=int(
-            sec.get("input_bits", cfg["arch"]["input_bits"])))
-            if ab is None else
-            quantize.QuantSchema(weight_bits=wb,
-                                 activation_bits=tuple(int(b) for b in ab),
-                                 input_bits=int(sec.get("input_bits",
-                                                        cfg["arch"]["input_bits"]))))
+        schema = _schema_section(cfg, "estimate")
     else:
         raise ConfigError(f"unknown estimate.source {source!r}")
     arch = allocate.ArchSpec.from_sizes(sizes, sparsities=sparsities,

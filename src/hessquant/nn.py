@@ -1,7 +1,10 @@
 """Minimal dense-network engine: forward, manual backprop, Adam training,
 and finite-difference Hessian-vector products.
 
-Everything runs on float64 numpy arrays.  Matrices are C-order with shape
+One mini-batch loop, `_train_loop`, serves float training (`train`) and
+quantization-aware training (`quantize.qat_train`), which plug in their own
+gradient step.  It keeps the parameters in one flat buffer that the layers
+view and updates it in place.  Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
 layer 0 weights (row-major), layer 0 bias, layer 1 weights, ... which every
 gradient and checkpoint in the package relies on.  Batch-norm records, when
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,16 +163,23 @@ def _apply_bn(bn: BNRecord, u: np.ndarray) -> np.ndarray:
     return bn.gamma * (u - bn.mean) / np.sqrt(bn.var + bn.eps) + bn.beta
 
 
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h @ w + b with one temporary instead of two."""
+    u = h @ w
+    u += b
+    return u
+
+
 def forward_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Pre-softmax outputs; hidden activations applied along the way."""
     h = check_matrix(x, cols=model.layers[0].fan_in)
     for i, layer in enumerate(model.layers):
-        u = h @ layer.weights + layer.bias
+        u = _affine(h, layer.weights, layer.bias)
         if layer.bn is not None:
             u = _apply_bn(layer.bn, u)
         if i < model.n_layers - 1:
             if layer.activation == "relu":
-                u = np.maximum(u, 0.0)
+                np.maximum(u, 0.0, out=u)
             elif layer.activation != "none":
                 raise ValueError(f"unsupported hidden activation {layer.activation!r}")
         h = u
@@ -187,16 +197,19 @@ def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported output activation {last!r}")
 
 
+def _objective(logits: np.ndarray, labels: np.ndarray, model: MLPModel, l1: float) -> float:
+    """Mean cross entropy of the logits plus l1 times the weight L1 norms."""
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    ce = float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+    return ce + l1 * sum(float(np.abs(l.weights).sum()) for l in model.layers)
+
+
 def loss(model: MLPModel, batch: Dataset, l1: float = 0.0) -> float:
     """Mean cross-entropy plus l1 times the sum of weight-matrix L1 norms."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    logits = forward_logits(model, batch.features)
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-    ce = float(np.mean(lse - logits[np.arange(len(batch)), batch.labels]))
-    penalty = l1 * sum(float(np.abs(l.weights).sum()) for l in model.layers)
-    return ce + penalty
+    return _objective(forward_logits(model, batch.features), batch.labels, model, l1)
 
 
 def parameter_vector(model: MLPModel) -> np.ndarray:
@@ -208,66 +221,74 @@ def parameter_vector(model: MLPModel) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def replace_parameters(model: MLPModel, theta: np.ndarray) -> MLPModel:
-    """A model copy with parameters taken from a canonical flat vector."""
+def _view_model(model: MLPModel, flat: np.ndarray) -> MLPModel:
+    """A model like `model` whose weights and biases are views into a flat
+    vector in the canonical order."""
     layers = []
     off = 0
     for layer in model.layers:
-        nw = layer.weights.size
-        w = theta[off:off + nw].reshape(layer.weights.shape).copy()
-        off += nw
-        b = theta[off:off + layer.bias.size].copy()
-        off += layer.bias.size
-        layers.append(DenseLayer(weights=w, bias=b, activation=layer.activation, bn=layer.bn))
-    if off != theta.size:
-        raise ShapeError(f"parameter vector has {theta.size} entries, model needs {off}")
+        nw, nb = layer.weights.size, layer.bias.size
+        layers.append(DenseLayer(weights=flat[off:off + nw].reshape(layer.weights.shape),
+                                 bias=flat[off + nw:off + nw + nb],
+                                 activation=layer.activation, bn=layer.bn))
+        off += nw + nb
+    if off != flat.size:
+        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {off}")
     return MLPModel(layers=layers)
 
 
+def replace_parameters(model: MLPModel, theta: np.ndarray) -> MLPModel:
+    """A model copy with parameters taken from a canonical flat vector."""
+    return _view_model(model, theta).copy()
+
+
 def _forward_caches(model: MLPModel, x: np.ndarray):
-    """Layer inputs and relu masks needed by backprop."""
+    """Layer inputs (then the logits) and the factor backprop applies to each
+    layer's output gradient: the relu mask times any batch-norm scale, or None."""
     hs = [x]
-    masks = []
-    h = x
+    gates = []
     for i, layer in enumerate(model.layers):
-        u = h @ layer.weights + layer.bias
+        u = _affine(hs[-1], layer.weights, layer.bias)
+        gate = None
         if layer.bn is not None:
             u = _apply_bn(layer.bn, u)
+            gate = layer.bn.gamma / np.sqrt(layer.bn.var + layer.bn.eps)
         if i < model.n_layers - 1 and layer.activation == "relu":
-            masks.append(u > 0)
-            h = np.maximum(u, 0.0)
-        else:
-            masks.append(None)
-            h = u
-        hs.append(h)
-    return hs, masks
+            gate = u > 0 if gate is None else (u > 0) * gate
+            np.maximum(u, 0.0, out=u)
+        gates.append(gate)
+        hs.append(u)
+    return hs, gates
 
 
-def _backprop(model: MLPModel, batch: Dataset, l1: float,
-              caches=None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (dW, db) for the loss; softmax cross-entropy output."""
-    x = check_matrix(batch.features, cols=model.layers[0].fan_in)
-    n = len(batch)
-    hs, masks = caches if caches is not None else _forward_caches(model, x)
-    probs = softmax(hs[-1])
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), batch.labels] = 1.0
-    dz = (probs - onehot) / n
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * model.n_layers
+def _backward(logits: np.ndarray, labels: np.ndarray, hs, gates, model: MLPModel, l1: float,
+              grads: MLPModel, mats=None) -> None:
+    """Back-propagate the mean softmax cross entropy of the logits into
+    `grads`, a model-shaped set of arrays.  hs[i] is layer i's input, gates[i]
+    multiplies the gradient at its output (None: unchanged), and mats[i] is
+    the matrix the forward pass used when it is not the weights (under fake
+    quantization); the L1 subgradient takes the weights' sign."""
+    dz = softmax(logits)
+    dz[np.arange(len(labels)), labels] -= 1.0
+    dz /= len(labels)
     for i in reversed(range(model.n_layers)):
-        layer = model.layers[i]
-        if masks[i] is not None:
-            dz = dz * masks[i]
-        if layer.bn is not None:
-            dz = dz * (layer.bn.gamma / np.sqrt(layer.bn.var + layer.bn.eps))
-        dw = hs[i].T @ dz
+        if gates[i] is not None:
+            dz = dz * gates[i]
+        gw = grads.layers[i].weights
+        np.matmul(hs[i].T, dz, out=gw)
         if l1 != 0.0:
-            dw = dw + l1 * np.sign(layer.weights)
-        db = dz.sum(axis=0)
-        grads[i] = (dw, db)
+            gw += l1 * np.sign(model.layers[i].weights)
+        np.sum(dz, axis=0, out=grads.layers[i].bias)
         if i > 0:
-            dz = dz @ layer.weights.T
+            dz = dz @ (model.layers[i].weights if mats is None else mats[i]).T
+
+
+def _backprop(model: MLPModel, x: np.ndarray, labels: np.ndarray, l1: float,
+              grads: MLPModel | None = None) -> MLPModel:
+    """Per-layer gradient of the loss on (x, labels), into `grads` if given."""
+    hs, gates = _forward_caches(model, x)
+    grads = model.copy() if grads is None else grads
+    _backward(hs[-1], labels, hs, gates, model, l1, grads)
     return grads
 
 
@@ -278,11 +299,8 @@ def grad(model: MLPModel, batch: Dataset, l1: float = 0.0) -> np.ndarray:
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
-    parts = []
-    for dw, db in _backprop(model, batch, l1):
-        parts.append(dw.ravel())
-        parts.append(db)
-    return np.concatenate(parts)
+    x = check_matrix(batch.features, cols=model.layers[0].fan_in)
+    return parameter_vector(_backprop(model, x, batch.labels, l1))
 
 
 def fd_hvp(grad_fn, theta: np.ndarray, v: np.ndarray, eps_scale: float = 1e-4) -> np.ndarray:
@@ -323,23 +341,71 @@ def hvp(model: MLPModel, batch: Dataset, layer: int, v: np.ndarray,
     if v.size != w0.size:
         raise ShapeError(f"v must have {w0.size} entries for layer {layer}, got {v.size}")
 
+    x = check_matrix(batch.features, cols=model.layers[0].fan_in)
+
     def layer_grad(theta_w: np.ndarray) -> np.ndarray:
         trial = model.copy()
         trial.layers[layer].weights = theta_w.reshape(w0.shape)
-        return _backprop(trial, batch, l1=0.0)[layer][0].ravel()
+        return _backprop(trial, x, batch.labels, 0.0).layers[layer].weights.ravel()
 
     return fd_hvp(layer_grad, w0.ravel(), v, eps_scale=eps_scale)
 
 
-def _adam_step(theta, g, state, cfg: TrainConfig):
-    m, v, t = state
-    t += 1
-    m = cfg.beta1 * m + (1 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-    return theta, (m, v, t)
+def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+            cfg: TrainConfig) -> None:
+    """Optimizer step t (Adam, or SGD) on theta and the moments, in place; each
+    element sees the operations of the textbook form in its order, bit for bit."""
+    if cfg.optimizer == "sgd":
+        theta -= cfg.learning_rate * g
+        return
+    m *= cfg.beta1
+    m += (1 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1 - cfg.beta2) * g * g
+    denom = np.sqrt(v / (1 - cfg.beta2 ** t))
+    denom += cfg.adam_eps
+    theta -= cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / denom
+
+
+def _train_loop(model: MLPModel, data: Dataset, cfg: TrainConfig, step, logits, predictor,
+                val: Dataset | None = None, inputs: np.ndarray | None = None,
+                max_loss: float = math.inf) -> tuple[MLPModel, TrainHistory]:
+    """The mini-batch loop shared by float and quantization-aware training.
+
+    `params` is a model of views into one flat parameter buffer and `grads`
+    the same over a gradient buffer.  Each step hands a shuffled batch of
+    rows of `inputs` (the training features unless given, checked once) to
+    step(params, epoch, x, y, grads), which overwrites every gradient, then
+    updates the buffer in place.  Each epoch records the loss of
+    logits(params, inputs) and the accuracy of predictor(params) on `val`
+    (else the training data); a loss that is not finite or exceeds max_loss
+    raises TrainingDiverged.  The returned model owns its arrays.
+    """
+    if len(data) == 0:
+        raise ValueError("empty training set")
+    x = check_matrix(data.features if inputs is None else inputs,
+                     cols=model.layers[0].fan_in, name="training input")
+    y = data.labels
+    rng = np.random.default_rng(cfg.seed)
+    theta = parameter_vector(model)
+    g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    params, grads = _view_model(model, theta), _view_model(model, g)
+    eval_set = val if val is not None else data
+    history = TrainHistory()
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            step(params, epoch, x[idx], y[idx], grads)
+            t += 1
+            _update(theta, g, m, v, t, cfg)
+        epoch_loss = _objective(logits(params, x), y, params, cfg.l1)
+        if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
+            raise TrainingDiverged(epoch)
+        history.train_loss.append(epoch_loss)
+        history.val_accuracy.append(accuracy(predictor(params), eval_set))
+    return replace_parameters(params, theta), history
 
 
 def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
@@ -349,34 +415,14 @@ def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
     Shuffling, batching, and optimizer state all derive from cfg.seed.  The
     history records the full-set training loss after each epoch and accuracy
     on `val` (on the training data itself when no validation set is given).
-    Raises TrainingDiverged when the epoch loss stops being finite.
+    Raises TrainingDiverged when the epoch loss stops being finite or passes
+    1e8 (the log-sum-exp keeps cross entropy finite even for absurd logits).
     """
-    if len(data) == 0:
-        raise ValueError("empty training set")
-    rng = np.random.default_rng(cfg.seed)
-    theta = parameter_vector(model)
-    state = (np.zeros_like(theta), np.zeros_like(theta), 0)
-    history = TrainHistory()
-    current = replace_parameters(model, theta)
-    eval_set = val if val is not None else data
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            g = grad(current, data.take(idx), l1=cfg.l1)
-            if cfg.optimizer == "adam":
-                theta, state = _adam_step(theta, g, state, cfg)
-            else:
-                theta = theta - cfg.learning_rate * g
-            current = replace_parameters(current, theta)
-        epoch_loss = loss(current, data, l1=cfg.l1)
-        # the log-sum-exp keeps cross entropy finite even for absurd logits,
-        # so a runaway-but-finite loss counts as divergence too
-        if not math.isfinite(epoch_loss) or epoch_loss > 1e8:
-            raise TrainingDiverged(epoch)
-        history.train_loss.append(epoch_loss)
-        history.val_accuracy.append(accuracy(current, eval_set))
-    return current, history
+    def step(params, epoch, x, y, grads):
+        _backprop(params, x, y, cfg.l1, grads)
+
+    return _train_loop(model, data, cfg, step, forward_logits, lambda params: params,
+                       val=val, max_loss=1e8)
 
 
 def accuracy(model, data: Dataset) -> float:

@@ -7,6 +7,10 @@ calibrate symmetrically (Z = 0, alpha = -beta), post-ReLU activations use an
 unsigned range starting at zero, so the whole lowered path runs with zero
 zero-points.
 
+Quantization-aware training runs on nn's training loop with a
+straight-through step that fake-quantizes each weight once per step and the
+training inputs once per call.
+
 Lowering produces an IntegerModel whose per-layer rescaling multipliers are
 dyadic rationals (mantissa / 2^shift).  Requantization is then a single
 integer multiply, an additive rounding term of 2^(shift-1), and an arithmetic
@@ -348,22 +352,49 @@ class FakeQuantModel:
     ema_updates: list[int] = field(default_factory=list)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        h, _, _ = _fq_forward(self.model, self.schema, self.input_max, self.act_max,
-                              x, with_caches=False)
-        return nn.softmax(h)
+        xq = _fq_signed(nn.check_matrix(x, cols=self.model.layers[0].fan_in),
+                        self.schema.input_bits, self.input_max)
+        return nn.softmax(_fq_logits(self.model, self.schema, self.act_max, xq))
 
 
-def _fq_weight(w: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
-    """Symmetric per-tensor fake-quant of a weight matrix; returns scale too."""
-    params = calibrate(w, bits, symmetric=True)
-    return fake_quant(w, params), params.scale
+def _fq_weight(w: np.ndarray, bits: int) -> np.ndarray:
+    """Symmetric per-tensor fake-quant of a weight matrix, bitwise equal to
+    fake_quant(w, calibrate(w, bits, symmetric=True)) without QuantParams.
+
+    |w| / scale stays below 2^(bits-1), so only the upper clip can bind, and
+    adding 0.0 turns rint's -0.0 into the +0.0 of the int64 round trip.
+    """
+    beta = float(np.max(np.abs(w)))
+    if not math.isfinite(beta):
+        raise ValueError("calibration values contain non-finite entries")
+    scale = 2 * (beta or 1.0) / (2 ** bits - 1)
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    q = w / scale
+    np.rint(q, out=q)
+    np.minimum(q, _int_range(bits, signed=True)[1], out=q)
+    q += 0.0
+    q *= scale
+    return q
+
+
+def _fq_weights(model: MLPModel, schema: QuantSchema) -> list[np.ndarray]:
+    return [_fq_weight(l.weights, b) for l, b in zip(model.layers, schema.weight_bits)]
 
 
 def _fq_unsigned(a: np.ndarray, bits: int, amax: float) -> np.ndarray:
-    """Fake-quant of non-negative activations onto [0, amax]."""
+    """Fake-quant of post-ReLU activations onto [0, amax], in place.
+
+    For a >= 0 the clip at 0 of clip(rint(a / scale), 0, qmax) * scale never
+    binds, so only the upper clip runs.
+    """
     qmax = 2 ** bits - 1
     scale = max(amax, 1e-12) / qmax
-    return np.clip(np.rint(a / scale), 0, qmax) * scale
+    a /= scale
+    np.rint(a, out=a)
+    np.minimum(a, qmax, out=a)
+    a *= scale
+    return a
 
 
 def _fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
@@ -372,80 +403,54 @@ def _fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
     return np.clip(np.rint(x / scale), lo, hi) * scale
 
 
-def _fq_forward(model: MLPModel, schema: QuantSchema, input_max: float,
-                act_max: list[float], x: np.ndarray, with_caches: bool = True):
-    """Fake-quantized forward pass; optionally returns backprop caches.
-
-    Mirrors the lowered pipeline: inputs quantize at input_bits, each layer's
-    weights at weight_bits[i], each hidden ReLU output at activation_bits[i].
-    Final logits stay unquantized because the integer path dequantizes them.
-    """
-    hq = _fq_signed(nn.check_matrix(x, cols=model.layers[0].fan_in),
-                    schema.input_bits, input_max)
-    hs = [hq] if with_caches else None
-    relu_masks = []
-    act_masks = []
-    wqs = []
-    for i, layer in enumerate(model.layers):
-        wq, _ = _fq_weight(layer.weights, schema.weight_bits[i])
-        wqs.append(wq)
-        u = hq @ wq + layer.bias
-        if i < model.n_layers - 1:
-            if with_caches:
-                relu_masks.append(u > 0)
-            a = np.maximum(u, 0.0)
-            if with_caches:
-                act_masks.append(a <= act_max[i])
-            hq = _fq_unsigned(a, schema.activation_bits[i], act_max[i])
-        else:
-            hq = u
-        if with_caches:
-            hs.append(hq)
-    if not with_caches:
-        return hq, None, None
-    return hq, (hs, relu_masks, act_masks, wqs), None
+def _fq_logits(model: MLPModel, schema: QuantSchema, act_max: list[float], xq: np.ndarray,
+               wqs: list[np.ndarray] | None = None, u: np.ndarray | None = None,
+               hs: list | None = None, gates: list | None = None) -> np.ndarray:
+    """Fake-quantized logits of the fake-quantized inputs xq, mirroring the
+    lowered pipeline: weights at weight_bits (wqs, if already done), hidden
+    ReLU outputs at activation_bits[i] onto [0, act_max[i]], logits left
+    unquantized.  u, if given, is layer 0's product and is overwritten.  With
+    hs and gates, each hidden layer appends its output and its
+    straight-through mask (inside the ReLU and the clip range)."""
+    wqs = _fq_weights(model, schema) if wqs is None else wqs
+    u = nn._affine(xq, wqs[0], model.layers[0].bias) if u is None else u
+    for i in range(model.n_layers - 1):
+        a = np.maximum(u, 0.0, out=u)
+        if hs is not None:
+            gates.append((a > 0) & (a <= act_max[i]))
+            hs.append(a)  # fake-quantized in place next
+        hq = _fq_unsigned(a, schema.activation_bits[i], act_max[i])
+        u = nn._affine(hq, wqs[i + 1], model.layers[i + 1].bias)
+    return u
 
 
-def _fq_grad(model: MLPModel, schema: QuantSchema, input_max: float,
-             act_max: list[float], batch: Dataset, l1: float) -> np.ndarray:
-    """Straight-through-estimator gradient of the fake-quantized loss.
-
-    Rounding passes gradients unchanged; values outside a clip range get
-    zero.  Weight fake-quant recalibrates from the tensor itself, so its
-    range always covers every entry and only the activation clip masks bite.
-    """
-    logits, caches, _ = _fq_forward(model, schema, input_max, act_max, batch.features)
-    hs, relu_masks, act_masks, wqs = caches
-    n = len(batch)
-    probs = nn.softmax(logits)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), batch.labels] = 1.0
-    dz = (probs - onehot) / n
-
-    parts: list[np.ndarray] = [None] * (2 * model.n_layers)
-    for i in reversed(range(model.n_layers)):
-        layer = model.layers[i]
-        if i < model.n_layers - 1:
-            dz = dz * act_masks[i] * relu_masks[i]
-        dw = hs[i].T @ dz
-        if l1 != 0.0:
-            dw = dw + l1 * np.sign(layer.weights)
-        parts[2 * i] = dw.ravel()
-        parts[2 * i + 1] = dz.sum(axis=0)
+def _observe_act_maxima(model: MLPModel, schema: QuantSchema, act_max: list[float],
+                        wqs: list[np.ndarray], u: np.ndarray, seeded: bool) -> list[float]:
+    """Hidden post-ReLU maxima of the fake-quant forward from layer 0's
+    product u, quantizing with the ranges from before this batch's update
+    (with the batch's own maxima until the ranges are seeded)."""
+    maxima: list[float] = []
+    for i in range(model.n_layers - 1):
         if i > 0:
-            dz = dz @ wqs[i].T
-    return np.concatenate(parts)
+            u = nn._affine(hq, wqs[i], model.layers[i].bias)
+        a = np.maximum(u, 0.0)
+        maxima.append(float(a.max()) if a.size else 0.0)
+        hq = _fq_unsigned(a, schema.activation_bits[i], act_max[i] if seeded else maxima[-1])
+    return maxima
 
 
 def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainConfig,
               val: Dataset | None = None) -> FakeQuantModel:
-    """Quantization-aware training under a schema.
+    """Quantization-aware training under a schema, on nn's training loop.
 
     The forward pass fake-quantizes weights and activations; gradients use
     the straight-through estimator.  Activation ranges track per-batch maxima
     with EMA momentum 0.95 and freeze for the final fifth of the epochs, so
     the quantization is static by the end.  The input range is calibrated
-    once from the training data.  Deterministic in cfg.seed.
+    once from the training data, whose rows are fake-quantized once.  Each
+    step fake-quantizes every weight once and shares it, and layer 0's
+    product, between range observation and the gradient pass.  Only a
+    non-finite epoch loss counts as divergence.  Deterministic in cfg.seed.
     """
     if len(data) == 0:
         raise ValueError("empty training set")
@@ -455,89 +460,34 @@ def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainCon
         raise ValueError("fold batch-norm records before quantization-aware training")
 
     momentum = 0.95
-    rng = np.random.default_rng(cfg.seed)
-    theta = parameter_vector = nn.parameter_vector(model)
-    state = (np.zeros_like(theta), np.zeros_like(theta), 0)
-    current = nn.replace_parameters(model, theta)
     input_max = float(np.max(np.abs(data.features)))
     act_max: list[float] = [0.0] * (model.n_layers - 1)
     seeded = False
-    history = TrainHistory()
-    ema_updates: list[int] = []
-    eval_set = val if val is not None else data
-
     frozen_from = cfg.epochs - max(1, cfg.epochs // 5) if cfg.epochs >= 2 else cfg.epochs
-    for epoch in range(cfg.epochs):
-        updates = 0
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            batch = data.take(order[start:start + cfg.batch_size])
-            if epoch < frozen_from:
-                maxima = _observe_act_maxima(current, schema, input_max, act_max, batch.features,
-                                             seeded)
-                if not seeded:
-                    act_max[:] = maxima
-                    seeded = True
-                else:
-                    for j, m in enumerate(maxima):
-                        act_max[j] = momentum * act_max[j] + (1 - momentum) * m
-                updates += 1
-            g = _fq_grad(current, schema, input_max, act_max, batch, cfg.l1)
-            if cfg.optimizer == "adam":
-                theta, state = _adam(theta, g, state, cfg)
-            else:
-                theta = theta - cfg.learning_rate * g
-            current = nn.replace_parameters(current, theta)
-        fq = FakeQuantModel(model=current, schema=schema, input_max=input_max,
-                            act_max=list(act_max))
-        epoch_loss = _fq_loss(fq, data, cfg.l1)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch)
-        history.train_loss.append(epoch_loss)
-        history.val_accuracy.append(nn.accuracy(fq, eval_set))
-        ema_updates.append(updates)
-    return FakeQuantModel(model=current, schema=schema, input_max=input_max,
-                          act_max=list(act_max), history=history, ema_updates=ema_updates)
 
+    def step(params, epoch, xq, y, grads):
+        nonlocal seeded
+        wqs = _fq_weights(params, schema)
+        u = nn._affine(xq, wqs[0], params.layers[0].bias)
+        if epoch < frozen_from:
+            maxima = _observe_act_maxima(params, schema, act_max, wqs, u, seeded)
+            act_max[:] = [momentum * a + (1 - momentum) * m
+                          for a, m in zip(act_max, maxima)] if seeded else maxima
+            seeded = True
+        hs, gates = [xq], []
+        logits = _fq_logits(params, schema, act_max, xq, wqs, u, hs, gates)
+        nn._backward(logits, y, hs, gates + [None], params, cfg.l1, grads, mats=wqs)
 
-def _observe_act_maxima(model, schema, input_max, act_max, x, seeded) -> list[float]:
-    """Hidden-layer post-ReLU maxima of the fake-quant forward on one batch.
-
-    Before the ranges are seeded the pass uses the batch's own running maxima
-    so early quantization is sane.
-    """
-    hq = _fq_signed(np.asarray(x, dtype=np.float64), schema.input_bits, input_max)
-    maxima = []
-    for i, layer in enumerate(model.layers):
-        wq, _ = _fq_weight(layer.weights, schema.weight_bits[i])
-        u = hq @ wq + layer.bias
-        if i == model.n_layers - 1:
-            break
-        a = np.maximum(u, 0.0)
-        m = float(a.max()) if a.size else 0.0
-        maxima.append(m)
-        rng_max = m if not seeded else act_max[i]
-        hq = _fq_unsigned(a, schema.activation_bits[i], rng_max)
-    return maxima
-
-
-def _fq_loss(fq: FakeQuantModel, batch: Dataset, l1: float) -> float:
-    logits, _, _ = _fq_forward(fq.model, fq.schema, fq.input_max, fq.act_max,
-                               batch.features, with_caches=False)
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-    ce = float(np.mean(lse - logits[np.arange(len(batch)), batch.labels]))
-    return ce + l1 * sum(float(np.abs(l.weights).sum()) for l in fq.model.layers)
-
-
-def _adam(theta, g, state, cfg: TrainConfig):
-    m, v, t = state
-    t += 1
-    m = cfg.beta1 * m + (1 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    return theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps), (m, v, t)
+    trained, history = nn._train_loop(
+        model, data, cfg, step, lambda params, xq: _fq_logits(params, schema, act_max, xq),
+        lambda params: FakeQuantModel(model=params, schema=schema, input_max=input_max,
+                                      act_max=list(act_max)),
+        val=val, inputs=_fq_signed(data.features, schema.input_bits, input_max))
+    batches = -(-len(data) // cfg.batch_size)
+    return FakeQuantModel(model=trained, schema=schema, input_max=input_max,
+                          act_max=list(act_max), history=history,
+                          ema_updates=[batches if e < frozen_from else 0
+                                       for e in range(cfg.epochs)])
 
 
 def calibrate_fake_quant(model: MLPModel, schema: QuantSchema, calib: Dataset) -> FakeQuantModel:
@@ -630,7 +580,9 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
 
     Raises LoweringError when a layer's worst-case accumulator width
     (weight bits + incoming activation bits + ceil(log2 fan_in)) exceeds
-    accumulator_bits; pass a wider accumulator for wide schemas.
+    accumulator_bits; pass a wider accumulator for wide schemas.  Also raises
+    it when the input or a weight scale, a requantization multiplier or the
+    output scale rounds to mantissa 0, since every logit would then read 0.
     """
     model, schema = fq.model, fq.schema
     if any(l.bn is not None for l in model.layers):
@@ -681,6 +633,8 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
         if last:
             m, c = _dyadic_product(w_scale, prev_scale)
             output_scale = _rescale_dyadic(m, c, budget)
+            if output_scale.mantissa == 0:
+                raise LoweringError(f"layer {i}: output scale underflowed")
             layers.append(IntLayer(q_weights=q_w, weight_bits=b_w, weight_scale=w_scale,
                                    q_bias=q_b, act_bits=schema.activation_bits[i],
                                    requant=None, act_exp=None))

@@ -255,3 +255,27 @@ def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
     model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
     nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
     assert cli.main(["quantize", "--config", config]) == 2
+
+
+def test_exit_2_when_the_output_scale_underflows(tmp_path, capsys):
+    # the default model at 32 bits: every weight and input scale is nonzero,
+    # but the output scale needs a shift past 31 and its mantissa rounds to 0
+    cfg = {"out": str(tmp_path / "out"),
+           "schema": {"weight_bits": [32] * 4, "activation_bits": [32] * 4,
+                      "input_bits": 32},
+           "quantize": {"source": "schema", "accumulator_bits": 96}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for cmd in ("gen-data", "train"):
+        assert run(cmd, str(path)) == 0, cmd
+    capsys.readouterr()
+    assert run("quantize", str(path)) == 2
+    assert "output scale underflowed" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "intmodel.json")
+
+
+def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
+    config, _ = write_config(tmp_path, estimate={"source": "schema"},
+                             schema={"weight_bits": [40, 8, 8]})
+    assert run("estimate", config) == 2
+    assert "bad schema section" in capsys.readouterr().err

@@ -451,9 +451,23 @@ def test_lower_wide_accumulator_uses_object_arrays(qat_setup):
     cfg = nn.TrainConfig(epochs=2, batch_size=64, seed=0)
     fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(24, 3, input_bits=24),
                       cfg, val=va)
-    im = qz.lower(fq, accumulator_bits=72)
-    logits, _ = qz.int_forward(im, va.features[:16])
-    assert np.all(np.isfinite(logits))
+    # the output scale w_scale * 2^-e_a needs more than 31 shift bits at 24
+    # bits, so its mantissa rounds to 0 and every logit would read 0
+    with pytest.raises(qz.LoweringError, match="layer 2: output scale underflowed"):
+        qz.lower(fq, accumulator_bits=72)
+
+
+def test_lower_at_18_bits_keeps_a_nonzero_output_scale(qat_setup):
+    # the widest homogeneous schema whose output scale survives on this model:
+    # a 1-bit mantissa is coarse, but a positive scale leaves every argmax alone
+    model, tr, va = qat_setup
+    cfg = nn.TrainConfig(epochs=2, batch_size=64, seed=0)
+    fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(18, 3, input_bits=18),
+                      cfg, val=va)
+    im = qz.lower(fq, accumulator_bits=64)
+    assert im.output_scale == qz.DyadicScale(1, 31)
+    logits, _ = qz.int_forward(im, va.features)
+    assert np.mean(logits.argmax(axis=1) == va.labels) == nn.accuracy(fq, va)
 
 
 def test_lower_rejects_weight_scale_that_rounds_to_zero(qat_setup):
