@@ -4,7 +4,9 @@ and finite-difference Hessian-vector products.
 One mini-batch loop, `_train_loop`, serves float training (`train`) and
 quantization-aware training (`quantize.qat_train`), which plug in their own
 gradient step.  It keeps the parameters in one flat buffer that the layers
-view and updates it in place.  Everything runs on float64 numpy arrays.  Matrices are C-order with shape
+view and updates it in place.
+
+Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
 layer 0 weights (row-major), layer 0 bias, layer 1 weights, ... which every
 gradient and checkpoint in the package relies on.  Batch-norm records, when
