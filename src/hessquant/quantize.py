@@ -469,7 +469,7 @@ def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainCon
         nonlocal seeded
         wqs = _fq_weights(params, schema)
         u = nn._affine(xq, wqs[0], params.layers[0].bias)
-        if epoch < frozen_from:
+        if epoch < frozen_from:  # reads u before _fq_logits overwrites it
             maxima = _observe_act_maxima(params, schema, act_max, wqs, u, seeded)
             act_max[:] = [momentum * a + (1 - momentum) * m
                           for a, m in zip(act_max, maxima)] if seeded else maxima
