@@ -319,11 +319,13 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     Each configuration gets a fresh model and a per-config training seed
     (cfg.seed + config_id), is trained with quantization-aware training under
     the coupled schema, and is recorded with its accuracy, measured per-layer
-    sparsity, and BOPs recomputed from that measured sparsity.  A failing
-    configuration produces a record with the error message instead of
-    aborting the sweep.  sample draws that many configs without replacement
-    using the given seed; jobs > 1 fans configurations across threads with
-    results kept in config order.
+    sparsity, and BOPs recomputed from that measured sparsity.  A
+    configuration whose training diverges (TrainingDiverged, or the
+    ValueError that fake-quantizing non-finite weights raises mid-epoch)
+    produces a record with the error message instead of aborting the sweep;
+    any other exception propagates.  sample draws that many configs without
+    replacement using the given seed; jobs > 1 fans configurations across
+    threads with results kept in config order.
     """
     cands = tuple(sorted(set(int(b) for b in candidates)))
     sizes = (arch.dims[0][0], *[m for _, m in arch.dims])
@@ -350,7 +352,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
                                activation_bits=schema.activation_bits, accuracy=acc,
                                bops=model_bops(measured, schema), sparsities=sp,
                                seed=run_cfg.seed)
-        except Exception as exc:  # recorded, not fatal
+        except (nn.TrainingDiverged, ValueError) as exc:  # recorded, not fatal
             return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
                                activation_bits=schema.activation_bits,
                                accuracy=float("nan"), bops=float("nan"),

@@ -5,9 +5,11 @@ topological order.  Quant nodes emit integer codes per the clip-round-scale
 rule (data, scale, and zero point arrive as inputs; bit width, signedness,
 narrow-range, and rounding mode are attributes).  The interpreter runs
 integer tensors in exact integer arithmetic and everything else in float64.
-Exact integer tensors are int64 while their bounds fit and Python-int object
-arrays past that; an integer MatMul shares `quantize.int_matmul`, which uses
-a float64 BLAS product below 2^53, int64 below 2^62 and Python ints above.
+An integer tensor is held in float64 while its bound is below 2^53, in int64
+below 2^63 and as Python-int objects past that; integer MatMul, Add and Mul
+share their kernels with `quantize.int_forward`.  Evaluation writes in place
+into the tensors it allocated, frees each tensor after its last consumer,
+and hands integer outputs back as int64 or Python ints.
 
 The exported form of an IntegerModel keeps the scale arithmetic split around
 each ReLU (Mul by the dequantization scale before, Mul by the reciprocal
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import IntegerModel, int_codes, int_matmul, int_to_float
+from .quantize import (_FLOAT_EXACT, IntegerModel, _exact_matmul, _int_arith,
+                       _int_range, _into, _matmul_bound, int_codes, int_to_float)
 
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
@@ -301,24 +304,41 @@ def _constant_info(node: IRNode) -> TensorInfo:
 # Interpretation
 
 
-def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict) -> np.ndarray:
+def _real(a: np.ndarray) -> np.ndarray:
+    """A tensor as float64: float64 arrays as they are, integers converted."""
+    return a if a.dtype == np.float64 else int_to_float(a)
+
+
+def _width_bound(info: TensorInfo) -> int:
+    """Largest magnitude an integer tensor of the inferred width can hold."""
+    return (1 << info.bits) - 1
+
+
+def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict,
+                spare: bool) -> np.ndarray:
+    """Quant codes of x, in float64 up to 53 bits and int64 past that; x is
+    overwritten when spare is set and it is already float64."""
     bits = int(attrs["bits"])
-    signed = bool(attrs["signed"])
-    if signed:
-        qmin, qmax = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        if attrs.get("narrow", False):
-            qmin += 1
+    qmin, qmax = _int_range(bits, bool(attrs["signed"]))
+    if attrs.get("narrow", False) and attrs["signed"]:
+        qmin += 1
+    t = _real(x)
+    if t is x and not spare:
+        t = t / scale
     else:
-        qmin, qmax = 0, (1 << bits) - 1
-    t = np.asarray(x, dtype=np.float64) / scale - zp
+        t /= scale
+    if zp:
+        t -= zp
     mode = attrs.get("rounding", "half_even")
     if mode == "half_even":
-        q = np.rint(t)
+        np.rint(t, out=t)
     elif mode == "half_up":
-        q = np.floor(t + 0.5)
+        t += 0.5
+        np.floor(t, out=t)
     else:
         raise EvalError(f"unknown rounding mode {mode!r}")
-    return np.clip(q, qmin, qmax).astype(np.int64)
+    np.clip(t, qmin, qmax, out=t)
+    return t if bits <= 53 else t.astype(np.int64)
 
 
 def _as_scalar(a) -> float:
@@ -328,30 +348,49 @@ def _as_scalar(a) -> float:
     return arr.reshape(()).item()
 
 
+def _check_width(name: str, a: np.ndarray, info: TensorInfo) -> None:
+    lo, hi = _int_range(info.bits, info.signed)
+    if a.size and (int(a.min()) < lo or int(a.max()) > hi):
+        raise EvalError(f"{name} holds values outside its declared "
+                        f"{info.bits}-bit {'signed' if info.signed else 'unsigned'} range")
+
+
 def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Reference interpretation of the graph on the given inputs.
 
-    Integer tensors use exact integer arithmetic.  Integer MatMul runs the
-    shared `quantize.int_matmul` kernel, which picks a float64 BLAS, int64 or
-    Python-int product from the operands' observed magnitudes;
-    Add and Mul of integers run in int64 when the inferred width bound allows
-    and on arbitrary-precision objects otherwise.  Quant follows its
-    attributes; Softmax and scale multiplications run in float64.  Returns
-    the declared outputs by name.
+    Integer tensors use exact integer arithmetic, held in the narrowest form
+    their bound allows: integers float64 holds exactly (below 2^53), int64,
+    or Python-int objects.  Quant nodes and integer nodes whose bound from
+    the operands' inferred widths is below 2^53 produce float64-held
+    integers; past that, integer MatMul runs the kernel behind
+    `quantize.int_matmul` (int64 below 2^62, Python ints above) and Add and
+    Mul the integer add/mul `quantize.int_forward` uses for its bias, both
+    by the observed bound.  Quant follows its attributes; Softmax and scale
+    multiplications run in float64.
+
+    Integer graph inputs and initializers are checked against their declared
+    widths before use.  Evaluation runs in place: an elementwise node writes
+    into an operand this call allocated that no later node reads, and each
+    tensor leaves the environment after its last consumer.  Graph inputs,
+    initializers and Constant values are never written.  Returns the
+    declared outputs by name; integer outputs come back as int64, or as
+    Python-int objects where they do not fit.
     """
     typed = infer_shapes(g)
+    info = typed.tensors
     env: dict[str, np.ndarray] = {}
     for name in g.inputs:
         if name not in inputs:
             raise EvalError(f"missing graph input {name}")
-        info = typed.tensors[name]
-        if info.kind == "real":
+        t = info[name]
+        if t.kind == "real":
             x = np.asarray(inputs[name], dtype=np.float64)
-        elif info.bits is not None and info.bits > 62:
-            x = np.asarray(inputs[name], dtype=object)
         else:
-            x = np.asarray(inputs[name], dtype=np.int64)
-        decl = info.shape
+            x = np.asarray(inputs[name], dtype=object if t.bits > 62 else np.int64)
+            _check_width(f"input {name}", x, t)
+            if t.bits <= 53:
+                x = x.astype(np.float64)
+        decl = t.shape
         if len(x.shape) != len(decl) or any(
                 d != -1 and d != s for d, s in zip(decl, x.shape)):
             raise EvalError(f"input {name} has shape {x.shape}, declared {decl}")
@@ -359,56 +398,65 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     for extra in set(inputs) - set(g.inputs):
         raise EvalError(f"unknown input {extra}")
     for name, arr in g.initializers.items():
+        if info[name].kind == "int":
+            _check_width(f"initializer {name}", arr, info[name])
         env[name] = arr
 
-    for node in g.nodes:
+    keep = set(g.outputs)
+    last_use = {n: idx for idx, node in enumerate(g.nodes) for n in node.inputs}
+    owned: set[str] = set()   # tensors this call allocated
+    for idx, node in enumerate(g.nodes):
         vals = [env[n] for n in node.inputs]
+        # operands that may be overwritten: allocated here, read no later
+        spare = tuple(env[n] for n in node.inputs
+                      if n in owned and last_use[n] == idx and n not in keep)
+        out_info = info[node.output]
         if node.kind == "Quant":
             out = _quant_eval(vals[0], _as_scalar(vals[1]), int(_as_scalar(vals[2])),
-                              node.attrs)
+                              node.attrs, any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
             a, b = vals
-            ta, tb = (typed.tensors[n] for n in node.inputs)
-            if ta.kind == "int" and tb.kind == "int":
-                out = int_matmul(a, b)
+            if out_info.kind == "int":
+                ta, tb = (info[n] for n in node.inputs)
+                bound = a.shape[-1] * _width_bound(ta) * _width_bound(tb)
+                out = _exact_matmul(a, b, bound if bound < _FLOAT_EXACT
+                                    else _matmul_bound(a, b))
             else:
-                out = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-        elif node.kind == "Add":
-            a, b = vals
-            if typed.tensors[node.output].kind == "int" \
-                    and typed.tensors[node.output].bits > 62:
-                a = a.astype(object) if a.dtype != object else a
-                b = b.astype(object) if b.dtype != object else b
-            out = a + b
-        elif node.kind == "Mul":
-            ta, tb = (typed.tensors[n] for n in node.inputs)
-            if ta.kind == "int" and tb.kind == "int":
-                a, b = vals
-                if typed.tensors[node.output].bits > 62:
-                    a = a.astype(object) if a.dtype != object else a
-                    b = b.astype(object) if b.dtype != object else b
-                out = a * b
+                out = _real(a) @ _real(b)
+        elif node.kind in ("Add", "Mul"):
+            ufunc = np.add if node.kind == "Add" else np.multiply
+            if out_info.kind == "int":
+                wa, wb = (_width_bound(info[n]) for n in node.inputs)
+                bound = wa + wb if node.kind == "Add" else wa * wb
+                out = _int_arith(ufunc, *vals, bound if bound < _FLOAT_EXACT else None,
+                                 spare)
             else:
-                a = vals[0] if typed.tensors[node.inputs[0]].kind == "real" \
-                    else int_to_float(vals[0])
-                b = vals[1] if typed.tensors[node.inputs[1]].kind == "real" \
-                    else int_to_float(vals[1])
-                out = a * b
+                out = _into(ufunc, *(_real(v) for v in vals), spare)
         elif node.kind == "Relu":
-            zero = 0 if typed.tensors[node.output].kind == "int" else 0.0
-            out = np.maximum(vals[0], zero)
+            a = vals[0]
+            out = np.maximum(a, 0, out=a if spare else None)
         elif node.kind == "Softmax":
-            z = int_to_float(vals[0]) if typed.tensors[node.inputs[0]].kind == "int" \
-                else np.asarray(vals[0], dtype=np.float64)
-            zmax = z.max(axis=-1, keepdims=True)
-            ez = np.exp(z - zmax)
-            out = ez / ez.sum(axis=-1, keepdims=True)
+            z = _real(vals[0])
+            if z is vals[0] and not spare:
+                z = z - z.max(axis=-1, keepdims=True)
+            else:
+                z -= z.max(axis=-1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=-1, keepdims=True)
+            out = z
         elif node.kind == "Constant":
             out = node.attrs["value"]
         else:
             raise EvalError(f"node {node.output}: unsupported operator {node.kind}")
         env[node.output] = out
-    return {name: env[name] for name in g.outputs}
+        if node.kind != "Constant":
+            owned.add(node.output)
+        for n in (*node.inputs, node.output):
+            if last_use.get(n, -1) <= idx and n not in keep:
+                env.pop(n, None)
+    return {name: env[name].astype(np.int64)
+            if info[name].kind == "int" and env[name].dtype == np.float64 else env[name]
+            for name in g.outputs}
 
 
 # ---------------------------------------------------------------------------

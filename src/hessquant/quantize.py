@@ -20,12 +20,17 @@ exported graph reproduces the integer pipeline exactly at the bit widths the
 tool targets.
 
 Integer arithmetic is exact at every width, and its representation follows
-from bounds the code already has rather than from an option: bias codes are
-int64 whenever every value fits, `int_matmul` runs a float64 BLAS product
-while every partial sum stays below 2^53, an int64 product below 2^62 and a
-Python-int dot product above that, and `requantize` stays in int64 while
-max|acc| * mantissa + 2^(shift-1) fits.  Python-int object arrays appear
-only for values that do not fit int64.
+from bounds rather than from an option, op by op through whole layers:
+integers bounded below 2^53 stay in float64 arrays, which hold them exactly,
+below 2^63 in int64, and past that in Python-int object arrays.  So
+`int_forward` runs a layer as one float64 product and in-place bias add,
+rescale, rounding and clip while n*max|h|*max|W| + max|bias| and that bound
+times the mantissa plus 2^(shift-1) stay below 2^53, and moves to int64 or
+Python ints where a bound passes; `ir.evaluate` shares its matmul and its
+integer add and multiply.  The public kernels keep their own contracts:
+`int_matmul` returns int64 below 2^62 and Python ints above, and
+`requantize` stays in int64 while max|acc| * mantissa + 2^(shift-1) fits.
+Bias codes are int64 whenever every value fits.
 """
 
 from __future__ import annotations
@@ -226,11 +231,12 @@ def _rescale_dyadic(mantissa: int, shift: int, mantissa_bits: int) -> DyadicScal
 
 _INT64_LIMIT = 1 << 63
 _FLOAT_EXACT = 1 << 53     # every integer below this is a float64
-_INT64_SAFE = 1 << 62      # int64 results stay below this, so one more add fits
+_INT64_SAFE = 1 << 62      # int_matmul keeps its int64 results below this
 
 
 def max_abs(a: np.ndarray) -> int:
-    """max |a| of an integer array (int64 or Python-int objects) as an int."""
+    """max |a| of an integer array (float64-held, int64 or Python-int objects)
+    as an int."""
     if a.size == 0:
         return 0
     return max(-int(a.min()), int(a.max()))
@@ -248,6 +254,56 @@ def int_codes(values) -> np.ndarray:
     vals = [int(v) for v in values]
     fits = all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in vals)
     return np.array(vals, dtype=np.int64 if fits else object)
+
+
+def _in_tier(a: np.ndarray, bound: int) -> np.ndarray:
+    """a's integer values, all at most bound in magnitude, in the narrowest
+    exact form for that bound: float64 below 2^53, int64 below 2^63 and
+    Python-int objects past that.  Returns a itself if it has that form."""
+    if bound < _FLOAT_EXACT:
+        return a if a.dtype == np.float64 else int_to_float(a)
+    if bound < _INT64_LIMIT:
+        return a.astype(np.int64, copy=False)
+    return a if a.dtype == object else a.astype(np.int64, copy=False).astype(object)
+
+
+def _matmul_bound(a: np.ndarray, b: np.ndarray) -> int:
+    """n * max|a| * max|b|, which bounds every partial sum of a @ b."""
+    return a.shape[-1] * max(max_abs(a), 1) * max(max_abs(b), 1)
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """Exact integer a @ b given bound >= n * max|a| * max|b|: a float64 BLAS
+    product below 2^53 (every partial sum is then an integer float64 holds),
+    an int64 product below 2^62 and a Python-int dot product above."""
+    if bound < _FLOAT_EXACT:
+        return _in_tier(a, bound) @ _in_tier(b, bound)
+    if bound < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.dot(_in_tier(a, _INT64_LIMIT), _in_tier(b, _INT64_LIMIT))
+
+
+def _int_arith(ufunc, a: np.ndarray, b: np.ndarray, bound: int | None = None,
+               spare: tuple = ()) -> np.ndarray:
+    """Exact elementwise a + b or a * b (ufunc np.add or np.multiply) of
+    integer arrays, in the form _in_tier picks for bound >= |result|.  With
+    bound None it is observed: max|a| + max|b|, or max|a| * max|b|.  An
+    operand listed in spare that keeps its form and has the result's shape
+    receives the result in place."""
+    if bound is None:
+        ma, mb = max_abs(a), max_abs(b)
+        bound = ma + mb if ufunc is np.add else ma * mb
+    return _into(ufunc, _in_tier(a, bound), _in_tier(b, bound), spare)
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
+    """ufunc(a, b), written into a or b if it is listed in spare and has the
+    result's shape."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    for t in (a, b):
+        if t.shape == shape and any(t is s for s in spare):
+            return ufunc(a, b, out=t)
+    return ufunc(a, b)
 
 
 def requantize(acc, scale: DyadicScale):
@@ -280,14 +336,8 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     int64 results are below 2^62 in magnitude, so adding one more int64 value
     of that size cannot wrap.
     """
-    n = a.shape[-1]
-    bound = n * max(max_abs(a), 1) * max(max_abs(b), 1)
-    if bound < _FLOAT_EXACT:
-        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-        return prod.astype(np.int64)
-    if bound < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return np.dot(a.astype(object), b.astype(object))
+    prod = _exact_matmul(a, b, _matmul_bound(a, b))
+    return prod.astype(np.int64) if prod.dtype == np.float64 else prod
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +708,6 @@ def _log(op_log, op: str, domain: str) -> None:
         op_log.append((op, domain))
 
 
-def _int_matmul(h: np.ndarray, layer: IntLayer, op_log):
-    """Exact integer h @ W + bias; int64 while the sum fits, else Python ints."""
-    acc = int_matmul(h, layer.q_weights)
-    _log(op_log, "matmul", "int")
-    # int64 products stay below 2^62, so a bias below 2^62 cannot wrap the add.
-    if acc.dtype == object or layer.q_bias.dtype == object \
-            or max_abs(layer.q_bias) >= _INT64_SAFE:
-        acc = acc.astype(object) + layer.q_bias.astype(object)
-    else:
-        acc = acc + layer.q_bias
-    _log(op_log, "add_bias", "int")
-    return acc
-
-
 def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     """Integer-only inference; returns (real logits, integer logit codes).
 
@@ -681,24 +717,53 @@ def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     final accumulator is dequantized by the stored output scale.  Softmax is
     left to the caller.  Pass op_log to record each operation with the
     arithmetic domain it ran in.
+
+    Each step holds its integers in the form its bound allows, and runs in
+    place on arrays this call allocated.  While n*max|h|*max|W| + max|bias|
+    and that bound times the mantissa plus 2^(shift-1) stay below 2^53, a
+    layer is one float64 product, an in-place bias add, a multiply by the
+    exact dyadic value, + 1/2, floor and clip on integers float64 holds
+    exactly; past that it runs in int64, and in Python ints past int64.  The
+    codes come back as int64, or as Python-int objects where they do not fit.
     """
     x = nn.check_matrix(x, cols=im.layers[0].q_weights.shape[0])
     _log(op_log, "quantize_input", "real")
-    h = quantize(x, im.input_params)
+    p = im.input_params
+    h = x / p.scale   # quantize(x, p), with its codes left in float64
+    if p.zero_point:
+        h -= p.zero_point
+    np.rint(h, out=h)
+    np.clip(h, p.qmin, p.qmax, out=h)
     for layer in im.layers:
-        acc = _int_matmul(h, layer, op_log)
-        if layer.requant is not None:
-            q = requantize(acc, layer.requant)
-            _log(op_log, "requantize", "int")
-            qmax = (1 << layer.act_bits) - 1
-            h = np.minimum(np.maximum(q, 0), qmax)  # clip at 0 doubles as ReLU
-            _log(op_log, "clip_relu", "int")
-            if h.dtype == object and qmax < (1 << 62):
-                h = h.astype(np.int64)
+        bound = _matmul_bound(h, layer.q_weights)
+        acc = _exact_matmul(h, layer.q_weights, bound)
+        _log(op_log, "matmul", "int")
+        bound += max_abs(layer.q_bias)
+        acc = _int_arith(np.add, acc, layer.q_bias, bound, spare=(acc,))
+        _log(op_log, "add_bias", "int")
+        s = layer.requant
+        if s is None:
+            break
+        half = (1 << (s.shift - 1)) if s.shift else 0
+        if acc.dtype == np.float64 and bound * s.mantissa + half < _FLOAT_EXACT:
+            # (acc*m + half) / 2^c = acc * (m/2^c) + 1/2, every step exact
+            acc *= s.value
+            if half:
+                acc += 0.5
+            h = np.floor(acc, out=acc)
         else:
-            q_logits = acc
+            h = requantize(acc, s)
+        _log(op_log, "requantize", "int")
+        qmax = (1 << layer.act_bits) - 1
+        np.maximum(h, 0, out=h)  # clip at 0 doubles as ReLU
+        np.minimum(h, qmax, out=h)
+        _log(op_log, "clip_relu", "int")
+        if h.dtype == object and qmax < (1 << 62):
+            h = h.astype(np.int64)
     _log(op_log, "dequantize_output", "real")
-    return int_to_float(q_logits) * im.output_scale.value, q_logits
+    logits = acc * im.output_scale.value if acc.dtype == np.float64 \
+        else int_to_float(acc) * im.output_scale.value
+    return logits, acc.astype(np.int64) if acc.dtype == np.float64 else acc
 
 
 # ---------------------------------------------------------------------------

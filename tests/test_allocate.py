@@ -296,7 +296,7 @@ def test_sweep_records_failures_without_aborting(sweep_data, monkeypatch):
     real = qz.qat_train
     def sometimes_fails(model, dataset, schema, cfg, val=None):
         if schema.weight_bits == (4, 4):
-            raise nn.TrainingDiverged(0, "synthetic failure")
+            raise nn.TrainingDiverged(0)
         return real(model, dataset, schema, cfg, val=val)
     monkeypatch.setattr(qz, "qat_train", sometimes_fails)
 
@@ -304,4 +304,18 @@ def test_sweep_records_failures_without_aborting(sweep_data, monkeypatch):
     failed = [r for r in recs if r.error]
     ok = [r for r in recs if not r.error]
     assert len(failed) == 1 and math.isnan(failed[0].accuracy)
+    assert failed[0].error == str(nn.TrainingDiverged(0))
+    assert "non-finite loss" in failed[0].error
     assert len(ok) == 3
+
+
+def test_sweep_propagates_programming_errors(sweep_data, monkeypatch):
+    tr, va = sweep_data
+    arch = al.ArchSpec.from_sizes([16, 6, 5])
+    cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
+
+    def broken(model, dataset, schema, cfg, val=None):
+        raise TypeError("synthetic programming error")
+    monkeypatch.setattr(qz, "qat_train", broken)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        al.sweep(arch, (4, 6), tr, cfg, val=va)
