@@ -360,12 +360,13 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
 
     Integer tensors use exact integer arithmetic, held in the narrowest form
     their bound allows: integers float64 holds exactly (below 2^53), int64,
-    or Python-int objects.  Quant nodes and integer nodes whose bound from
-    the operands' inferred widths is below 2^53 produce float64-held
-    integers; past that, integer MatMul runs the kernel behind
-    `quantize.int_matmul` (int64 below 2^62, Python ints above) and Add and
-    Mul the integer add/mul `quantize.int_forward` uses for its bias, both
-    by the observed bound.  Quant follows its attributes; Softmax and scale
+    or Python-int objects.  Quant nodes and integer nodes whose bound is
+    below 2^53 produce float64-held integers; the bound follows from the
+    declared widths of inputs, initializers and Constant values, the Quant
+    widths and the actual matmul inner dimensions.  Past 2^53, integer
+    MatMul runs the kernel behind `quantize.int_matmul` (int64 below 2^62,
+    Python ints above) and Add and Mul the integer add/mul
+    `quantize.int_forward` uses for its bias, both by the observed bound.  Quant follows its attributes; Softmax and scale
     multiplications run in float64.
 
     Integer graph inputs and initializers are checked against their declared
@@ -405,6 +406,13 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     keep = set(g.outputs)
     last_use = {n: idx for idx, node in enumerate(g.nodes) for n in node.inputs}
     owned: set[str] = set()   # tensors this call allocated
+    # magnitude bounds of computed integer tensors, from the declared and
+    # Quant widths and the actual inner dimensions (inference assumes one)
+    bounds: dict[str, int] = {}
+
+    def bound_of(name: str) -> int:
+        return bounds[name] if name in bounds else _width_bound(info[name])
+
     for idx, node in enumerate(g.nodes):
         vals = [env[n] for n in node.inputs]
         # operands that may be overwritten: allocated here, read no later
@@ -417,8 +425,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         elif node.kind == "MatMul":
             a, b = vals
             if out_info.kind == "int":
-                ta, tb = (info[n] for n in node.inputs)
-                bound = a.shape[-1] * _width_bound(ta) * _width_bound(tb)
+                bound = bounds[node.output] = \
+                    a.shape[-1] * bound_of(node.inputs[0]) * bound_of(node.inputs[1])
                 out = _exact_matmul(a, b, bound if bound < _FLOAT_EXACT
                                     else _matmul_bound(a, b))
             else:
@@ -426,14 +434,16 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         elif node.kind in ("Add", "Mul"):
             ufunc = np.add if node.kind == "Add" else np.multiply
             if out_info.kind == "int":
-                wa, wb = (_width_bound(info[n]) for n in node.inputs)
-                bound = wa + wb if node.kind == "Add" else wa * wb
+                wa, wb = (bound_of(n) for n in node.inputs)
+                bound = bounds[node.output] = wa + wb if node.kind == "Add" else wa * wb
                 out = _int_arith(ufunc, *vals, bound if bound < _FLOAT_EXACT else None,
                                  spare)
             else:
                 out = _into(ufunc, *(_real(v) for v in vals), spare)
         elif node.kind == "Relu":
             a = vals[0]
+            if out_info.kind == "int":
+                bounds[node.output] = bound_of(node.inputs[0])
             out = np.maximum(a, 0, out=a if spare else None)
         elif node.kind == "Softmax":
             z = _real(vals[0])

@@ -273,3 +273,20 @@ def test_lowered_models_agree_with_the_python_int_replay(bits, small_data, train
                    for l in trained_model.layers)
     im = qz.lower(fq, accumulator_bits=acc_bits)
     _check_against_reference(im, val_ds.features[:64])
+
+
+def test_bounds_follow_the_actual_inner_dimension():
+    # both inner dimensions are dynamic, so inference assumes one term per
+    # sum and calls the 26-bit products 52 bits wide; the sums of 4096 terms
+    # are near 2^62 and the Add after them must still be exact
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {}),
+               ir.IRNode("Add", ("c", "one"), "d", {})],
+        inputs=["a", "b"], outputs=["d"],
+        tensors={"a": ir.TensorInfo((-1, -1), "int", bits=26, signed=True),
+                 "b": ir.TensorInfo((-1, 1), "int", bits=26, signed=True)},
+        initializers={"one": np.array([1], dtype=np.int64)})
+    assert ir.infer_shapes(g).tensors["c"].bits == 52
+    n, v = 4096, (1 << 25) - 1
+    out = ir.evaluate(g, {"a": np.full((1, n), v), "b": np.full((n, 1), v)})
+    assert out["d"].tolist() == [[n * v * v + 1]]
