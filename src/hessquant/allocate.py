@@ -7,9 +7,10 @@ and b_a-bit incoming activations costs
 
 bit operations, where f_p is the fraction of pruned (zero) weights.  The
 allocation objective weighs each layer's quantization damage by its Hessian
-sensitivity: omega = sum_i avg_trace_i * ||Q(W_i) - W_i||^2.  The search for
-the omega-minimizing bit assignment under a BOPs budget is solved exactly,
-by enumeration for small spaces and depth-first branch-and-bound otherwise.
+sensitivity: omega = sum_i avg_trace_i * ||Q(W_i) - W_i||^2.  The
+omega-minimizing bit assignment under a BOPs budget is found exactly by a
+dynamic program over layers that keeps, for each layer's width, the Pareto
+frontier of (BOPs, omega) prefixes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .nn import MLPModel, TrainConfig
 from .quantize import QuantSchema
 
 DEFAULT_CANDIDATES = (4, 5, 6, 7, 8)
-EXHAUSTIVE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,23 @@ class AllocationProblem:
     coupling_offset: int = 3
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("candidate set is empty")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not self.budget > 0:  # also rejects NaN
+            raise ValueError(f"budget must be positive, got {self.budget}")
         if not (len(self.traces) == len(self.weights) == self.arch.n_layers):
             raise ValueError("traces/weights arity does not match the architecture")
         # sampled traces can dip below zero on barely-trained models; a
         # negative sensitivity would reward quantization error, so floor at 0
         self.traces = [max(0.0, float(t)) for t in self.traces]
         self.candidates = tuple(sorted(set(int(b) for b in self.candidates)))
+        if not self.candidates:
+            raise ValueError("candidate set is empty")
+        lo, hi = self.candidates[0], self.candidates[-1]
+        if lo < quantize.MIN_BITS or hi > quantize.MAX_BITS:
+            raise ValueError(f"candidate widths must lie in "
+                             f"{quantize.MIN_BITS}..{quantize.MAX_BITS}, got {self.candidates}")
+        if lo + self.coupling_offset < quantize.MIN_BITS:
+            raise ValueError(f"coupling_offset {self.coupling_offset} gives {lo}-bit "
+                             f"weights {lo + self.coupling_offset}-bit activations")
 
     def schema_for(self, bits) -> QuantSchema:
         return QuantSchema.coupled(bits, input_bits=self.arch.input_bits,
@@ -200,98 +207,42 @@ def _layer_cost_tables(problem: AllocationProblem):
 def solve_ilp(problem: AllocationProblem) -> AllocationSolution:
     """Exact omega minimizer subject to the BOPs budget.
 
-    Enumerates every configuration when the space is small (at most
-    EXHAUSTIVE_LIMIT points) and otherwise runs depth-first branch-and-bound
-    with independent per-layer lower bounds.  Ties break by lower BOPs, then
-    the lexicographically smaller bit vector.  An unsatisfiable budget yields
-    feasible=False carrying the minimum-BOPs configuration.
+    A dynamic program over layers: layer i's BOPs depend only on its own
+    width and layer i-1's, so after each layer it keeps, per last width, the
+    Pareto frontier of (BOPs, omega, bits) prefixes.  Both totals accumulate
+    in layer order, as model_bops and omega sum them, so the budget test sees
+    the same floats the solution reports.  Ties break by lower BOPs, then the
+    lexicographically smaller bit vector.  An unsatisfiable budget yields
+    feasible=False carrying the minimum-BOPs configuration.  explored counts
+    the complete configurations scored at the last layer.
     """
-    L = problem.arch.n_layers
-    cands = problem.candidates
     pert, bops_of = _layer_cost_tables(problem)
-    space = len(cands) ** L
+    frontier = {None: [(0.0, 0.0, ())]}     # last width -> kept labels
+    for i in range(problem.arch.n_layers):
+        step = {}
+        explored = 0
+        for b in problem.candidates:
+            cost = {prev: bops_of(i, prev, b) for prev in frontier}
+            labels = sorted((bops + cost[prev], om + pert[i][b], bits + (b,))
+                            for prev, kept in frontier.items()
+                            for bops, om, bits in kept)
+            explored += len(labels)
+            # Rounding is monotone, so a label with BOPs and omega no lower than
+            # a label sorted before it stays so after any common suffix; only
+            # a tie that rounding creates would fall to the bit vector.
+            kept = []
+            for label in labels:
+                if not kept or label[1] < kept[-1][1]:
+                    kept.append(label)
+            step[b] = kept
+        frontier = step
 
-    best_key = None
-    best_bits = None
-    min_bops_key = None
-    min_bops_bits = None
-    explored = 0
-
-    if space <= EXHAUSTIVE_LIMIT:
-        for bits in itertools.product(cands, repeat=L):
-            explored += 1
-            total_bops = sum(bops_of(i, bits[i - 1] if i else None, bits[i])
-                             for i in range(L))
-            total_omega = sum(pert[i][bits[i]] for i in range(L))
-            bkey = (total_bops, total_omega, bits)
-            if min_bops_key is None or bkey < min_bops_key:
-                min_bops_key, min_bops_bits = bkey, bits
-            if total_bops <= problem.budget:
-                key = (total_omega, total_bops, bits)
-                if best_key is None or key < best_key:
-                    best_key, best_bits = key, bits
-        if best_bits is not None:
-            return _solution(problem, best_bits, feasible=True, explored=explored)
-        return _solution(problem, min_bops_bits, feasible=False, explored=explored)
-
-    # Branch and bound.  Lower bounds use per-layer minima taken independently
-    # of neighbor choices, which is valid because the coupling only tightens
-    # actual costs above those minima.
-    omega_suffix = [0.0] * (L + 1)
-    bops_suffix = [0.0] * (L + 1)
-    for i in reversed(range(L)):
-        omega_suffix[i] = omega_suffix[i + 1] + min(pert[i].values())
-        bops_suffix[i] = bops_suffix[i + 1] + min(
-            bops_of(i, p, b) for b in cands for p in (cands if i else (None,)))
-
-    def dfs_omega(prefix, pre_omega, pre_bops):
-        nonlocal best_key, best_bits, explored
-        i = len(prefix)
-        if i == L:
-            explored += 1
-            key = (pre_omega, pre_bops, prefix)
-            if best_key is None or key < best_key:
-                best_key, best_bits = key, prefix
-            return
-        if best_key is not None and pre_omega + omega_suffix[i] > best_key[0]:
-            return
-        prev = prefix[-1] if i else None
-        for b in cands:
-            nb = pre_bops + bops_of(i, prev, b)
-            if nb + bops_suffix[i + 1] > problem.budget:
-                continue
-            dfs_omega(prefix + (b,), pre_omega + pert[i][b], nb)
-
-    dfs_omega((), 0.0, 0.0)
-    if best_bits is not None:
-        return _solution(problem, best_bits, feasible=True, explored=explored)
-
-    # Nothing fits the budget: find the minimum-BOPs configuration instead.
-    def dfs_bops(prefix, pre_bops):
-        nonlocal min_bops_key, min_bops_bits, explored
-        i = len(prefix)
-        if i == L:
-            explored += 1
-            key = (pre_bops, prefix)
-            if min_bops_key is None or key < min_bops_key:
-                min_bops_key, min_bops_bits = key, prefix
-            return
-        if min_bops_key is not None and pre_bops + bops_suffix[i] > min_bops_key[0]:
-            return
-        prev = prefix[-1] if i else None
-        for b in cands:
-            dfs_bops(prefix + (b,), pre_bops + bops_of(i, prev, b))
-
-    dfs_bops((), 0.0)
-    return _solution(problem, min_bops_bits, feasible=False, explored=explored)
-
-
-def tightest_feasible_budget(problem_factory, budgets) -> float | None:
-    """Smallest budget in the grid whose allocation is feasible, or None."""
-    for budget in sorted(budgets):
-        if solve_ilp(problem_factory(budget)).feasible:
-            return budget
-    return None
+    finals = [label for kept in frontier.values() for label in kept]
+    best = min(((om, bops, bits) for bops, om, bits in finals if bops <= problem.budget),
+               default=None)
+    if best is not None:
+        return _solution(problem, best[2], feasible=True, explored=explored)
+    return _solution(problem, min(finals)[2], feasible=False, explored=explored)
 
 
 # ---------------------------------------------------------------------------

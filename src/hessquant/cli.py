@@ -252,14 +252,17 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     sec = cfg["allocation"]
     arch = allocate.ArchSpec.from_model(model, sparsities=nn.sparsity(model),
                                         input_bits=int(cfg["arch"]["input_bits"]))
-    problem = allocate.AllocationProblem(
-        arch=arch,
-        traces=report.avg_traces,
-        weights=[l.weights for l in model.layers],
-        budget=float(sec["budget"]),
-        candidates=tuple(int(b) for b in sec["candidates"]),
-        coupling_offset=int(sec["coupling_offset"]),
-    )
+    try:
+        problem = allocate.AllocationProblem(
+            arch=arch,
+            traces=report.avg_traces,
+            weights=[l.weights for l in model.layers],
+            budget=float(sec["budget"]),
+            candidates=tuple(int(b) for b in sec["candidates"]),
+            coupling_offset=int(sec["coupling_offset"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad allocation section: {exc}") from None
     sol = allocate.solve_ilp(problem)
     path = os.path.join(out_dir, "allocation.json")
     allocate.save_allocation(sol, path)

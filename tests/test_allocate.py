@@ -129,25 +129,37 @@ def small_problem():
     return make
 
 
-def exhaustive_best(problem):
-    best = None
-    fallback = None
-    arch = problem.arch
-    for bits in itertools.product(problem.candidates, repeat=len(arch.dims)):
+def solve(problem):
+    """solve_ilp, checking that feasibility is exactly the budget test."""
+    sol = al.solve_ilp(problem)
+    assert sol.feasible == (sol.bops <= problem.budget)
+    return sol
+
+
+def exhaustive_scores(problem):
+    """(bops, omega, bits) of every configuration, scored without the solver."""
+    scores = []
+    for bits in itertools.product(problem.candidates, repeat=problem.arch.n_layers):
         schema = problem.schema_for(bits)
-        bops = al.model_bops(arch, schema)
-        om = al.omega(problem.traces, problem.weights, schema)
-        if bops <= problem.budget and (best is None or (om, bops, bits) < best):
-            best = (om, bops, bits)
-        if fallback is None or (bops, om, bits) < fallback:
-            fallback = (bops, om, bits)
-    return best, fallback
+        scores.append((al.model_bops(problem.arch, schema),
+                       al.omega(problem.traces, problem.weights, schema), bits))
+    return scores
+
+
+def exhaustive_best(problem, scores=None):
+    """Brute-force oracle: the best (omega, bops, bits) within the budget, or
+    None, and the minimum-BOPs (bops, omega, bits) fallback."""
+    if scores is None:
+        scores = exhaustive_scores(problem)
+    best = min(((om, bops, bits) for bops, om, bits in scores if bops <= problem.budget),
+               default=None)
+    return best, min(scores)
 
 
 @pytest.mark.parametrize("budget", [250_000, 300_000, 400_000, 550_000])
 def test_solver_matches_exhaustive_scan(small_problem, budget):
     problem = small_problem(budget)
-    sol = al.solve_ilp(problem)
+    sol = solve(problem)
     best, _ = exhaustive_best(problem)
     assert sol.feasible
     assert sol.weight_bits == best[2]
@@ -158,31 +170,93 @@ def test_solver_matches_exhaustive_scan(small_problem, budget):
 
 def test_solver_flags_infeasible_budget_with_cheapest_config(small_problem):
     problem = small_problem(100_000)
-    sol = al.solve_ilp(problem)
+    sol = solve(problem)
     _, fallback = exhaustive_best(problem)
     assert not sol.feasible
-    assert sol.weight_bits == fallback[2]
-    assert sol.bops == fallback[0]
-    assert sol.bops > problem.budget
+    assert sol.weight_bits == fallback[2] == (4, 4, 4, 4)
+    assert sol.bops == fallback[0] == 234_368  # all-4 floor for this architecture
+    assert solve(small_problem(234_367.5)).feasible is False
+    assert solve(small_problem(234_368)).feasible is True
 
 
 def test_solver_unbounded_budget_takes_max_bits(small_problem):
-    sol = al.solve_ilp(small_problem(math.inf))
+    sol = solve(small_problem(math.inf))
     assert sol.feasible
     assert sol.weight_bits == (8, 8, 8, 8)
 
 
-def test_solver_branch_and_bound_agrees_with_exhaustive(small_problem):
-    # candidate set large enough to cross the exhaustive cutoff
+def test_solver_prunes_a_4096_point_grid(small_problem):
     candidates = (2, 3, 4, 5, 6, 7, 8, 9)
-    assert len(candidates) ** 4 > al.EXHAUSTIVE_LIMIT
+    grid = len(candidates) ** 4
+    scores = exhaustive_scores(small_problem(math.inf, candidates))
     for budget in (260_000, 350_000):
         problem = small_problem(budget, candidates)
-        sol = al.solve_ilp(problem)
-        best, _ = exhaustive_best(problem)
+        sol = solve(problem)
+        best, _ = exhaustive_best(problem, scores)
         assert sol.weight_bits == best[2]
         assert sol.omega_value == pytest.approx(best[0], rel=1e-12)
-        assert sol.explored < len(candidates) ** 4
+        assert sol.explored < grid
+
+
+def test_solver_is_feasible_at_a_budget_equal_to_the_cheapest_bops():
+    # fractional sparsities make every BOPs total inexact, so the budget test
+    # must compare the same sum, in the same order, that model_bops reports
+    rng = np.random.default_rng(0)
+    arch = al.ArchSpec.from_sizes([23, 24, 33, 19, 31],
+                                  sparsities=[0.09, 0.48, 0.31, 0.02])
+    weights = [rng.normal(size=dims) for dims in arch.dims]
+    budget = al.model_bops(arch, qz.QuantSchema.coupled((2, 2, 2, 2)))
+    problem = al.AllocationProblem(arch=arch, traces=[1.0] * 4, weights=weights,
+                                   budget=budget, candidates=tuple(range(2, 10)))
+    sol = solve(problem)
+    assert sol.feasible
+    assert sol.weight_bits == (2, 2, 2, 2)
+    assert sol.bops == budget
+
+
+def random_problem(seed):
+    rng = np.random.default_rng(seed)
+    n_layers = int(rng.integers(1, 6))
+    # keep the brute-force oracle's grid at most 8^4 points
+    most = 5 if n_layers == 5 else 8
+    cands = rng.choice(np.arange(2, 13), size=int(rng.integers(2, most + 1)),
+                       replace=False)
+    sizes = [int(s) for s in rng.integers(2, 13, size=n_layers + 1)]
+    arch = al.ArchSpec.from_sizes(sizes, sparsities=rng.uniform(0.0, 0.9, n_layers))
+    # offset 28 pushes every width above 4 into the MAX_BITS cap
+    offset = (0, 3, 28)[seed % 3]
+    return al.AllocationProblem(arch=arch,
+                                traces=[float(t) for t in rng.uniform(-0.5, 5.0, n_layers)],
+                                weights=[rng.normal(size=dims) for dims in arch.dims],
+                                budget=math.inf, candidates=tuple(int(b) for b in cands),
+                                coupling_offset=offset), rng
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_solver_agrees_with_brute_force_on_random_problems(seed):
+    problem, rng = random_problem(seed)
+    scores = exhaustive_scores(problem)
+    grid = len(scores)
+    totals = sorted({bops for bops, _, _ in scores})
+    k = int(rng.integers(len(totals)))
+    budgets = [totals[0] / 2,                              # below every config
+               totals[k],                                  # exactly at one
+               math.inf]
+    if len(totals) > 1:
+        j = int(rng.integers(len(totals) - 1))
+        budgets.append((totals[j] + totals[j + 1]) / 2)    # strictly between two
+    for budget in budgets:
+        problem.budget = budget
+        sol = solve(problem)
+        best, fallback = exhaustive_best(problem, scores)
+        assert sol.feasible == (best is not None)
+        if best is None:
+            assert (sol.bops, sol.weight_bits) == (fallback[0], fallback[2])
+            assert sol.omega_value == pytest.approx(fallback[1], rel=1e-12, abs=1e-12)
+        else:
+            assert (sol.bops, sol.weight_bits) == (best[1], best[2])
+            assert sol.omega_value == pytest.approx(best[0], rel=1e-12, abs=1e-12)
+        assert sol.explored <= grid
 
 
 def test_solver_invariant_to_trace_rescaling(small_problem):
@@ -193,7 +267,7 @@ def test_solver_invariant_to_trace_rescaling(small_problem):
                                   weights=problem.weights,
                                   budget=problem.budget,
                                   candidates=problem.candidates)
-    assert al.solve_ilp(problem).weight_bits == al.solve_ilp(scaled).weight_bits
+    assert solve(problem).weight_bits == solve(scaled).weight_bits
 
 
 def test_solver_prefers_bits_for_sensitive_layers():
@@ -205,27 +279,21 @@ def test_solver_prefers_bits_for_sensitive_layers():
     traces = [100.0, 0.01, 0.01]
     problem = al.AllocationProblem(arch=arch, traces=traces, weights=weights,
                                    budget=60_000, candidates=(2, 4, 6, 8))
-    sol = al.solve_ilp(problem)
+    sol = solve(problem)
     assert sol.feasible
     assert sol.weight_bits[0] == max(sol.weight_bits)
 
 
 def test_solution_schema_property_round_trips(small_problem):
-    sol = al.solve_ilp(small_problem(300_000))
+    sol = solve(small_problem(300_000))
     schema = sol.schema
     assert schema.weight_bits == sol.weight_bits
     assert schema.activation_bits == sol.activation_bits
     assert schema.input_bits == sol.input_bits
 
 
-def test_tightest_feasible_budget(small_problem):
-    budgets = [150_000, 200_000, 234_368, 250_000, 400_000]
-    tight = al.tightest_feasible_budget(small_problem, budgets)
-    assert tight == 234_368  # all-4 floor for this architecture
-
-
 def test_allocation_json_round_trip(tmp_path, small_problem):
-    sol = al.solve_ilp(small_problem(250_000))
+    sol = solve(small_problem(250_000))
     path = tmp_path / "a.json"
     al.save_allocation(sol, str(path))
     back = al.load_allocation(str(path))

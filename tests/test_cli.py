@@ -208,6 +208,32 @@ def test_exit_5_on_infeasible_budget_still_writes_solution(tmp_path, pipeline):
     assert doc["bops"] > 10
 
 
+@pytest.mark.parametrize("allocation, flags", [
+    ({}, ["--budget", "nan"]),
+    ({}, ["--budget", "-5"]),
+    ({"candidates": []}, []),
+    ({"candidates": [40]}, []),
+    ({"candidates": ["a"]}, []),
+    ({"candidates": [0, 4]}, []),
+    ({"coupling_offset": -10}, []),
+], ids=["budget-nan", "budget-negative", "no-candidates", "candidate-40",
+        "candidate-not-a-number", "candidate-0", "offset-minus-10"])
+def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
+                                            allocation, flags):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, allocation=allocation)
+    os.makedirs(alt_out, exist_ok=True)
+    for name in ("model.json", "traces.json"):
+        with open(os.path.join(out, name), "rb") as fh:
+            blob = fh.read()
+        with open(os.path.join(alt_out, name), "wb") as fh:
+            fh.write(blob)
+    capsys.readouterr()
+    assert cli.main(["allocate", "--config", config, *flags]) == 2
+    assert "bad allocation section" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "allocation.json"))
+
+
 def test_exit_6_on_invalid_graph(tmp_path, pipeline):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
