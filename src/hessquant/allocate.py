@@ -383,7 +383,7 @@ def load_allocation(path: str) -> AllocationSolution:
 
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "hessquant-allocation":
+    if not isinstance(doc, dict) or doc.get("format") != "hessquant-allocation":
         raise ValueError(f"{path}: not an allocation file")
     return AllocationSolution(
         weight_bits=tuple(doc["weight_bits"]),

@@ -7,9 +7,9 @@ versions, and the SHA-256 of everything consumed and produced.  Outputs
 contain no timestamps, so rerunning a command with the same config (or from
 its manifest's embedded config) reproduces byte-identical artifacts.
 
-Exit codes: 0 success, 2 configuration error, 3 data or missing-artifact
-error, 4 training divergence, 5 infeasible allocation, 6 IR validation
-failure.
+Exit codes: 0 success, 2 configuration error, 3 data, missing-artifact or
+malformed-artifact error, 4 training divergence, 5 infeasible allocation,
+6 IR validation failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -103,6 +104,14 @@ def _require_file(path: str, hint: str) -> str:
     return path
 
 
+def _load_artifact(load, path: str):
+    """load(path), with a malformed artifact reported as a data error."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed artifact {path}: {exc}") from None
+
+
 def _train_config(section: dict) -> nn.TrainConfig:
     try:
         return nn.TrainConfig(epochs=int(section["epochs"]),
@@ -143,7 +152,7 @@ def _standardized_splits(cfg: dict, ds: data.Dataset,
 
 def _load_model(out_dir: str):
     path = _require_file(os.path.join(out_dir, "model.json"), "run train first")
-    model, mean, std = nn.load_model(path)
+    model, mean, std = _load_artifact(nn.load_model, path)
     if mean is None or std is None:
         raise DataError(f"{path} lacks standardization stats")
     return model, mean, std, path
@@ -168,6 +177,10 @@ def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
         raise ConfigError(f"bad schema section: {exc}") from None
 
 
+def _allocation_schema(path: str) -> quantize.QuantSchema:
+    return allocate.load_allocation(path).schema
+
+
 def _schema_from_config(cfg: dict, out_dir: str, inputs: dict) -> quantize.QuantSchema:
     source = cfg["quantize"]["source"]
     if source == "schema" or (source == "allocation" and cfg["schema"] is not None
@@ -178,8 +191,7 @@ def _schema_from_config(cfg: dict, out_dir: str, inputs: dict) -> quantize.Quant
     path = _require_file(os.path.join(out_dir, "allocation.json"),
                          "run allocate first or set quantize.source to 'schema'")
     inputs[path] = sha256_file(path)
-    sol = allocate.load_allocation(path)
-    return sol.schema
+    return _load_artifact(_allocation_schema, path)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +258,21 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
                                 "run trace first")
     inputs = {model_path: sha256_file(model_path),
               traces_path: sha256_file(traces_path)}
-    report = hessian.load_trace_report(traces_path)
+    report = _load_artifact(hessian.load_trace_report, traces_path)
     if report.sizes and report.sizes != list(model.sizes):
         raise DataError("traces.json was computed for a different architecture")
     sec = cfg["allocation"]
     arch = allocate.ArchSpec.from_model(model, sparsities=nn.sparsity(model),
                                         input_bits=int(cfg["arch"]["input_bits"]))
     try:
+        budget = float(sec["budget"])
+        if not math.isfinite(budget):
+            raise ValueError(f"budget must be finite, got {budget}")
         problem = allocate.AllocationProblem(
             arch=arch,
             traces=report.avg_traces,
             weights=[l.weights for l in model.layers],
-            budget=float(sec["budget"]),
+            budget=budget,
             candidates=tuple(int(b) for b in sec["candidates"]),
             coupling_offset=int(sec["coupling_offset"]),
         )
@@ -325,7 +340,7 @@ def cmd_export_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     int_path = _require_file(os.path.join(out_dir, "intmodel.json"),
                              "run quantize first")
     inputs = {int_path: sha256_file(int_path)}
-    im = quantize.load_integer_model(int_path)
+    im = _load_artifact(quantize.load_integer_model, int_path)
     g = ir.export_graph(im)
     path = os.path.join(out_dir, "graph.json")
     ir.save_graph(g, path)
@@ -333,12 +348,7 @@ def cmd_export_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
 
 
 def _load_graph_checked(path: str) -> ir.IRGraph:
-    _require_file(path, "run export-ir first")
-    try:
-        g = ir.load_graph(path)
-    except ir.ParseError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return g
+    return _load_artifact(ir.load_graph, _require_file(path, "run export-ir first"))
 
 
 def cmd_opt_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
@@ -432,7 +442,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     sparsities = None
     model_path = os.path.join(out_dir, "model.json")
     if os.path.exists(model_path):
-        model, _, _ = nn.load_model(model_path)
+        model, _, _ = _load_artifact(nn.load_model, model_path)
         inputs[model_path] = sha256_file(model_path)
         sizes = list(model.sizes)
         sparsities = nn.sparsity(model)
@@ -440,7 +450,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         path = _require_file(os.path.join(out_dir, "allocation.json"),
                              "run allocate first or set estimate.source to 'schema'")
         inputs[path] = sha256_file(path)
-        schema = allocate.load_allocation(path).schema
+        schema = _load_artifact(_allocation_schema, path)
     elif source == "schema":
         schema = _schema_section(cfg, "estimate")
     else:
@@ -455,13 +465,17 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     return EXIT_OK, [json_path, csv_path], inputs
 
 
+def _read_sweep_csv(path: str) -> list[allocate.SweepRecord]:
+    with open(path) as fh:
+        return allocate.parse_sweep_csv(fh.read())
+
+
 def cmd_report(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     sweep_path = _require_file(os.path.join(out_dir, "sweep.csv"),
                                "run sweep first")
     inputs = {sweep_path: sha256_file(sweep_path)}
     coeffs = _coeffs_from_config(cfg, inputs)
-    with open(sweep_path) as fh:
-        records = allocate.parse_sweep_csv(fh.read())
+    records = _load_artifact(_read_sweep_csv, sweep_path)
     sizes = [int(s) for s in cfg["arch"]["sizes"]]
 
     buf = io.StringIO()

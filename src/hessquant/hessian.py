@@ -165,7 +165,7 @@ def save_trace_report(report: TraceReport, path: str) -> None:
 def load_trace_report(path: str) -> TraceReport:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "hessquant-traces":
+    if not isinstance(doc, dict) or doc.get("format") != "hessquant-traces":
         raise ValueError(f"{path}: not a trace report file")
     return TraceReport(
         traces=[float(t) for t in doc["traces"]],

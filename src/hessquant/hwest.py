@@ -143,7 +143,7 @@ def save_coeffs(coeffs: EstimatorCoeffs, path: str) -> None:
 def load_coeffs(path: str) -> EstimatorCoeffs:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "hessquant-coeffs":
+    if not isinstance(doc, dict) or doc.get("format") != "hessquant-coeffs":
         raise ValueError(f"{path}: not a coefficients file")
     return EstimatorCoeffs(
         dsp_threshold=int(doc["dsp_threshold"]),

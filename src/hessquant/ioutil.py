@@ -32,9 +32,11 @@ def dumps_canonical(obj) -> str:
 
     The output is byte-stable for equal inputs, which the CLI relies on for
     reproducible artifacts.  Floats go through Python's repr, which
-    round-trips exactly.
+    round-trips exactly; NaN and infinities, which JSON cannot hold, raise
+    ValueError.
     """
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def write_atomic(path: str, data: str | bytes) -> None:

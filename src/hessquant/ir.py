@@ -218,8 +218,10 @@ def infer_shapes(g: IRGraph) -> IRGraph:
     Integer widths are conservative worst-case bounds (matmul adds operand
     widths plus the accumulation depth, add/mul widen accordingly); the
     interpreter uses them to pick exact arithmetic, so over-estimating is
-    safe and under-estimating is not.  Raises IRError naming the offending
-    node on any contradiction.
+    safe and under-estimating is not.  The one exception is an integer
+    MatMul whose inner dimension is dynamic on both operands: it counts as
+    one term per sum, and `validate` rejects it.  Raises IRError naming the
+    offending node on any contradiction.
     """
     info: dict[str, TensorInfo] = {}
     for name in g.inputs:
@@ -627,7 +629,9 @@ def validate(g: IRGraph) -> list[str]:
     Reports unsupported and unknown operators, arity violations, duplicate or
     colliding names, use-before-definition, unproduced outputs, cycles, and
     shape/kind contradictions.  Quant nodes additionally require a positive
-    scale and zero-valued zero point (all graphs produced here are lowered).
+    scale and zero-valued zero point (all graphs produced here are lowered),
+    and an integer MatMul needs a static inner dimension on one operand, or
+    its accumulator width has no bound.
     """
     diags: list[str] = []
     defined = set(g.inputs) | set(g.initializers)
@@ -685,9 +689,16 @@ def validate(g: IRGraph) -> list[str]:
 
     if not diags:
         try:
-            infer_shapes(g)
+            info = infer_shapes(g).tensors
         except IRError as exc:
-            diags.append(str(exc))
+            return [str(exc)]
+        for node in g.nodes:
+            if node.kind == "MatMul":
+                a, b = (info[name] for name in node.inputs)
+                if a.kind == b.kind == "int" and a.shape[1] == b.shape[0] == -1:
+                    diags.append(f"node {node.output}: integer MatMul has a dynamic "
+                                 "inner dimension on both operands, so its "
+                                 "accumulator width is unbounded")
     return diags
 
 

@@ -9,9 +9,9 @@ view and updates it in place.
 Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
 layer 0 weights (row-major), layer 0 bias, layer 1 weights, ... which every
-gradient and checkpoint in the package relies on.  Batch-norm records, when
-present, are inference-time affine transforms using running statistics; they
-are not trainable and are excluded from the flattening.
+gradient and checkpoint in the package relies on.  A model is always ReLU
+hidden layers and a softmax head, so a layer is just its weights and bias;
+batch norm is folded into the preceding dense layer before a model gets here.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-
-ACTIVATIONS = ("relu", "softmax", "none")
-
 
 class ShapeError(ValueError):
     pass
@@ -40,27 +37,9 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class BNRecord:
-    """Batch-norm parameters with running statistics (inference form)."""
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray | None
-    var: np.ndarray | None
-    eps: float = 1e-5
-
-    @property
-    def populated(self) -> bool:
-        return (self.mean is not None and self.var is not None
-                and np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.var))
-                and np.all(np.asarray(self.var) > 0))
-
-
-@dataclass
 class DenseLayer:
     weights: np.ndarray
     bias: np.ndarray
-    activation: str = "relu"
-    bn: BNRecord | None = None
 
     @property
     def fan_in(self) -> int:
@@ -73,6 +52,7 @@ class DenseLayer:
 
 @dataclass
 class MLPModel:
+    """Dense layers with ReLU between them and a softmax on the last."""
     layers: list[DenseLayer]
 
     @property
@@ -87,11 +67,8 @@ class MLPModel:
         return forward(self, x)
 
     def copy(self) -> "MLPModel":
-        return MLPModel(layers=[
-            DenseLayer(weights=l.weights.copy(), bias=l.bias.copy(),
-                       activation=l.activation, bn=l.bn)
-            for l in self.layers
-        ])
+        return MLPModel(layers=[DenseLayer(weights=l.weights.copy(), bias=l.bias.copy())
+                                for l in self.layers])
 
 
 @dataclass
@@ -119,7 +96,7 @@ class TrainHistory:
     val_accuracy: list[float] = field(default_factory=list)
 
 
-def mlp(sizes: list[int], seed: int = 0, output_activation: str = "softmax") -> MLPModel:
+def mlp(sizes: list[int], seed: int = 0) -> MLPModel:
     """Build a ReLU MLP with the given layer widths, e.g. [16, 64, 32, 32, 5].
 
     Hidden weights use He initialization, the output layer uses 1/fan_in
@@ -136,9 +113,7 @@ def mlp(sizes: list[int], seed: int = 0, output_activation: str = "softmax") -> 
         last = i == len(sizes) - 2
         scale = math.sqrt(1.0 / fan_in) if last else math.sqrt(2.0 / fan_in)
         w = rng.standard_normal((fan_in, fan_out)) * scale
-        layers.append(DenseLayer(
-            weights=w, bias=np.zeros(fan_out),
-            activation=output_activation if last else "relu"))
+        layers.append(DenseLayer(weights=w, bias=np.zeros(fan_out)))
     return MLPModel(layers=layers)
 
 
@@ -159,12 +134,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _apply_bn(bn: BNRecord, u: np.ndarray) -> np.ndarray:
-    if not bn.populated:
-        raise ValueError("batch-norm record has no populated running statistics")
-    return bn.gamma * (u - bn.mean) / np.sqrt(bn.var + bn.eps) + bn.beta
-
-
 def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """h @ w + b with one temporary instead of two."""
     u = h @ w
@@ -173,30 +142,18 @@ def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def forward_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Pre-softmax outputs; hidden activations applied along the way."""
+    """Pre-softmax outputs, with ReLU after every hidden layer."""
     h = check_matrix(x, cols=model.layers[0].fan_in)
     for i, layer in enumerate(model.layers):
-        u = _affine(h, layer.weights, layer.bias)
-        if layer.bn is not None:
-            u = _apply_bn(layer.bn, u)
+        h = _affine(h, layer.weights, layer.bias)
         if i < model.n_layers - 1:
-            if layer.activation == "relu":
-                np.maximum(u, 0.0, out=u)
-            elif layer.activation != "none":
-                raise ValueError(f"unsupported hidden activation {layer.activation!r}")
-        h = u
+            np.maximum(h, 0.0, out=h)
     return h
 
 
 def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities (rows sum to 1)."""
-    logits = forward_logits(model, x)
-    last = model.layers[-1].activation
-    if last == "softmax":
-        return softmax(logits)
-    if last == "none":
-        return logits
-    raise ValueError(f"unsupported output activation {last!r}")
+    return softmax(forward_logits(model, x))
 
 
 def _objective(logits: np.ndarray, labels: np.ndarray, model: MLPModel, l1: float) -> float:
@@ -231,8 +188,7 @@ def _view_model(model: MLPModel, flat: np.ndarray) -> MLPModel:
     for layer in model.layers:
         nw, nb = layer.weights.size, layer.bias.size
         layers.append(DenseLayer(weights=flat[off:off + nw].reshape(layer.weights.shape),
-                                 bias=flat[off + nw:off + nw + nb],
-                                 activation=layer.activation, bn=layer.bn))
+                                 bias=flat[off + nw:off + nw + nb]))
         off += nw + nb
     if off != flat.size:
         raise ShapeError(f"parameter vector has {flat.size} entries, model needs {off}")
@@ -245,18 +201,15 @@ def replace_parameters(model: MLPModel, theta: np.ndarray) -> MLPModel:
 
 
 def _forward_caches(model: MLPModel, x: np.ndarray):
-    """Layer inputs (then the logits) and the factor backprop applies to each
-    layer's output gradient: the relu mask times any batch-norm scale, or None."""
+    """Layer inputs (then the logits) and each hidden layer's ReLU mask, which
+    backprop applies to its output gradient (None for the last layer)."""
     hs = [x]
     gates = []
     for i, layer in enumerate(model.layers):
         u = _affine(hs[-1], layer.weights, layer.bias)
         gate = None
-        if layer.bn is not None:
-            u = _apply_bn(layer.bn, u)
-            gate = layer.bn.gamma / np.sqrt(layer.bn.var + layer.bn.eps)
-        if i < model.n_layers - 1 and layer.activation == "relu":
-            gate = u > 0 if gate is None else (u > 0) * gate
+        if i < model.n_layers - 1:
+            gate = u > 0
             np.maximum(u, 0.0, out=u)
         gates.append(gate)
         hs.append(u)
@@ -441,26 +394,9 @@ def sparsity(model: MLPModel, eps: float = 1e-6) -> list[float]:
     return [float(np.mean(np.abs(l.weights) <= eps)) for l in model.layers]
 
 
-def fold_bn(model: MLPModel) -> MLPModel:
-    """Fold batch-norm records into the preceding affine layer.
-
-    W' = gamma * W / sqrt(var + eps), b' = gamma * (b - mean) / sqrt(var + eps)
-    + beta.  Layers without a record are copied unchanged, so the operation is
-    idempotent.  Records must carry populated running statistics.
-    """
-    layers = []
-    for i, layer in enumerate(model.layers):
-        if layer.bn is None:
-            layers.append(DenseLayer(weights=layer.weights.copy(), bias=layer.bias.copy(),
-                                     activation=layer.activation))
-            continue
-        bn = layer.bn
-        if not bn.populated:
-            raise ValueError(f"layer {i}: batch-norm statistics are unpopulated")
-        inv = bn.gamma / np.sqrt(bn.var + bn.eps)
-        layers.append(DenseLayer(weights=layer.weights * inv, bias=(layer.bias - bn.mean) * inv + bn.beta,
-                                 activation=layer.activation))
-    return MLPModel(layers=layers)
+def _activation_names(n_layers: int) -> list[str]:
+    """The fixed `activations` field of a checkpoint."""
+    return ["relu"] * (n_layers - 1) + ["softmax"]
 
 
 def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
@@ -469,13 +405,11 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
     standardization statistics the model expects its inputs to be in."""
     from .ioutil import write_json_atomic
 
-    if any(l.bn is not None for l in model.layers):
-        raise ValueError("fold batch-norm records before saving")
     doc = {
         "format": "hessquant-model",
         "version": 1,
         "sizes": model.sizes,
-        "activations": [l.activation for l in model.layers],
+        "activations": _activation_names(model.n_layers),
         "params": [float(v) for v in parameter_vector(model)],
         "standardization": None if mean is None else {
             "mean": [float(v) for v in mean],
@@ -486,16 +420,21 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 
 
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
+    """A save_model checkpoint.  A malformed one, or one whose `activations`
+    are not the fixed list, raises ValueError, KeyError or TypeError."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "hessquant-model":
+    if not isinstance(doc, dict) or doc.get("format") != "hessquant-model":
         raise ValueError(f"{path}: not a model checkpoint")
-    sizes = doc["sizes"]
-    skeleton = mlp(sizes, seed=0)
-    for layer, act in zip(skeleton.layers, doc["activations"]):
-        layer.activation = act
+    skeleton = mlp(doc["sizes"], seed=0)
+    want = _activation_names(skeleton.n_layers)
+    if doc["activations"] != want:
+        raise ValueError(f"{path}: activations must be {want}, got {doc['activations']}")
     model = replace_parameters(skeleton, np.array(doc["params"], dtype=np.float64))
     stats = doc.get("standardization")
     if stats is None:
         return model, None, None
-    return model, np.array(stats["mean"]), np.array(stats["std"])
+    mean, std = np.array(stats["mean"]), np.array(stats["std"])
+    if mean.shape != (model.layers[0].fan_in,) or std.shape != mean.shape:
+        raise ValueError(f"{path}: standardization does not match the input width")
+    return model, mean, std

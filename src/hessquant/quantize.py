@@ -43,7 +43,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
-from .nn import MLPModel, TrainConfig, TrainHistory, TrainingDiverged, fold_bn  # noqa: F401
+from .nn import MLPModel, TrainConfig, TrainHistory
 
 MIN_BITS = 2
 MAX_BITS = 32
@@ -506,8 +506,6 @@ def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainCon
         raise ValueError("empty training set")
     if schema.n_layers != model.n_layers:
         raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
-    if any(l.bn is not None for l in model.layers):
-        raise ValueError("fold batch-norm records before quantization-aware training")
 
     momentum = 0.95
     input_max = float(np.max(np.abs(data.features)))
@@ -618,8 +616,7 @@ def _pow2_dyadic(exp: int) -> DyadicScale:
     return DyadicScale(mantissa=1 << (-exp), shift=0)
 
 
-def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
-          multiplier_bits: int = DEFAULT_MULTIPLIER_BITS) -> IntegerModel:
+def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
     """Turn a fake-quantized model into an integer-only one.
 
     Weight and input scales become dyadic rationals; activation scales snap
@@ -635,11 +632,9 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
     output scale rounds to mantissa 0, since every logit would then read 0.
     """
     model, schema = fq.model, fq.schema
-    if any(l.bn is not None for l in model.layers):
-        model = fold_bn(model)
 
     in_real = 2 * max(fq.input_max, 1e-12) / (2 ** schema.input_bits - 1)
-    input_scale = to_dyadic(in_real, mantissa_bits=multiplier_bits)
+    input_scale = to_dyadic(in_real, mantissa_bits=DEFAULT_MULTIPLIER_BITS)
     if input_scale.mantissa == 0:
         raise LoweringError(f"input scale {in_real:.3g} rounds to zero at "
                             f"{schema.input_bits} bits")
@@ -663,7 +658,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
                 f"have {accumulator_bits}")
 
         w_real = calibrate(layer.weights, b_w, symmetric=True).scale
-        w_scale = to_dyadic(w_real, mantissa_bits=multiplier_bits)
+        w_scale = to_dyadic(w_real, mantissa_bits=DEFAULT_MULTIPLIER_BITS)
         if w_scale.mantissa == 0:
             raise LoweringError(f"layer {i}: weight scale {w_real:.3g} rounds to "
                                 f"zero at {b_w} bits")
@@ -677,7 +672,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32,
         last = i == model.n_layers - 1
         # Mantissa budget that keeps acc * mantissa exact in float64 when the
         # reference graph evaluator replays the same arithmetic.
-        budget = min(multiplier_bits, 52 - (required + 1))
+        budget = min(DEFAULT_MULTIPLIER_BITS, 52 - (required + 1))
         if budget < 2:
             budget = 2
         if last:
@@ -808,7 +803,7 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
 def load_integer_model(path: str) -> IntegerModel:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "hessquant-integer-model":
+    if not isinstance(doc, dict) or doc.get("format") != "hessquant-integer-model":
         raise ValueError(f"{path}: not an integer model file")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),

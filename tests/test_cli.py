@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,16 @@ def run(cmd, config, *extra):
     return cli.main([cmd, "--config", config, *extra])
 
 
+def read_json(*parts):
+    return json.loads(Path(*parts).read_text())
+
+
+def copy_artifacts(src, dst, names):
+    os.makedirs(dst, exist_ok=True)
+    for name in names:
+        shutil.copyfile(os.path.join(src, name), os.path.join(dst, name))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -51,7 +63,7 @@ def test_pipeline_writes_expected_artifacts(pipeline):
 
 def test_manifests_record_config_and_hashes(pipeline):
     _, _, out = pipeline
-    man = json.load(open(os.path.join(out, "manifest-train.json")))
+    man = read_json(out, "manifest-train.json")
     assert man["command"] == "train"
     assert "model.json" in man["artifacts"]
     assert all(len(h) == 64 for h in man["artifacts"].values())
@@ -81,15 +93,13 @@ def test_manifest_can_seed_a_new_run(pipeline, tmp_path):
     man_path = os.path.join(out, "manifest-gen-data.json")
     new_out = str(tmp_path / "out2")
     assert cli.main(["gen-data", "--config", man_path, "--out", new_out]) == 0
-    a = open(os.path.join(out, "dataset.csv"), "rb").read()
-    b = open(os.path.join(new_out, "dataset.csv"), "rb").read()
-    assert a == b
+    assert Path(out, "dataset.csv").read_bytes() == Path(new_out, "dataset.csv").read_bytes()
 
 
 def test_run_ir_consumes_optimized_graph(pipeline):
     _, config, out = pipeline
     assert run("opt-ir", config) == 0
-    report = json.load(open(os.path.join(out, "opt_report.json")))
+    report = read_json(out, "opt_report.json")
     counts = [s["nodes"] for s in report["stages"]]
     assert counts == sorted(counts, reverse=True)
     g = ir.load_graph(os.path.join(out, "graph_opt.json"))
@@ -112,14 +122,14 @@ def test_run_ir_logits_are_plain_floats_that_round_trip(pipeline):
 def test_estimate_and_report(pipeline, tmp_path):
     src_tmp, config, out = pipeline
     assert run("estimate", config) == 0
-    est = json.load(open(os.path.join(out, "estimate.json")))
+    est = read_json(out, "estimate.json")
     assert est["dsps"] >= 0 and est["luts"] > 0
     # a tiny sweep so report has input
     cfg2, _ = write_config(src_tmp, sweep={"sample": 2, "epochs": 1,
                                            "candidates": [4, 8]})
     assert cli.main(["sweep", "--config", cfg2]) == 0
     assert cli.main(["report", "--config", cfg2]) == 0
-    lines = open(os.path.join(out, "report.csv")).read().strip().split("\n")
+    lines = Path(out, "report.csv").read_text().strip().split("\n")
     assert len(lines) == 3  # header + two sampled configs
     assert lines[0].split(",")[0] == "config_id"
 
@@ -129,10 +139,8 @@ def test_seed_flag_overrides_config(pipeline, tmp_path):
     alt = str(tmp_path / "alt")
     assert cli.main(["gen-data", "--config", config, "--seed", "9",
                      "--out", alt]) == 0
-    a = open(os.path.join(out, "dataset.csv")).read()
-    b = open(os.path.join(alt, "dataset.csv")).read()
-    assert a != b
-    man = json.load(open(os.path.join(alt, "manifest-gen-data.json")))
+    assert Path(out, "dataset.csv").read_text() != Path(alt, "dataset.csv").read_text()
+    man = read_json(alt, "manifest-gen-data.json")
     assert man["config"]["data"]["seed"] == 9
 
 
@@ -140,18 +148,13 @@ def test_budget_flag_overrides_config(pipeline, tmp_path):
     _, config, out = pipeline
     alt = str(tmp_path / "alt-budget")
     # copy the upstream artifacts the command needs
-    os.makedirs(alt, exist_ok=True)
-    for name in ("dataset.csv", "model.json", "traces.json"):
-        with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(alt, name), "wb") as fh:
-            fh.write(blob)
+    copy_artifacts(out, alt, ("dataset.csv", "model.json", "traces.json"))
     assert cli.main(["allocate", "--config", config, "--out", alt,
                      "--budget", "1e9"]) == 0
-    doc = json.load(open(os.path.join(alt, "allocation.json")))
+    doc = read_json(alt, "allocation.json")
     assert doc["feasible"] is True
     assert doc["budget"] == 1e9
-    man = json.load(open(os.path.join(alt, "manifest-allocate.json")))
+    man = read_json(alt, "manifest-allocate.json")
     assert man["config"]["allocation"]["budget"] == 1e9
 
 
@@ -184,6 +187,53 @@ def test_exit_3_on_corrupt_dataset(tmp_path):
     assert cli.main(["train", "--config", config]) == 3
 
 
+MODEL_WITH_THREE_MEANS = json.dumps({
+    "format": "hessquant-model", "sizes": [16, 5], "activations": ["softmax"],
+    "params": [0.0] * 85, "standardization": {"mean": [0.0] * 3, "std": [1.0] * 3}})
+
+
+@pytest.mark.parametrize("command, name, text, upstream", [
+    ("quantize", "model.json", '{"format": "nope"}', ()),
+    ("trace", "model.json", '{"format": "hessquant-model"', ()),
+    ("trace", "model.json", "[]", ()),
+    ("trace", "model.json", MODEL_WITH_THREE_MEANS, ("dataset.csv",)),
+    ("allocate", "traces.json", '{"format": "hessquant-traces"}', ("model.json",)),
+    ("quantize", "allocation.json",
+     '{"format": "hessquant-allocation", "weight_bits": 4}', ("model.json",)),
+    ("estimate", "allocation.json",
+     '{"format": "hessquant-allocation", "weight_bits": [40, 8, 8], '
+     '"activation_bits": [8, 8, 8], "omega": 0, "bops": 0, "feasible": true, '
+     '"budget": 1}', ()),
+    ("export-ir", "intmodel.json", '{"format": "hessquant-integer-model", "schema": []}', ()),
+    ("run-ir", "graph.json", '{"version": 1}', ()),
+    ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
+], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
+        "traces", "allocation", "allocation-bits-40", "intmodel", "graph", "sweep"])
+def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
+                                        command, name, text, upstream):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, upstream)
+    Path(alt_out, name).write_text(text)
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert f"malformed artifact {os.path.join(alt_out, name)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "allocate", "quantize", "run-ir", "estimate"])
+def test_exit_3_on_a_model_with_another_activation(tmp_path, pipeline, capsys, command):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "traces.json", "allocation.json",
+                                  "graph.json"))
+    doc = read_json(out, "model.json")
+    doc["activations"][1] = "tanh"
+    Path(alt_out, "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert "activations must be ['relu', 'relu', 'softmax']" in capsys.readouterr().err
+
+
 def test_exit_4_on_divergence(tmp_path):
     config, _ = write_config(tmp_path,
                              train={"learning_rate": 1e9, "optimizer": "sgd",
@@ -196,14 +246,9 @@ def test_exit_4_on_divergence(tmp_path):
 def test_exit_5_on_infeasible_budget_still_writes_solution(tmp_path, pipeline):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path, allocation={"budget": 10})
-    os.makedirs(alt_out, exist_ok=True)
-    for name in ("dataset.csv", "model.json", "traces.json"):
-        with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(alt_out, name), "wb") as fh:
-            fh.write(blob)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
     assert cli.main(["allocate", "--config", config]) == 5
-    doc = json.load(open(os.path.join(alt_out, "allocation.json")))
+    doc = read_json(alt_out, "allocation.json")
     assert doc["feasible"] is False
     assert doc["bops"] > 10
 
@@ -211,23 +256,19 @@ def test_exit_5_on_infeasible_budget_still_writes_solution(tmp_path, pipeline):
 @pytest.mark.parametrize("allocation, flags", [
     ({}, ["--budget", "nan"]),
     ({}, ["--budget", "-5"]),
+    ({}, ["--budget", "inf"]),
     ({"candidates": []}, []),
     ({"candidates": [40]}, []),
     ({"candidates": ["a"]}, []),
     ({"candidates": [0, 4]}, []),
     ({"coupling_offset": -10}, []),
-], ids=["budget-nan", "budget-negative", "no-candidates", "candidate-40",
+], ids=["budget-nan", "budget-negative", "budget-inf", "no-candidates", "candidate-40",
         "candidate-not-a-number", "candidate-0", "offset-minus-10"])
 def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
                                             allocation, flags):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path, allocation=allocation)
-    os.makedirs(alt_out, exist_ok=True)
-    for name in ("model.json", "traces.json"):
-        with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(alt_out, name), "wb") as fh:
-            fh.write(blob)
+    copy_artifacts(out, alt_out, ("model.json", "traces.json"))
     capsys.readouterr()
     assert cli.main(["allocate", "--config", config, *flags]) == 2
     assert "bad allocation section" in capsys.readouterr().err
@@ -237,30 +278,38 @@ def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
 def test_exit_6_on_invalid_graph(tmp_path, pipeline):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
-    os.makedirs(alt_out, exist_ok=True)
-    for name in ("dataset.csv", "model.json"):
-        with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(alt_out, name), "wb") as fh:
-            fh.write(blob)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
     # corrupt the graph: point a node at a tensor that never exists
-    doc = json.loads(open(os.path.join(out, "graph.json")).read())
+    doc = read_json(out, "graph.json")
     doc["nodes"][3]["inputs"][0] = "h777"
-    with open(os.path.join(alt_out, "graph.json"), "w") as fh:
-        fh.write(json.dumps(doc))
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
     assert cli.main(["run-ir", "--config", config]) == 6
+
+
+@pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
+def test_exit_6_on_a_matmul_without_a_static_inner_dimension(tmp_path, pipeline, capsys,
+                                                             command):
+    # 8-bit codes, both inner dimensions dynamic: the product width has no bound
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("MatMul", ("x", "w"), "logits", {})],
+        inputs=["x", "w"], outputs=["logits"],
+        tensors={"x": ir.TensorInfo((-1, -1), "int", bits=8, signed=True),
+                 "w": ir.TensorInfo((-1, 4), "int", bits=8, signed=True)},
+        initializers={})
+    ir.save_graph(g, os.path.join(alt_out, "graph.json"))
+    capsys.readouterr()
+    assert run(command, config) == 6
+    assert "node logits: integer MatMul" in capsys.readouterr().err
 
 
 def test_exit_2_on_lowering_error(tmp_path, pipeline):
     _, _, out = pipeline
     config, alt_out = write_config(
         tmp_path, quantize={"accumulator_bits": 8})
-    os.makedirs(alt_out, exist_ok=True)
-    for name in ("dataset.csv", "model.json", "allocation.json"):
-        with open(os.path.join(out, name), "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(alt_out, name), "wb") as fh:
-            fh.write(blob)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "allocation.json"))
     assert cli.main(["quantize", "--config", config]) == 2
 
 
@@ -272,11 +321,7 @@ def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
         schema={"weight_bits": [32, 32, 32], "activation_bits": [32, 32, 32],
                 "input_bits": 32},
         qat={"epochs": 1})
-    os.makedirs(alt_out, exist_ok=True)
-    with open(os.path.join(out, "dataset.csv"), "rb") as fh:
-        blob = fh.read()
-    with open(os.path.join(alt_out, "dataset.csv"), "wb") as fh:
-        fh.write(blob)
+    copy_artifacts(out, alt_out, ("dataset.csv",))
     model, mean, std = nn.load_model(os.path.join(out, "model.json"))
     model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
     nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)

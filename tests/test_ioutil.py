@@ -34,7 +34,7 @@ def test_write_atomic_replaces_content(tmp_path):
 def test_write_json_atomic_round_trips(tmp_path):
     path = tmp_path / "doc.json"
     ioutil.write_json_atomic(str(path), {"k": [1.5, 2.5]})
-    assert json.load(open(path)) == {"k": [1.5, 2.5]}
+    assert json.loads(path.read_text()) == {"k": [1.5, 2.5]}
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
@@ -50,3 +50,11 @@ def test_sha256_text_matches_hashlib():
 def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(TypeError):
         ioutil.dumps_canonical({"bad": object()})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_canonical_rejects_values_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        ioutil.dumps_canonical({"budget": value})
+    with pytest.raises(ValueError):
+        ioutil.dumps_canonical({"v": np.array([1.0, value])})

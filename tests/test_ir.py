@@ -384,6 +384,28 @@ def test_validate_reports_unproduced_graph_output():
     assert any("nope" in d for d in ir.validate(g))
 
 
+def test_validate_reports_an_integer_matmul_with_no_static_inner_dimension():
+    # inference counts one term per sum, so 8-bit codes give a 16-bit type
+    # that 1,000-term sums overflow; a static dimension on either side is fine
+    def matmul(x_shape):
+        return ir.IRGraph(
+            nodes=[ir.IRNode("MatMul", ("x", "w"), "acc", {})],
+            inputs=["x", "w"], outputs=["acc"],
+            tensors={"x": ir.TensorInfo(x_shape, "int", bits=8, signed=True),
+                     "w": ir.TensorInfo((-1, 4), "int", bits=8, signed=True)},
+            initializers={})
+
+    g = matmul((-1, -1))
+    assert ir.infer_shapes(g).tensors["acc"].bits == 16
+    acc = ir.evaluate(g, {"x": np.full((1, 1000), -128), "w": np.full((1000, 4), -128)})["acc"]
+    assert acc.tolist() == [[1000 * 128 * 128] * 4]
+    assert int(acc.max()).bit_length() + 1 == 25
+    diags = ir.validate(g)
+    assert len(diags) == 1
+    assert diags[0].startswith("node acc: integer MatMul has a dynamic inner dimension")
+    assert ir.validate(matmul((-1, 1000))) == []
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_serialize_layout(graph):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -211,22 +213,6 @@ def test_accuracy_on_trivial_model():
     assert nn.accuracy(m, ds) == 1.0
 
 
-def test_fold_bn_is_exact_and_idempotent():
-    m = nn.mlp([6, 5, 3], seed=30)
-    rng = np.random.default_rng(31)
-    m.layers[0].bn = nn.BNRecord(gamma=rng.uniform(0.5, 2.0, 5),
-                                 beta=rng.normal(size=5),
-                                 mean=rng.normal(size=5),
-                                 var=rng.uniform(0.5, 2.0, 5))
-    x = rng.normal(size=(20, 6))
-    before = nn.forward_logits(m, x)
-    folded = nn.fold_bn(m)
-    assert all(l.bn is None for l in folded.layers)
-    assert np.allclose(nn.forward_logits(folded, x), before, atol=1e-10)
-    twice = nn.fold_bn(folded)
-    assert np.allclose(nn.forward_logits(twice, x), before, atol=1e-10)
-
-
 def test_save_load_model_round_trip(tmp_path, trained_model):
     path = tmp_path / "m.json"
     mean = np.arange(16, dtype=np.float64)
@@ -237,6 +223,19 @@ def test_save_load_model_round_trip(tmp_path, trained_model):
     x = np.random.default_rng(0).normal(size=(8, 16))
     assert np.allclose(nn.forward_logits(back, x),
                        nn.forward_logits(trained_model, x), atol=0)
+
+
+def test_checkpoint_activations_are_fixed(tmp_path):
+    path = tmp_path / "m.json"
+    nn.save_model(nn.mlp([4, 6, 5, 3], seed=0), str(path))
+    doc = json.loads(path.read_text())
+    assert doc["activations"] == ["relu", "relu", "softmax"]
+    for acts in (["relu", "tanh", "softmax"], ["relu", "relu", "none"],
+                 ["relu", "softmax"]):
+        doc["activations"] = acts
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="m.json: activations must be"):
+            nn.load_model(str(path))
 
 
 def test_check_matrix_rejects_bad_input():

@@ -354,16 +354,6 @@ def test_qat_single_epoch_still_calibrates(qat_setup):
     assert all(m > 0 for m in fq.act_max)
 
 
-def test_qat_rejects_batchnorm_models(qat_setup):
-    model, tr, _ = qat_setup
-    m = nn.mlp([16, 8, 5], seed=0)
-    m.layers[0].bn = nn.BNRecord(gamma=np.ones(8), beta=np.zeros(8),
-                                 mean=np.zeros(8), var=np.ones(8))
-    cfg = nn.TrainConfig(epochs=1, seed=0)
-    with pytest.raises(ValueError):
-        qz.qat_train(m, tr, qz.QuantSchema.coupled((6, 6)), cfg)
-
-
 def test_calibrate_fake_quant_is_loss_free_on_ranges(qat_setup):
     model, tr, va = qat_setup
     fq = qz.calibrate_fake_quant(model, qz.QuantSchema.coupled((8, 8, 8)), tr)

@@ -2,9 +2,10 @@
 
 `ref_train` and `ref_qat_train` below are the float and quantization-aware
 training loops as they stood before `nn.train` and `quantize.qat_train` were
-folded into `nn._train_loop`, copied verbatim together with the private
-helpers they called.  Every comparison is exact: the new loop must reproduce
-their parameters, activation ranges, EMA counts and histories bit for bit.
+folded into `nn._train_loop`, copied together with the private helpers they
+called, for models of ReLU hidden layers and a softmax head.  Every
+comparison is exact: the new loop must reproduce their parameters,
+activation ranges, EMA counts and histories bit for bit.
 """
 
 import math
@@ -40,7 +41,7 @@ def ref_replace_parameters(model: MLPModel, theta: np.ndarray) -> MLPModel:
         off += nw
         b = theta[off:off + layer.bias.size].copy()
         off += layer.bias.size
-        layers.append(nn.DenseLayer(weights=w, bias=b, activation=layer.activation, bn=layer.bn))
+        layers.append(nn.DenseLayer(weights=w, bias=b))
     return MLPModel(layers=layers)
 
 
@@ -50,9 +51,7 @@ def ref_forward_caches(model: MLPModel, x: np.ndarray):
     h = x
     for i, layer in enumerate(model.layers):
         u = h @ layer.weights + layer.bias
-        if layer.bn is not None:
-            u = nn._apply_bn(layer.bn, u)
-        if i < model.n_layers - 1 and layer.activation == "relu":
+        if i < model.n_layers - 1:
             masks.append(u > 0)
             h = np.maximum(u, 0.0)
         else:
@@ -76,8 +75,6 @@ def ref_backprop(model: MLPModel, batch: Dataset, l1: float, caches=None):
         layer = model.layers[i]
         if masks[i] is not None:
             dz = dz * masks[i]
-        if layer.bn is not None:
-            dz = dz * (layer.bn.gamma / np.sqrt(layer.bn.var + layer.bn.eps))
         dw = hs[i].T @ dz
         if l1 != 0.0:
             dw = dw + l1 * np.sign(layer.weights)
@@ -276,8 +273,6 @@ def ref_qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: Trai
         raise ValueError("empty training set")
     if schema.n_layers != model.n_layers:
         raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
-    if any(l.bn is not None for l in model.layers):
-        raise ValueError("fold batch-norm records before quantization-aware training")
 
     momentum = 0.95
     rng = np.random.default_rng(cfg.seed)
@@ -341,8 +336,7 @@ def _snapshot(model: MLPModel) -> list[bytes]:
 
 def assert_same_model(got: MLPModel, want: MLPModel):
     assert _snapshot(got) == _snapshot(want)
-    for g, w in zip(got.layers, want.layers):
-        assert g.activation == w.activation and g.bn is w.bn
+    assert [l.weights.shape for l in got.layers] == [l.weights.shape for l in want.layers]
 
 
 def assert_owns_arrays(model: MLPModel):
@@ -376,25 +370,6 @@ def test_train_without_validation_set_matches_reference(splits):
     assert_same_model(got, want)
     assert (hist.train_loss, hist.val_accuracy) == (want_hist.train_loss,
                                                     want_hist.val_accuracy)
-
-
-def test_train_with_batchnorm_matches_reference(splits):
-    # batch-norm records are not trained but scale the gradient through them
-    tr, va = splits
-    rng = np.random.default_rng(5)
-
-    def model():
-        m = nn.mlp([16, 10, 5], seed=4)
-        m.layers[0].bn = bn
-        return m
-
-    bn = nn.BNRecord(gamma=rng.uniform(0.5, 2.0, 10), beta=rng.normal(size=10),
-                     mean=rng.normal(size=10), var=rng.uniform(0.5, 2.0, 10))
-    cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=1)
-    got, hist = nn.train(model(), tr, cfg, val=va)
-    want, want_hist = ref_train(model(), tr, cfg, val=va)
-    assert_same_model(got, want)
-    assert hist.train_loss == want_hist.train_loss
 
 
 def test_grad_matches_reference(splits):
