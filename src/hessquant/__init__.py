@@ -1,6 +1,6 @@
 """Hessian-guided mixed-precision quantization for small dense classifiers.
 
-The pipeline: train a float MLP (`nn`), estimate per-layer curvature traces
+The pipeline: train a float MLP (`nn`), compute exact per-layer Hessian traces
 (`hessian`), pick per-layer bit widths under a BOPs budget (`allocate`),
 fake-quantize and lower to an integer-only model (`quantize`), export and
 optimize a portable inference graph (`ir`), and estimate hardware resources

@@ -54,7 +54,7 @@ DEFAULT_CONFIG = {
               "l1": 1e-4, "seed": 0, "optimizer": "adam"},
     "qat": {"epochs": 20, "batch_size": 64, "learning_rate": 1e-3,
             "l1": 0.0, "seed": 0, "optimizer": "adam"},
-    "trace": {"k": 64, "seed": 0, "batch": 1024},
+    "trace": {"batch": 1024},
     "allocation": {"budget": 250000.0, "candidates": [4, 5, 6, 7, 8],
                    "coupling_offset": 3},
     "schema": None,
@@ -244,9 +244,11 @@ def cmd_trace(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     inputs = {model_path: sha256_file(model_path)}
     ds = _load_dataset(cfg, out_dir)
     _, train_ds, _ = _standardized_splits(cfg, ds, mean=mean, std=std)
-    batch = hessian.calibration_batch(train_ds, int(cfg["trace"]["batch"]))
-    report = hessian.layer_sensitivities(model, batch, k=int(cfg["trace"]["k"]),
-                                         seed=int(cfg["trace"]["seed"]))
+    try:
+        batch = hessian.calibration_batch(train_ds, int(cfg["trace"]["batch"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad trace section: {exc}") from None
+    report = hessian.layer_sensitivities(model, batch)
     path = os.path.join(out_dir, "traces.json")
     hessian.save_trace_report(report, path)
     return EXIT_OK, [path], inputs
@@ -393,6 +395,12 @@ def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         return EXIT_IR, [], inputs
     model, mean, std, model_path = _load_model(out_dir)
     inputs[model_path] = sha256_file(model_path)
+    shapes = ir.infer_shapes(g).tensors
+    for name, width in (("x", len(mean)), ("logits", model.sizes[-1])):
+        got = shapes[name].shape[-1] if name in shapes else None
+        if got != width:
+            raise DataError(f"{graph_path} has {name} width {got}, "
+                            f"{model_path} needs {width}")
     ds = _load_dataset(cfg, out_dir)
     ds_std = data.standardize(ds, mean=mean, std=std)
 
@@ -518,7 +526,6 @@ COMMANDS = {
 _SEED_KEY = {
     "gen-data": ("data", "seed"),
     "train": ("train", "seed"),
-    "trace": ("trace", "seed"),
     "sweep": ("sweep", "seed"),
     "quantize": ("qat", "seed"),
 }

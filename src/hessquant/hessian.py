@@ -1,11 +1,13 @@
-"""Stochastic Hessian trace estimation for layer sensitivity ranking.
+"""Exact Hessian traces of each layer's weights, for sensitivity ranking.
 
-The trace of the loss Hessian restricted to one layer's weight matrix is
-estimated with Hutchinson's method: for Rademacher probes z, E[z^T H z] equals
-tr(H).  Hessian-vector products come from a central finite difference of the
-gradient, so no second-order autodiff machinery is required.  An exact
-reference that sums basis-vector products is provided for validation on
-small layers.
+In a ReLU network a layer's weights enter the logits linearly almost
+everywhere, so the loss Hessian over them equals its Gauss-Newton form
+(1/N) sum_n J_n^T A_n J_n with A_n = diag(p_n) - p_n p_n^T, and its trace is
+(1/N) sum_n ||h_n||^2 tr(G_n^T A_n G_n), where h_n is the layer's input and
+G_n = dz_n/du_l the logits' Jacobian at its pre-activation.  HAWQ-V2 ranks
+layers by that trace.  Biases, other layers and the L1 penalty (curvature
+zero almost everywhere) stay outside the block.  Hutchinson's estimator on
+the exact block product `layer_hvp` is an independent check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import nn
 from .data import Dataset
 from .nn import MLPModel
 
-EXACT_TRACE_MAX_DIM = 5000
 CALIBRATION_SIZE = 1024
 
 
@@ -45,61 +46,100 @@ def hutchinson_estimate(hvp_fn, d: int, k: int, seed: int = 0):
     return float(samples.mean()), stderr, samples
 
 
+def _caches(model: MLPModel, batch: Dataset, layer: int = 0):
+    """Layer inputs, ReLU masks and softmax outputs of one forward pass."""
+    if not 0 <= layer < model.n_layers:
+        raise IndexError(f"layer {layer} out of range")
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    x = nn.check_matrix(batch.features, cols=model.layers[0].fan_in)
+    hs, gates = nn._forward_caches(model, x)
+    return hs, gates, nn.softmax(hs[-1])
+
+
+def layer_hvp(model: MLPModel, batch: Dataset, layer: int):
+    """v -> H v over one layer's weights (v flat, row-major), exactly: a
+    forward JVP from the layer through the ReLU masks to the logits, then
+    A_n / N, then a VJP back.  One forward pass here serves every product."""
+    hs, gates, p = _caches(model, batch, layer)
+    h, shape = hs[layer], model.layers[layer].weights.shape
+    upper = range(layer + 1, model.n_layers)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.size != h.shape[1] * shape[1]:
+            raise nn.ShapeError(f"v must have {h.shape[1] * shape[1]} entries for "
+                                f"layer {layer}, got {v.size}")
+        dz = h @ v.reshape(shape)
+        for i in upper:
+            dz *= gates[i - 1]
+            dz = dz @ model.layers[i].weights
+        r = dz - np.sum(p * dz, axis=1, keepdims=True)
+        r *= p
+        r /= len(h)
+        for i in reversed(upper):
+            r = r @ model.layers[i].weights.T
+            r *= gates[i - 1]
+        return (h.T @ r).ravel()
+
+    return product
+
+
 def hutchinson_trace(model: MLPModel, batch: Dataset, layer: int,
-                     k: int = 64, seed: int = 0,
-                     eps_scale: float = 1e-4) -> tuple[float, float]:
+                     k: int = 64, seed: int = 0) -> tuple[float, float]:
     """(estimate, stderr) of the Hessian trace over one layer's weights."""
-    d = nn.layer_weight_count(model, layer)
-    mean, stderr, _ = hutchinson_estimate(
-        lambda v: nn.hvp(model, batch, layer, v, eps_scale=eps_scale), d, k, seed)
-    return mean, stderr
+    hvp = layer_hvp(model, batch, layer)
+    return hutchinson_estimate(hvp, model.layers[layer].weights.size, k, seed)[:2]
 
 
-def exact_trace(model: MLPModel, batch: Dataset, layer: int,
-                eps_scale: float = 1e-4) -> float:
-    """Exact trace via one Hessian-vector product per basis vector.
+def _closed_form_traces(model: MLPModel, batch: Dataset, lowest: int = 0) -> list[float]:
+    """tr H_ll for layers lowest.., in layer order.  Per row, tr(G^T A G) is
+    sum_c p_c ||g_c||^2 - ||sum_c p_c g_c||^2 with g_c = dz_c/du_l: one
+    backward pass per class from the one-hot logit gradient, and one from p."""
+    hs, gates, p = _caches(model, batch, lowest)
+    layers = range(model.n_layers - 1, lowest - 1, -1)
 
-    Costs d gradient pairs, so it refuses layers above EXACT_TRACE_MAX_DIM
-    weights; use hutchinson_trace there.
-    """
-    d = nn.layer_weight_count(model, layer)
-    if d > EXACT_TRACE_MAX_DIM:
-        raise ValueError(
-            f"layer {layer} has {d} weights, exact trace capped at {EXACT_TRACE_MAX_DIM}")
-    total = 0.0
-    e = np.zeros(d)
-    for i in range(d):
-        e[i] = 1.0
-        total += float(nn.hvp(model, batch, layer, e, eps_scale=eps_scale)[i])
-        e[i] = 0.0
-    return total
+    def row_sq_norms(g: np.ndarray) -> dict:
+        norms = {}
+        for i in layers:
+            if gates[i] is not None:
+                g *= gates[i]
+            norms[i] = np.einsum("ij,ij->i", g, g)
+            if i > lowest:
+                g = g @ model.layers[i].weights.T
+        return norms
+
+    per_row = {i: -sq for i, sq in row_sq_norms(p.copy()).items()}
+    for c in range(p.shape[1]):
+        g = np.zeros_like(p)
+        g[:, c] = 1.0
+        for i, sq in row_sq_norms(g).items():
+            per_row[i] += p[:, c] * sq
+    return [float(np.mean(np.einsum("ij,ij->i", hs[i], hs[i]) * per_row[i]))
+            for i in reversed(layers)]
+
+
+def exact_trace(model: MLPModel, batch: Dataset, layer: int) -> float:
+    """The closed-form Hessian trace over one layer's weights."""
+    return _closed_form_traces(model, batch, layer)[0]
 
 
 @dataclass
 class TraceReport:
-    """Per-layer trace estimates plus enough metadata to reproduce them.
+    """Per-layer Hessian traces plus enough metadata to reproduce them.
 
     avg_traces holds trace / weight count (the mean-eigenvalue convention the
-    allocator consumes); traces keeps the raw estimates.
+    allocator consumes); traces keeps the raw values.
     """
     traces: list[float]
     avg_traces: list[float]
-    stderrs: list[float]
     weight_counts: list[int]
-    k: int
-    seeds: list[int]
     batch_sha256: str
     sizes: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        lens = {len(self.traces), len(self.avg_traces), len(self.stderrs),
-                len(self.weight_counts), len(self.seeds)}
-        if len(lens) != 1:
+        if len({len(self.traces), len(self.avg_traces), len(self.weight_counts)}) != 1:
             raise ValueError("per-layer fields disagree on layer count")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if any(s < 0 for s in self.stderrs):
-            raise ValueError("standard errors must be non-negative")
 
 
 def batch_digest(batch: Dataset) -> str:
@@ -111,38 +151,20 @@ def batch_digest(batch: Dataset) -> str:
 
 def calibration_batch(data: Dataset, n: int = CALIBRATION_SIZE) -> Dataset:
     """The deterministic slice used for trace estimation: the first n rows."""
+    if n < 1:
+        raise ValueError(f"calibration batch needs at least 1 row, got {n}")
     if len(data) == 0:
         raise ValueError("empty dataset")
     return data.take(np.arange(min(n, len(data))))
 
 
-def layer_sensitivities(model: MLPModel, batch: Dataset, k: int = 64,
-                        seed: int = 0) -> TraceReport:
-    """Hutchinson traces for every layer's weight matrix, in layer order.
-
-    Layer j uses probe seed seed + j so adding layers never perturbs earlier
-    estimates.  Deterministic in (model, batch, k, seed).
-    """
-    traces = []
-    stderrs = []
-    counts = []
-    seeds = []
-    for j in range(model.n_layers):
-        est, se = hutchinson_trace(model, batch, j, k=k, seed=seed + j)
-        traces.append(est)
-        stderrs.append(se)
-        counts.append(nn.layer_weight_count(model, j))
-        seeds.append(seed + j)
-    return TraceReport(
-        traces=traces,
-        avg_traces=[t / c for t, c in zip(traces, counts)],
-        stderrs=stderrs,
-        weight_counts=counts,
-        k=k,
-        seeds=seeds,
-        batch_sha256=batch_digest(batch),
-        sizes=list(model.sizes),
-    )
+def layer_sensitivities(model: MLPModel, batch: Dataset) -> TraceReport:
+    """Exact Hessian traces for every layer's weight matrix, in layer order."""
+    traces = _closed_form_traces(model, batch)
+    counts = [layer.weights.size for layer in model.layers]
+    return TraceReport(traces=traces, avg_traces=[t / c for t, c in zip(traces, counts)],
+                       weight_counts=counts, batch_sha256=batch_digest(batch),
+                       sizes=list(model.sizes))
 
 
 def save_trace_report(report: TraceReport, path: str) -> None:
@@ -150,19 +172,18 @@ def save_trace_report(report: TraceReport, path: str) -> None:
 
     write_json_atomic(path, {
         "format": "hessquant-traces",
-        "version": 1,
+        "version": 2,
         "traces": report.traces,
         "avg_traces": report.avg_traces,
-        "stderrs": report.stderrs,
         "weight_counts": report.weight_counts,
-        "k": report.k,
-        "seeds": report.seeds,
         "batch_sha256": report.batch_sha256,
         "sizes": report.sizes,
     })
 
 
 def load_trace_report(path: str) -> TraceReport:
+    """A save_trace_report file.  Version 1 files load too: the estimator's
+    standard errors, probe count and seeds they also hold are ignored."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "hessquant-traces":
@@ -170,10 +191,7 @@ def load_trace_report(path: str) -> TraceReport:
     return TraceReport(
         traces=[float(t) for t in doc["traces"]],
         avg_traces=[float(t) for t in doc["avg_traces"]],
-        stderrs=[float(t) for t in doc["stderrs"]],
         weight_counts=[int(c) for c in doc["weight_counts"]],
-        k=int(doc["k"]),
-        seeds=[int(s) for s in doc["seeds"]],
         batch_sha256=doc["batch_sha256"],
         sizes=[int(s) for s in doc.get("sizes", [])],
     )

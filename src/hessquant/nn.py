@@ -1,5 +1,5 @@
-"""Minimal dense-network engine: forward, manual backprop, Adam training,
-and finite-difference Hessian-vector products.
+"""Minimal dense-network engine: forward pass, manual backprop and Adam
+training.  `hessian` builds the exact layer curvature on the forward caches.
 
 One mini-batch loop, `_train_loop`, serves float training (`train`) and
 quantization-aware training (`quantize.qat_train`), which plug in their own
@@ -256,54 +256,6 @@ def grad(model: MLPModel, batch: Dataset, l1: float = 0.0) -> np.ndarray:
         raise ValueError("empty batch")
     x = check_matrix(batch.features, cols=model.layers[0].fan_in)
     return parameter_vector(_backprop(model, x, batch.labels, l1))
-
-
-def fd_hvp(grad_fn, theta: np.ndarray, v: np.ndarray, eps_scale: float = 1e-4) -> np.ndarray:
-    """Hessian-vector product by central differences of a gradient function.
-
-    The step is eps_scale * max(1, ||theta||) / max(||v||, 1e-12), so probe
-    vectors of any magnitude see a comparable relative perturbation.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != theta.shape:
-        raise ShapeError(f"v has shape {v.shape}, parameters have {theta.shape}")
-    eps = eps_scale * max(1.0, float(np.linalg.norm(theta))) / max(float(np.linalg.norm(v)), 1e-12)
-    gp = grad_fn(theta + eps * v)
-    gm = grad_fn(theta - eps * v)
-    return (gp - gm) / (2.0 * eps)
-
-
-def layer_weight_count(model: MLPModel, layer: int) -> int:
-    return model.layers[layer].weights.size
-
-
-def hvp(model: MLPModel, batch: Dataset, layer: int, v: np.ndarray,
-        eps_scale: float = 1e-4) -> np.ndarray:
-    """Product of the layer-restricted weight Hessian with v.
-
-    The Hessian block covers only the chosen layer's weight matrix (biases
-    and other layers stay fixed), and the L1 penalty is excluded since its
-    curvature is zero almost everywhere.  Uses central finite differences of
-    the data-loss gradient.
-    """
-    if not 0 <= layer < model.n_layers:
-        raise IndexError(f"layer {layer} out of range")
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    w0 = model.layers[layer].weights
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != w0.size:
-        raise ShapeError(f"v must have {w0.size} entries for layer {layer}, got {v.size}")
-
-    x = check_matrix(batch.features, cols=model.layers[0].fan_in)
-
-    def layer_grad(theta_w: np.ndarray) -> np.ndarray:
-        trial = model.copy()
-        trial.layers[layer].weights = theta_w.reshape(w0.shape)
-        return _backprop(trial, x, batch.labels, 0.0).layers[layer].weights.ravel()
-
-    return fd_hvp(layer_grad, w0.ravel(), v, eps_scale=eps_scale)
 
 
 def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,

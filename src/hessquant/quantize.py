@@ -800,7 +800,26 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
     write_json_atomic(path, doc)
 
 
+def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> None:
+    """Raise ValueError unless the layers chain and match the schema's widths."""
+    if len(layers) != schema.n_layers:
+        raise ValueError(f"{path}: {len(layers)} layers, schema has {schema.n_layers}")
+    for i, layer in enumerate(layers):
+        w = layer.q_weights
+        if w.ndim != 2 or (i > 0 and w.shape[0] != layers[i - 1].q_weights.shape[1]):
+            raise ValueError(f"{path}: layer {i} weights of shape {w.shape} do not chain")
+        if layer.q_bias.shape != (w.shape[1],):
+            raise ValueError(f"{path}: layer {i} has {layer.q_bias.size} biases for "
+                             f"{w.shape[1]} outputs")
+        if (layer.weight_bits, layer.act_bits) != (schema.weight_bits[i],
+                                                   schema.activation_bits[i]):
+            raise ValueError(f"{path}: layer {i} widths differ from the schema's")
+
+
 def load_integer_model(path: str) -> IntegerModel:
+    """A save_integer_model file.  A malformed one, or one whose layers do not
+    chain or disagree with its schema, raises ValueError, KeyError or
+    TypeError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "hessquant-integer-model":
@@ -825,6 +844,7 @@ def load_integer_model(path: str) -> IntegerModel:
             requant=None if entry["requant"] is None else DyadicScale(**entry["requant"]),
             act_exp=entry["act_exp"],
         ))
+    _check_layers(layers, schema, path)
     return IntegerModel(layers=layers, input_params=input_params, input_scale=input_scale,
                         output_scale=DyadicScale(**doc["output_scale"]),
                         accumulator_bits=acc_bits, schema=schema)

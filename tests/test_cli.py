@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessquant import cli, data, ir, nn
+from hessquant import cli, data, ir, nn, quantize
 
 
 def write_config(tmp_path, **overrides):
@@ -192,6 +192,12 @@ MODEL_WITH_THREE_MEANS = json.dumps({
     "params": [0.0] * 85, "standardization": {"mean": [0.0] * 3, "std": [1.0] * 3}})
 
 
+def truncated_intmodel(out):
+    doc = read_json(out, "intmodel.json")
+    doc["layers"] = doc["layers"][:2]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -205,16 +211,18 @@ MODEL_WITH_THREE_MEANS = json.dumps({
      '"activation_bits": [8, 8, 8], "omega": 0, "bops": 0, "feasible": true, '
      '"budget": 1}', ()),
     ("export-ir", "intmodel.json", '{"format": "hessquant-integer-model", "schema": []}', ()),
+    ("export-ir", "intmodel.json", truncated_intmodel, ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
-        "traces", "allocation", "allocation-bits-40", "intmodel", "graph", "sweep"])
+        "traces", "allocation", "allocation-bits-40", "intmodel", "intmodel-two-of-three",
+        "graph", "sweep"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
     copy_artifacts(out, alt_out, upstream)
-    Path(alt_out, name).write_text(text)
+    Path(alt_out, name).write_text(text if isinstance(text, str) else text(out))
     capsys.readouterr()
     assert run(command, config) == 3
     assert f"malformed artifact {os.path.join(alt_out, name)}" in capsys.readouterr().err
@@ -273,6 +281,36 @@ def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
     assert cli.main(["allocate", "--config", config, *flags]) == 2
     assert "bad allocation section" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(alt_out, "allocation.json"))
+
+
+@pytest.mark.parametrize("sizes, tensor", [([16, 8, 8, 3], "logits"), ([12, 8, 8, 5], "x")],
+                         ids=["three-classes", "twelve-inputs"])
+def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
+                                                     sizes, tensor):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    rng = np.random.default_rng(0)
+    calib = data.Dataset(features=rng.normal(size=(64, sizes[0])),
+                         labels=rng.integers(0, sizes[-1], size=64))
+    schema = quantize.QuantSchema.coupled((6, 6, 6))
+    fq = quantize.calibrate_fake_quant(nn.mlp(sizes, seed=0), schema, calib)
+    ir.save_graph(ir.export_graph(quantize.lower(fq)), os.path.join(alt_out, "graph.json"))
+    capsys.readouterr()
+    assert run("run-ir", config) == 3
+    assert f"has {tensor} width" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "ir_outputs.csv"))
+
+
+@pytest.mark.parametrize("batch", [0, -5])
+def test_exit_2_on_a_bad_trace_batch(tmp_path, pipeline, capsys, batch):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, trace={"batch": batch})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    capsys.readouterr()
+    assert run("trace", config) == 2
+    assert "bad trace section" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "traces.json"))
 
 
 def test_exit_6_on_invalid_graph(tmp_path, pipeline):

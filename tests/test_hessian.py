@@ -1,7 +1,33 @@
+import json
+
 import numpy as np
 import pytest
 
 from hessquant import data, hessian, nn
+
+
+def fd_hvp(grad_fn, theta, v, eps_scale=1e-4):
+    """Hessian-vector product by central differences of a gradient function.
+
+    The step is eps_scale * max(1, ||theta||) / max(||v||, 1e-12), so probe
+    vectors of any magnitude see a comparable relative perturbation.  A test
+    oracle: in a ReLU network a step that crosses an activation kink biases
+    it, so curvature checks use a step small enough to cross none.
+    """
+    eps = eps_scale * max(1.0, float(np.linalg.norm(theta))) / max(float(np.linalg.norm(v)), 1e-12)
+    return (grad_fn(theta + eps * v) - grad_fn(theta - eps * v)) / (2.0 * eps)
+
+
+def fd_layer_hvp(model, batch, layer, v, eps_scale):
+    """fd_hvp of the data-loss gradient over one layer's weights."""
+    w0 = model.layers[layer].weights
+
+    def layer_grad(theta_w):
+        trial = model.copy()
+        trial.layers[layer].weights = theta_w.reshape(w0.shape)
+        return nn._backprop(trial, batch.features, batch.labels, 0.0).layers[layer].weights.ravel()
+
+    return fd_hvp(layer_grad, w0.ravel(), v, eps_scale=eps_scale)
 
 
 def test_identity_surrogate_is_exact_per_probe():
@@ -115,35 +141,107 @@ def test_model_trace_matches_exact_diagonalization(converged_tiny_model):
         assert abs(est - exact) <= max(5 * stderr, 0.08 * abs(exact))
 
 
-def test_exact_trace_guards_dimension():
+def test_exact_trace_runs_on_a_wide_layer():
+    # 80,000 weights: the closed form costs one backward pass per class,
+    # not one curvature product per weight
     model = nn.mlp([16, 400, 200, 5], seed=0)
     ds = data.generate_synthetic(64, seed=0)
-    with pytest.raises(ValueError):
-        hessian.exact_trace(model, ds, 1)  # 400*200 weights > limit
+    tr = hessian.exact_trace(model, ds, 1)
+    assert np.isfinite(tr) and tr > 0
+    assert tr == hessian.layer_sensitivities(model, ds).traces[1]
+
+
+@pytest.fixture(scope="module")
+def default_size_model():
+    ds = data.standardize(data.generate_synthetic(2000, seed=3, separation=1.5))
+    model = nn.mlp([16, 64, 32, 32, 5], seed=3)
+    cfg = nn.TrainConfig(epochs=8, batch_size=64, learning_rate=1e-3, l1=1e-4, seed=3)
+    model, _ = nn.train(model, ds, cfg)
+    return model, hessian.calibration_batch(ds, 512)
+
+
+@pytest.mark.parametrize("layer", [2, 3])
+def test_closed_form_matches_finite_difference_basis_sum(default_size_model, layer):
+    # a 1e-7 step crosses no ReLU kink on this batch, so the basis sum of
+    # finite-difference products is the exact trace up to rounding
+    model, batch = default_size_model
+    d = model.layers[layer].weights.size
+    e = np.zeros(d)
+    fd = 0.0
+    for i in range(d):
+        e[i] = 1.0
+        fd += float(fd_layer_hvp(model, batch, layer, e, eps_scale=1e-7)[i])
+        e[i] = 0.0
+    exact = hessian.exact_trace(model, batch, layer)
+    assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+
+def test_layer_hvp_basis_sum_equals_exact_trace(toy_model):
+    model, ds = toy_model
+    batch = hessian.calibration_batch(ds, 200)
+    for layer in range(model.n_layers):
+        hvp = hessian.layer_hvp(model, batch, layer)
+        eye = np.eye(model.layers[layer].weights.size)
+        total = sum(float(hvp(row)[i]) for i, row in enumerate(eye))
+        assert total == pytest.approx(hessian.exact_trace(model, batch, layer), rel=1e-12)
+
+
+def test_layer_hvp_is_symmetric():
+    # u^T H v == v^T H u for the exact Hessian block
+    m = nn.mlp([6, 5, 4, 3], seed=9)
+    rng = np.random.default_rng(10)
+    ds = data.Dataset(features=rng.normal(size=(40, 6)), labels=rng.integers(0, 3, size=40))
+    for layer in range(m.n_layers):
+        hvp = hessian.layer_hvp(m, ds, layer)
+        d = m.layers[layer].weights.size
+        for _ in range(4):
+            u, v = rng.normal(size=d), rng.normal(size=d)
+            uhv, vhu = float(u @ hvp(v)), float(v @ hvp(u))
+            assert uhv == pytest.approx(vhu, rel=1e-10)
+
+
+def test_layer_hvp_is_linear():
+    m = nn.mlp([6, 4, 4, 3], seed=12)
+    rng = np.random.default_rng(13)
+    ds = data.Dataset(features=rng.normal(size=(30, 6)), labels=rng.integers(0, 3, size=30))
+    hvp = hessian.layer_hvp(m, ds, 1)
+    u, v = rng.normal(size=(2, m.layers[1].weights.size))
+    assert np.allclose(hvp(3.0 * v), 3.0 * hvp(v), rtol=1e-12, atol=0)
+    assert np.allclose(hvp(u + v), hvp(u) + hvp(v), rtol=1e-10, atol=1e-15)
+    with pytest.raises(nn.ShapeError):
+        hvp(np.ones(3))
 
 
 def test_layer_sensitivities_report(toy_model):
     model, ds = toy_model
     batch = hessian.calibration_batch(ds, 200)
-    rep = hessian.layer_sensitivities(model, batch, k=24, seed=5)
+    rep = hessian.layer_sensitivities(model, batch)
     assert len(rep.traces) == model.n_layers
-    assert rep.k == 24
-    assert rep.seeds == [5, 6]
     assert rep.weight_counts == [160, 50]
     for tr, avg, wc in zip(rep.traces, rep.avg_traces, rep.weight_counts):
+        assert tr > 0
         assert avg == pytest.approx(tr / wc)
     assert rep.batch_sha256 == hessian.batch_digest(batch)
-    assert all(s >= 0 for s in rep.stderrs)
+    assert rep.sizes == [16, 10, 5]
 
 
-def test_layer_sensitivities_layers_use_distinct_seeds(toy_model):
+def test_layer_sensitivities_is_exact_and_deterministic(toy_model):
     model, ds = toy_model
     batch = hessian.calibration_batch(ds, 128)
-    r1 = hessian.layer_sensitivities(model, batch, k=8, seed=0)
-    r2 = hessian.layer_sensitivities(model, batch, k=8, seed=0)
+    r1 = hessian.layer_sensitivities(model, batch)
+    r2 = hessian.layer_sensitivities(model, batch)
     assert r1.traces == r2.traces
-    r3 = hessian.layer_sensitivities(model, batch, k=8, seed=99)
-    assert r1.traces != r3.traces
+    assert r1.traces == [hessian.exact_trace(model, batch, j) for j in range(model.n_layers)]
+
+
+def test_curvature_rejects_bad_arguments(toy_model):
+    model, ds = toy_model
+    with pytest.raises(IndexError):
+        hessian.exact_trace(model, ds, 2)
+    with pytest.raises(IndexError):
+        hessian.layer_hvp(model, ds, -1)
+    with pytest.raises(ValueError):
+        hessian.layer_sensitivities(model, ds.take(np.arange(0)))
 
 
 def test_calibration_batch_takes_leading_slice(toy_model):
@@ -154,6 +252,9 @@ def test_calibration_batch_takes_leading_slice(toy_model):
     # asking for more than available returns everything
     big = hessian.calibration_batch(ds, 10**6)
     assert len(big) == len(ds)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="at least 1 row"):
+            hessian.calibration_batch(ds, n)
 
 
 def test_batch_digest_tracks_content(toy_model):
@@ -168,14 +269,25 @@ def test_batch_digest_tracks_content(toy_model):
 def test_trace_report_round_trip(tmp_path, toy_model):
     model, ds = toy_model
     batch = hessian.calibration_batch(ds, 64)
-    rep = hessian.layer_sensitivities(model, batch, k=4, seed=2)
+    rep = hessian.layer_sensitivities(model, batch)
     path = tmp_path / "traces.json"
     hessian.save_trace_report(rep, str(path))
-    back = hessian.load_trace_report(str(path))
-    assert back.traces == rep.traces
-    assert back.stderrs == rep.stderrs
-    assert back.batch_sha256 == rep.batch_sha256
-    assert back.sizes == rep.sizes
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert not {"stderrs", "k", "seeds"} & set(doc)
+    assert hessian.load_trace_report(str(path)) == rep
+
+
+def test_version_1_trace_report_still_loads(tmp_path):
+    path = tmp_path / "traces.json"
+    path.write_text(json.dumps({
+        "format": "hessquant-traces", "version": 1, "traces": [12.5, 3.0],
+        "avg_traces": [0.125, 0.3], "stderrs": [0.9, 0.2], "weight_counts": [100, 10],
+        "k": 64, "seeds": [0, 1], "batch_sha256": "ab" * 32, "sizes": [10, 10, 1]}))
+    rep = hessian.load_trace_report(str(path))
+    assert rep == hessian.TraceReport(traces=[12.5, 3.0], avg_traces=[0.125, 0.3],
+                                      weight_counts=[100, 10], batch_sha256="ab" * 32,
+                                      sizes=[10, 10, 1])
 
 
 def test_fd_hvp_eps_scale_changes_little_on_smooth_problems():
@@ -186,6 +298,20 @@ def test_fd_hvp_eps_scale_changes_little_on_smooth_problems():
     a = a @ a.T
     theta = rng.normal(size=10)
     v = rng.normal(size=10)
-    h1 = nn.fd_hvp(lambda t: a @ t, theta, v, eps_scale=1e-4)
-    h2 = nn.fd_hvp(lambda t: a @ t, theta, v, eps_scale=5e-5)
+    h1 = fd_hvp(lambda t: a @ t, theta, v, eps_scale=1e-4)
+    h2 = fd_hvp(lambda t: a @ t, theta, v, eps_scale=5e-5)
     assert np.allclose(h1, h2, rtol=1e-4, atol=1e-8)
+
+
+def test_fd_hvp_matches_quadratic_surrogate():
+    # for f(w) = 0.5 w^T A w the Hessian-vector product is exactly A v;
+    # run the same finite-difference machinery on an analytic gradient
+    rng = np.random.default_rng(8)
+    d = 12
+    a = rng.normal(size=(d, d))
+    a = a @ a.T
+    theta = rng.normal(size=d)
+    for _ in range(5):
+        v = rng.normal(size=d)
+        hv = fd_hvp(lambda t: a @ t, theta, v)
+        assert np.allclose(hv, a @ v, rtol=1e-5, atol=1e-6)

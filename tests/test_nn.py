@@ -112,43 +112,6 @@ def test_parameter_vector_round_trip():
     assert np.allclose(nn.parameter_vector(m), theta)
 
 
-def test_hvp_matches_quadratic_surrogate():
-    # for f(w) = 0.5 w^T A w the Hessian-vector product is exactly A v;
-    # run the same finite-difference machinery on an analytic gradient
-    rng = np.random.default_rng(8)
-    d = 12
-    a = rng.normal(size=(d, d))
-    a = a @ a.T
-    theta = rng.normal(size=d)
-    for _ in range(5):
-        v = rng.normal(size=d)
-        hv = nn.fd_hvp(lambda t: a @ t, theta, v)
-        assert np.allclose(hv, a @ v, rtol=1e-5, atol=1e-6)
-
-
-def test_hvp_is_symmetric_in_expectation():
-    # u^T H v == v^T H u for a true Hessian
-    m = nn.mlp([6, 5, 3], seed=9)
-    ds = tiny_batch(n=40, seed=10)
-    rng = np.random.default_rng(11)
-    d = nn.layer_weight_count(m, 0)
-    for _ in range(4):
-        u = rng.normal(size=d)
-        v = rng.normal(size=d)
-        uhv = float(u @ nn.hvp(m, ds, 0, v))
-        vhu = float(v @ nn.hvp(m, ds, 0, u))
-        assert uhv == pytest.approx(vhu, rel=2e-3, abs=2e-4)
-
-
-def test_hvp_scales_linearly():
-    m = nn.mlp([6, 4, 3], seed=12)
-    ds = tiny_batch(n=30, seed=13)
-    v = np.random.default_rng(14).normal(size=nn.layer_weight_count(m, 1))
-    h1 = nn.hvp(m, ds, 1, v)
-    h3 = nn.hvp(m, ds, 1, 3.0 * v)
-    assert np.allclose(h3, 3.0 * h1, rtol=1e-4, atol=1e-6)
-
-
 def test_train_improves_loss_and_is_deterministic():
     ds = data.generate_synthetic(600, seed=20, separation=1.5)
     ds = data.standardize(ds)

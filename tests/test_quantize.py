@@ -539,3 +539,37 @@ def test_integer_model_file_rejects_tampered_scales(tmp_path, lowered):
     path.write_text(json.dumps(doc))
     with pytest.raises((ValueError, qz.LoweringError)):
         qz.load_integer_model(str(path))
+
+
+def _drop_layer(doc):
+    doc["layers"] = doc["layers"][:2]
+
+
+def _drop_output_unit(doc):
+    doc["layers"][0]["q_weights"] = [row[:-1] for row in doc["layers"][0]["q_weights"]]
+    doc["layers"][0]["q_bias"] = doc["layers"][0]["q_bias"][:-1]
+
+
+def _drop_bias(doc):
+    doc["layers"][1]["q_bias"] = doc["layers"][1]["q_bias"][:-1]
+
+
+def _widen_layer(doc):
+    doc["layers"][2]["act_bits"] += 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_layer, "2 layers, schema has 3"),
+    (_drop_output_unit, "layer 1 weights of shape"),
+    (_drop_bias, "layer 1 has"),
+    (_widen_layer, "layer 2 widths"),
+], ids=["layer-count", "chain", "bias-length", "widths"])
+def test_integer_model_file_rejects_layers_that_disagree(tmp_path, lowered, tamper, message):
+    _, im, _ = lowered
+    path = tmp_path / "im.json"
+    qz.save_integer_model(im, str(path))
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        qz.load_integer_model(str(path))
