@@ -19,7 +19,6 @@ import csv
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,8 +274,8 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     ValueError that fake-quantizing non-finite weights raises mid-epoch)
     produces a record with the error message instead of aborting the sweep;
     any other exception propagates.  sample draws that many configs without
-    replacement using the given seed; jobs > 1 fans configurations across
-    threads with results kept in config order.
+    replacement using the given seed.  Configurations run serially in
+    config order; jobs is accepted and ignored (threads were no faster).
     """
     cands = tuple(sorted(set(int(b) for b in candidates)))
     sizes = (arch.dims[0][0], *[m for _, m in arch.dims])
@@ -310,12 +309,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
                                sparsities=(float("nan"),) * arch.n_layers,
                                seed=cfg.seed + config_id, error=str(exc))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, ids))
-    else:
-        records = [run_one(i) for i in ids]
-    return records
+    return [run_one(i) for i in ids]
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:

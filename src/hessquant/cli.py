@@ -301,7 +301,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     records = allocate.sweep(arch, sec["candidates"], train_ds, tcfg, val=val_ds,
                              sample=None if sec["sample"] in (None, "all")
                              else int(sec["sample"]),
-                             seed=int(sec["seed"]), jobs=int(sec["jobs"]))
+                             seed=int(sec["seed"]))
     path = os.path.join(out_dir, "sweep.csv")
     write_atomic(path, allocate.sweep_csv(records))
     return EXIT_OK, [path], {}
@@ -541,14 +541,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the command's seed")
+        if name in _SEED_KEY:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the command's seed")
         if name == "allocate":
             p.add_argument("--budget", type=float, default=None,
                            help="BOPs budget override")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=None,
-                           help="worker threads for sweep configs")
+                           help="accepted and ignored; configs run serially")
     return parser
 
 
@@ -575,7 +576,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.out is not None:
             cfg["out"] = args.out
-        if args.seed is not None and args.command in _SEED_KEY:
+        if getattr(args, "seed", None) is not None:
             section, key = _SEED_KEY[args.command]
             cfg[section][key] = args.seed
         if getattr(args, "budget", None) is not None:

@@ -1,23 +1,21 @@
 """Quantized computation graph: export, passes, validation, interpretation.
 
-Graphs hold Quant / MatMul / Add / Mul / Relu / Softmax / Constant nodes in
-topological order.  Quant nodes emit integer codes per the clip-round-scale
-rule (data, scale, and zero point arrive as inputs; bit width, signedness,
-narrow-range, and rounding mode are attributes).  The interpreter runs
-integer tensors in exact integer arithmetic and everything else in float64.
-An integer tensor is held in float64 while its bound is below 2^53, in int64
-below 2^63 and as Python-int objects past that; integer MatMul, Add and Mul
-share their kernels with `quantize.int_forward`.  Evaluation writes in place
-into the tensors it allocated, frees each tensor after its last consumer,
-and hands integer outputs back as int64 or Python ints.
+Graphs hold Quant / MatMul / Add / Mul / Relu / Softmax / Constant / Requant
+nodes in topological order.  Quant nodes emit integer codes per the
+clip-round-scale rule (data, scale, and zero point arrive as inputs; bit
+width, signedness, narrow-range, and rounding mode are attributes).  A
+Requant node maps one integer tensor x to clip((x*m + 2^(c-1)) >> c, qmin,
+qmax) exactly, with attributes mantissa m, shift c, bits and signed.  The
+interpreter, the package's only one (`quantize.int_forward` evaluates the
+exported graph), runs integer tensors exactly and everything else in
+float64.  An integer tensor is held in float64 while its bound is below
+2^53, in int64 below 2^63 and as Python-int objects past that.
 
-The exported form of an IntegerModel keeps the scale arithmetic split around
-each ReLU (Mul by the dequantization scale before, Mul by the reciprocal
-activation scale after) so the scale-merging pass has real work to do; after
-merging, each hidden layer is a single integer-in Relu followed by one Mul
-and a Quant.  For accumulators narrow enough that acc * mantissa stays exact
-in float64 (the lowering enforces this for its supported widths), graph
-evaluation reproduces the integer pipeline bit for bit.
+The exported form of an IntegerModel is Quant(input), then per hidden layer
+Quant(weights) -> MatMul -> Add(bias) -> Requant, whose unsigned clip is the
+ReLU, and Mul(output scale) -> Softmax after the last layer.  Graphs in the
+older split-scale template (Mul -> Relu -> Mul -> Quant for each Requant)
+still load and evaluate, and `merge_scales_relu` fuses their scale Muls.
 
 Serialization is a canonical JSON document with top-level fields
 {version, inputs, outputs, tensors, initializers, nodes}; see README for the
@@ -31,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantize import (_FLOAT_EXACT, IntegerModel, _exact_matmul, _int_arith,
-                       _int_range, _into, _matmul_bound, int_codes, int_to_float)
+from .quantize import (_FLOAT_EXACT, MAX_BITS, MIN_BITS, DyadicScale, IntegerModel,
+                       _exact_matmul, _in_tier, _int_range, _matmul_bound, int_codes,
+                       int_to_float, max_abs, requantize)
 
-NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant")
+NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant", "Requant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
 _ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Relu": 1,
-          "Softmax": 1, "Constant": 0, "Bipolar": 1, "Trunc": 3}
+          "Softmax": 1, "Constant": 0, "Requant": 1, "Bipolar": 1, "Trunc": 3}
 
 
 class IRError(ValueError):
@@ -128,9 +127,10 @@ def export_graph(im: IntegerModel) -> IRGraph:
     """Build the pre-optimization graph for a lowered model.
 
     Template: one input Quant, then per hidden layer
-    Quant(weights) -> MatMul -> Add(bias) -> Mul(dequant scale) -> Relu ->
-    Mul(reciprocal activation scale) -> Quant(activation), and for the final
-    layer Quant(weights) -> MatMul -> Add -> Mul(output scale) plus a Softmax.
+    Quant(weights) -> MatMul -> Add(bias) -> Requant(the layer's dyadic
+    multiplier, unsigned activation width), and for the final layer
+    Quant(weights) -> MatMul -> Add -> Mul(output scale) plus a Softmax.
+    Layer i's accumulator is "accb{i}" and its output codes "h{i+1}".
     Declared outputs are "logits" and "probabilities".  Deterministic: the
     same model always serializes to identical bytes.
     """
@@ -141,7 +141,6 @@ def export_graph(im: IntegerModel) -> IRGraph:
     n_in = im.layers[0].q_weights.shape[0]
     declared["x"] = TensorInfo(shape=(-1, n_in), kind="real")
     inits["zero"] = np.array(0, dtype=np.int64)
-    inits["one"] = np.array(1.0, dtype=np.float64)
     inits["in_scale"] = np.array(im.input_scale.value, dtype=np.float64)
 
     nodes.append(IRNode("Quant", ("x", "in_scale", "zero"), "h0", {
@@ -161,17 +160,10 @@ def export_graph(im: IntegerModel) -> IRGraph:
         nodes.append(IRNode("MatMul", (h, f"qw{i}"), f"acc{i}"))
         nodes.append(IRNode("Add", (f"acc{i}", b_name), f"accb{i}"))
         if i < last:
-            e = layer.act_exp
-            s1 = layer.requant.value * 2.0 ** (-e)   # dequant scale S_w * S_h
-            inits[f"s1_{i}"] = np.array(s1, dtype=np.float64)
-            inits[f"s2_{i}"] = np.array(2.0 ** e, dtype=np.float64)
-            nodes.append(IRNode("Mul", (f"accb{i}", f"s1_{i}"), f"scaled{i}"))
-            nodes.append(IRNode("Relu", (f"scaled{i}",), f"relu{i}"))
-            nodes.append(IRNode("Mul", (f"relu{i}", f"s2_{i}"), f"act{i}"))
             h = f"h{i + 1}"
-            nodes.append(IRNode("Quant", (f"act{i}", "one", "zero"), h, {
-                "bits": layer.act_bits, "signed": False, "narrow": False,
-                "rounding": "half_up"}))
+            nodes.append(IRNode("Requant", (f"accb{i}",), h, {
+                "mantissa": layer.requant.mantissa, "shift": layer.requant.shift,
+                "bits": layer.act_bits, "signed": False}))
         else:
             inits["out_scale"] = np.array(im.output_scale.value, dtype=np.float64)
             nodes.append(IRNode("Mul", (f"accb{i}", "out_scale"), "logits"))
@@ -210,6 +202,25 @@ def _broadcast(s1, s2, node: IRNode):
             raise IRError(f"node {node.output}: cannot broadcast {s1} with {s2}")
     longer = s1 if len(s1) >= len(s2) else s2
     return tuple(longer[:len(longer) - len(out)]) + tuple(reversed(out))
+
+
+def _requant_params(node: IRNode) -> tuple[DyadicScale, int, int]:
+    """(scale, qmin, qmax) of a Requant node; IRError naming the node when
+    its attributes are missing or do not form a DyadicScale and a width."""
+    where, keys = f"node {node.output}: Requant", ("mantissa", "shift", "bits", "signed")
+    for key in keys:
+        if key not in node.attrs:
+            raise IRError(f"{where} missing attribute {key}")
+    m, c, bits, signed = (node.attrs[k] for k in keys)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (m, c, bits)) or not isinstance(signed, (bool, np.bool_)):
+        raise IRError(f"{where} mantissa, shift and bits must be integers and signed a boolean")
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise IRError(f"{where} width {bits} outside {MIN_BITS}..{MAX_BITS}")
+    try:
+        return (DyadicScale(mantissa=int(m), shift=int(c)), *_int_range(int(bits), bool(signed)))
+    except ValueError as exc:
+        raise IRError(f"{where} scale {m}/2^{c}: {exc}") from None
 
 
 def infer_shapes(g: IRGraph) -> IRGraph:
@@ -283,8 +294,15 @@ def infer_shapes(g: IRGraph) -> IRGraph:
         elif node.kind == "Softmax":
             a = need(node, node.inputs[0])
             out = TensorInfo(shape=a.shape, kind="real")
+        elif node.kind == "Requant":
+            a = need(node, node.inputs[0])
+            if a.kind != "int":
+                raise IRError(f"node {node.output}: Requant needs an integer input")
+            _requant_params(node)
+            out = TensorInfo(shape=a.shape, kind="int", bits=int(node.attrs["bits"]),
+                             signed=bool(node.attrs["signed"]))
         else:  # Constant
-            out = _constant_info(node)
+            out = _initializer_info(node.attrs["value"])
         if node.output in info:
             raise IRError(f"node {node.output}: output name already defined")
         info[node.output] = out
@@ -297,11 +315,6 @@ def infer_shapes(g: IRGraph) -> IRGraph:
     return out_g
 
 
-def _constant_info(node: IRNode) -> TensorInfo:
-    value = node.attrs["value"]
-    return _initializer_info(value)
-
-
 # ---------------------------------------------------------------------------
 # Interpretation
 
@@ -311,9 +324,27 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.float64 else int_to_float(a)
 
 
-def _width_bound(info: TensorInfo) -> int:
-    """Largest magnitude an integer tensor of the inferred width can hold."""
-    return (1 << info.bits) - 1
+def _int_arith(ufunc, a: np.ndarray, b: np.ndarray, bound: int | None,
+               spare: tuple) -> np.ndarray:
+    """Exact elementwise a + b or a * b (ufunc np.add or np.multiply) of
+    integer arrays, in the form _in_tier picks for bound >= |result|.  With
+    bound None it is observed: max|a| + max|b|, or max|a| * max|b|.  An
+    operand listed in spare that keeps its form and has the result's shape
+    receives the result in place."""
+    if bound is None:
+        ma, mb = max_abs(a), max_abs(b)
+        bound = ma + mb if ufunc is np.add else ma * mb
+    return _into(ufunc, _in_tier(a, bound), _in_tier(b, bound), spare)
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
+    """ufunc(a, b), written into a or b if it is listed in spare and has the
+    result's shape."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    for t in (a, b):
+        if t.shape == shape and any(t is s for s in spare):
+            return ufunc(a, b, out=t)
+    return ufunc(a, b)
 
 
 def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict,
@@ -343,6 +374,28 @@ def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict,
     return t if bits <= 53 else t.astype(np.int64)
 
 
+def _requant_eval(x: np.ndarray, scale: DyadicScale, qmin: int, qmax: int,
+                  bound: int, spare: bool) -> np.ndarray:
+    """clip((x*m + 2^(c-1)) >> c, qmin, qmax) of integers x with |x| <= bound.
+
+    While bound*m + 2^(c-1) < 2^53 it runs in float64 as x * (m/2^c) + 1/2
+    and a floor, every step exact; past that `quantize.requantize` runs it in
+    int64 or Python ints.  The codes come back in float64; x is overwritten
+    when spare is set and it is already float64."""
+    half = (1 << (scale.shift - 1)) if scale.shift else 0
+    if bound * scale.mantissa + half < _FLOAT_EXACT:
+        t = _in_tier(x, bound)
+        t = t * scale.value if t is x and not spare else np.multiply(t, scale.value, out=t)
+        if half:
+            t += 0.5
+        np.floor(t, out=t)
+    else:
+        t = requantize(x.astype(np.int64) if x.dtype == np.float64 else x, scale)
+    np.maximum(t, qmin, out=t)
+    np.minimum(t, qmax, out=t)
+    return _in_tier(t, max(-qmin, qmax))
+
+
 def _as_scalar(a) -> float:
     arr = np.asarray(a)
     if arr.size != 1:
@@ -360,15 +413,16 @@ def _check_width(name: str, a: np.ndarray, info: TensorInfo) -> None:
 def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Reference interpretation of the graph on the given inputs.
 
-    Integer tensors use exact integer arithmetic, held in the narrowest form
-    their bound allows: integers float64 holds exactly (below 2^53), int64,
-    or Python-int objects.  Quant nodes and integer nodes whose bound is
-    below 2^53 produce float64-held integers; the bound follows from the
-    declared widths of inputs, initializers and Constant values, the Quant
-    widths and the actual matmul inner dimensions.  Past 2^53, integer
-    MatMul runs the kernel behind `quantize.int_matmul` (int64 below 2^62,
-    Python ints above) and Add and Mul the integer add/mul
-    `quantize.int_forward` uses for its bias, both by the observed bound.  Quant follows its attributes; Softmax and scale
+    The package's one integer interpreter (`quantize.int_forward` runs the
+    exported graph here).  Integer tensors use exact integer arithmetic,
+    held in the narrowest form their bound allows: integers float64 holds
+    exactly (below 2^53), int64, or Python-int objects.  Quant and Requant
+    nodes and integer nodes whose bound is below 2^53 produce float64-held
+    integers; the bound follows from the declared widths of inputs,
+    initializers and Constant values, the Quant and Requant widths and the
+    actual matmul inner dimensions.  Past 2^53, integer MatMul runs the
+    kernel behind `quantize.int_matmul`, Add and Mul an exact add/mul and
+    Requant `quantize.requantize`, by the observed bound.  Softmax and scale
     multiplications run in float64.
 
     Integer graph inputs and initializers are checked against their declared
@@ -413,7 +467,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     bounds: dict[str, int] = {}
 
     def bound_of(name: str) -> int:
-        return bounds[name] if name in bounds else _width_bound(info[name])
+        # the largest magnitude the inferred width can hold, unless computed
+        return bounds[name] if name in bounds else (1 << info[name].bits) - 1
 
     for idx, node in enumerate(g.nodes):
         vals = [env[n] for n in node.inputs]
@@ -456,6 +511,9 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             np.exp(z, out=z)
             z /= z.sum(axis=-1, keepdims=True)
             out = z
+        elif node.kind == "Requant":
+            out = _requant_eval(vals[0], *_requant_params(node), bound_of(node.inputs[0]),
+                                any(v is vals[0] for v in spare))
         elif node.kind == "Constant":
             out = node.attrs["value"]
         else:
@@ -630,8 +688,9 @@ def validate(g: IRGraph) -> list[str]:
     colliding names, use-before-definition, unproduced outputs, cycles, and
     shape/kind contradictions.  Quant nodes additionally require a positive
     scale and zero-valued zero point (all graphs produced here are lowered),
-    and an integer MatMul needs a static inner dimension on one operand, or
-    its accumulator width has no bound.
+    a Requant node an integer input and attributes that form a DyadicScale
+    and a width in MIN_BITS..MAX_BITS, and an integer MatMul a static inner
+    dimension on one operand, or its accumulator width has no bound.
     """
     diags: list[str] = []
     defined = set(g.inputs) | set(g.initializers)

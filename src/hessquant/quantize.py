@@ -14,20 +14,15 @@ training inputs once per call.
 Lowering produces an IntegerModel whose per-layer rescaling multipliers are
 dyadic rationals (mantissa / 2^shift).  Requantization is then a single
 integer multiply, an additive rounding term of 2^(shift-1), and an arithmetic
-right shift.  Activation scales are snapped to powers of two and multiplier
-mantissas are kept small enough that the reference float64 evaluation of an
-exported graph reproduces the integer pipeline exactly at the bit widths the
-tool targets.
+right shift.  Activation scales are snapped to powers of two, and multiplier
+mantissas are kept small enough that acc * mantissa stays below 2^53 at the
+bit widths the tool targets, so requantization runs in the float64 tier.
 
 Integer arithmetic is exact at every width, and its representation follows
-from bounds rather than from an option, op by op through whole layers:
-integers bounded below 2^53 stay in float64 arrays, which hold them exactly,
-below 2^63 in int64, and past that in Python-int object arrays.  So
-`int_forward` runs a layer as one float64 product and in-place bias add,
-rescale, rounding and clip while n*max|h|*max|W| + max|bias| and that bound
-times the mantissa plus 2^(shift-1) stay below 2^53, and moves to int64 or
-Python ints where a bound passes; `ir.evaluate` shares its matmul and its
-integer add and multiply.  The public kernels keep their own contracts:
+from bounds rather than from an option: integers bounded below 2^53 stay in
+float64 arrays, which hold them exactly, below 2^63 in int64, and past that
+in Python-int object arrays.  `int_forward` evaluates the exported graph, so
+`ir.evaluate` is the one integer interpreter; this module keeps its kernels.
 `int_matmul` returns int64 below 2^62 and Python ints above, and
 `requantize` stays in int64 while max|acc| * mantissa + 2^(shift-1) fits.
 Bias codes are int64 whenever every value fits.
@@ -50,7 +45,8 @@ MAX_BITS = 32
 MAX_SHIFT = 31
 MAX_MANTISSA_BITS = 31
 # Mantissa budget for lowered multipliers; small enough that acc * mantissa
-# stays exactly representable in float64 for the supported accumulators.
+# stays below 2^53 for the supported accumulators, which keeps requantization
+# in the float64 tier.
 DEFAULT_MULTIPLIER_BITS = 24
 
 
@@ -281,29 +277,6 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     if bound < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return np.dot(_in_tier(a, _INT64_LIMIT), _in_tier(b, _INT64_LIMIT))
-
-
-def _int_arith(ufunc, a: np.ndarray, b: np.ndarray, bound: int | None = None,
-               spare: tuple = ()) -> np.ndarray:
-    """Exact elementwise a + b or a * b (ufunc np.add or np.multiply) of
-    integer arrays, in the form _in_tier picks for bound >= |result|.  With
-    bound None it is observed: max|a| + max|b|, or max|a| * max|b|.  An
-    operand listed in spare that keeps its form and has the result's shape
-    receives the result in place."""
-    if bound is None:
-        ma, mb = max_abs(a), max_abs(b)
-        bound = ma + mb if ufunc is np.add else ma * mb
-    return _into(ufunc, _in_tier(a, bound), _in_tier(b, bound), spare)
-
-
-def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
-    """ufunc(a, b), written into a or b if it is listed in spare and has the
-    result's shape."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    for t in (a, b):
-        if t.shape == shape and any(t is s for s in spare):
-            return ufunc(a, b, out=t)
-    return ufunc(a, b)
 
 
 def requantize(acc, scale: DyadicScale):
@@ -670,8 +643,8 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
                         for v in layer.bias.tolist())
 
         last = i == model.n_layers - 1
-        # Mantissa budget that keeps acc * mantissa exact in float64 when the
-        # reference graph evaluator replays the same arithmetic.
+        # Mantissa budget that keeps acc * mantissa below 2^53, so that the
+        # requantization runs in the float64 tier; it is exact either way.
         budget = min(DEFAULT_MULTIPLIER_BITS, 52 - (required + 1))
         if budget < 2:
             budget = 2
@@ -698,67 +671,39 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
                         schema=schema)
 
 
-def _log(op_log, op: str, domain: str) -> None:
-    if op_log is not None:
-        op_log.append((op, domain))
+# op_log names of the exported graph's nodes, in evaluation order
+_OP_NAMES = {"Quant": ("quantize_input",), "MatMul": ("matmul",), "Add": ("add_bias",),
+             "Requant": ("requantize", "clip_relu"), "Mul": ("dequantize_output",)}
 
 
 def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     """Integer-only inference; returns (real logits, integer logit codes).
 
-    The input is quantized once, every layer then runs matmul, bias add, and
-    multiply-shift requantization on integers (the clip at zero realizes
-    ReLU because multipliers are positive and zero points are zero), and the
-    final accumulator is dequantized by the stored output scale.  Softmax is
-    left to the caller.  Pass op_log to record each operation with the
-    arithmetic domain it ran in.
-
-    Each step holds its integers in the form its bound allows, and runs in
-    place on arrays this call allocated.  While n*max|h|*max|W| + max|bias|
-    and that bound times the mantissa plus 2^(shift-1) stay below 2^53, a
-    layer is one float64 product, an in-place bias add, a multiply by the
-    exact dyadic value, + 1/2, floor and clip on integers float64 holds
-    exactly; past that it runs in int64, and in Python ints past int64.  The
-    codes come back as int64, or as Python-int objects where they do not fit.
+    `ir.evaluate` of `ir.export_graph(im)`, less its Softmax, with the last
+    accumulator as an output: the input is quantized once, every layer runs
+    matmul, bias add and multiply-shift requantization on exact integers
+    (the clip at zero realizes ReLU), and the final accumulator is
+    dequantized by the output scale.  The codes come back as int64, or as
+    Python ints where they do not fit.  op_log, if given, receives each
+    operation with its domain: "int" when every tensor it reads and writes
+    is an integer one, else "real"; constant weight quantization is skipped.
     """
+    from . import ir
+
     x = nn.check_matrix(x, cols=im.layers[0].q_weights.shape[0])
-    _log(op_log, "quantize_input", "real")
-    p = im.input_params
-    h = x / p.scale   # quantize(x, p), with its codes left in float64
-    if p.zero_point:
-        h -= p.zero_point
-    np.rint(h, out=h)
-    np.clip(h, p.qmin, p.qmax, out=h)
-    for layer in im.layers:
-        bound = _matmul_bound(h, layer.q_weights)
-        acc = _exact_matmul(h, layer.q_weights, bound)
-        _log(op_log, "matmul", "int")
-        bound += max_abs(layer.q_bias)
-        acc = _int_arith(np.add, acc, layer.q_bias, bound, spare=(acc,))
-        _log(op_log, "add_bias", "int")
-        s = layer.requant
-        if s is None:
-            break
-        half = (1 << (s.shift - 1)) if s.shift else 0
-        if acc.dtype == np.float64 and bound * s.mantissa + half < _FLOAT_EXACT:
-            # (acc*m + half) / 2^c = acc * (m/2^c) + 1/2, every step exact
-            acc *= s.value
-            if half:
-                acc += 0.5
-            h = np.floor(acc, out=acc)
-        else:
-            h = requantize(acc, s)
-        _log(op_log, "requantize", "int")
-        qmax = (1 << layer.act_bits) - 1
-        np.maximum(h, 0, out=h)  # clip at 0 doubles as ReLU
-        np.minimum(h, qmax, out=h)
-        _log(op_log, "clip_relu", "int")
-        if h.dtype == object and qmax < (1 << 62):
-            h = h.astype(np.int64)
-    _log(op_log, "dequantize_output", "real")
-    logits = acc * im.output_scale.value if acc.dtype == np.float64 \
-        else int_to_float(acc) * im.output_scale.value
-    return logits, acc.astype(np.int64) if acc.dtype == np.float64 else acc
+    g = ir.export_graph(im)
+    codes = f"accb{len(im.layers) - 1}"
+    g.nodes = [n for n in g.nodes if n.kind != "Softmax"]
+    g.outputs = ["logits", codes]
+    if op_log is not None:
+        for node in g.nodes:
+            if all(n in g.initializers for n in node.inputs):
+                continue
+            domain = "int" if all(g.tensors[n].kind == "int"
+                                  for n in (*node.inputs, node.output)) else "real"
+            op_log.extend((op, domain) for op in _OP_NAMES[node.kind])
+    out = ir.evaluate(g, {"x": x})
+    return out["logits"], out[codes]
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,16 @@ def test_seed_flag_overrides_config(pipeline, tmp_path):
     assert man["config"]["data"]["seed"] == 9
 
 
+@pytest.mark.parametrize("command", ["trace", "allocate", "export-ir", "run-ir"])
+def test_seed_flag_is_refused_by_commands_without_a_seed(tmp_path, capsys, command):
+    config, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", config, "--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_budget_flag_overrides_config(pipeline, tmp_path):
     _, config, out = pipeline
     alt = str(tmp_path / "alt-budget")
@@ -341,6 +351,43 @@ def test_exit_6_on_a_matmul_without_a_static_inner_dimension(tmp_path, pipeline,
     capsys.readouterr()
     assert run(command, config) == 6
     assert "node logits: integer MatMul" in capsys.readouterr().err
+
+
+def _drop_shift(node):
+    del node["attrs"]["shift"]
+
+
+def _even_mantissa(node):
+    node["attrs"]["mantissa"] = 2 * node["attrs"]["mantissa"]
+
+
+def _wide_codes(node):
+    node["attrs"]["bits"] = 40
+
+
+def _real_input(node):
+    node["inputs"] = ["x"]
+
+
+@pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_shift, "missing attribute shift"),
+    (_even_mantissa, "odd"),
+    (_wide_codes, "width 40"),
+    (_real_input, "needs an integer input"),
+], ids=["missing-attribute", "scale", "width", "real-input"])
+def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, tamper,
+                                       message):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    doc = read_json(out, "graph.json")
+    tamper(next(n for n in doc["nodes"] if n["kind"] == "Requant"))
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command, config) == 6
+    err = capsys.readouterr().err
+    assert "node h1: Requant" in err and message in err
 
 
 def test_exit_2_on_lowering_error(tmp_path, pipeline):

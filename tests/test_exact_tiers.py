@@ -1,9 +1,10 @@
 """Exact integer inference across its float64 / int64 / Python-int forms.
 
-Both interpreters keep integers below 2^53 in float64 arrays and run in
-place.  These tests pin that the in-place paths never write into arrays the
-caller owns, that integer results leave as int64 or Python ints, and that
-results equal a Python-int replay on both sides of each 2^53 boundary.
+The interpreter keeps integers below 2^53 in float64 arrays and runs in
+place; `int_forward` evaluates the exported graph.  These tests pin that the
+in-place paths never write into arrays the caller owns, that integer results
+leave as int64 or Python ints, and that results equal a Python-int replay on
+both sides of each 2^53 boundary.
 """
 
 import math
@@ -248,17 +249,15 @@ def test_requantize_past_2_53_leaves_float64():
     # acc * m = k * 2^22 - 2^21 - 1 is odd and past 2^53, so float64 rounds it
     # up by one and (acc * m + 2^21) >> 22 would read k instead of k - 1; the
     # accumulator itself is below 2^53, so only the requantization bound can
-    # send this layer to int64.  (The graph's real-valued scale Mul has no
-    # such fallback, which is why lower() caps multiplier mantissas.)
+    # send this layer to int64, in int_forward and in the exported graph
     k = 3 * ((1 << 30) + 1)
     requant = qz.DyadicScale(3, 22)
     acc_bound, rem = divmod(k * (1 << 22) - (1 << 21) - 1, 3)
     assert rem == 0 and acc_bound < BOUNDARY < acc_bound * 3
     w, b, h = _first_layer(acc_bound, 3, np.random.default_rng(7))
     im = _model([_layer(w, b, requant), _layer(np.eye(3, dtype=np.int64), [0, 0, 0], None)])
-    _, codes = qz.int_forward(im, _inputs(h))
-    assert codes.tolist() == _py_forward(im, _inputs(h))
-    assert codes[0, 0] == k - 1
+    _check_against_reference(im, _inputs(h))
+    assert qz.int_forward(im, _inputs(h))[1][0, 0] == k - 1
 
 
 # --- lowered models -----------------------------------------------------------

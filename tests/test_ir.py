@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -27,14 +28,43 @@ def graph(int_model):
     return ir.export_graph(im)
 
 
+@pytest.fixture(scope="module")
+def split_graph(int_model):
+    """The exported graph in the older split-scale template, where each
+    Requant is Mul(dequant scale) -> Relu -> Mul(1 / activation scale) ->
+    Quant(half_up), after a serialize/parse round trip."""
+    im, _ = int_model
+    g = ir.export_graph(im)
+    inits = dict(g.initializers, one=np.array(1.0))
+    nodes = []
+    for node in g.nodes:
+        if node.kind != "Requant":
+            nodes.append(node)
+            continue
+        i = int(node.inputs[0][len("accb"):])
+        e = im.layers[i].act_exp
+        inits[f"s1_{i}"] = np.array(im.layers[i].requant.value * 2.0 ** -e)
+        inits[f"s2_{i}"] = np.array(2.0 ** e)
+        nodes += [ir.IRNode("Mul", (node.inputs[0], f"s1_{i}"), f"scaled{i}"),
+                  ir.IRNode("Relu", (f"scaled{i}",), f"relu{i}"),
+                  ir.IRNode("Mul", (f"relu{i}", f"s2_{i}"), f"act{i}"),
+                  ir.IRNode("Quant", (f"act{i}", "one", "zero"), node.output,
+                            {"bits": node.attrs["bits"], "signed": False,
+                             "narrow": False, "rounding": "half_up"})]
+    split = ir.IRGraph(nodes=nodes, inputs=g.inputs, outputs=g.outputs,
+                       tensors={"x": g.tensors["x"]}, initializers=inits)
+    return ir.parse(ir.serialize(ir.infer_shapes(split)))
+
+
 # --- building and shape of the exported graph ---------------------------------
 
 def test_export_node_count_follows_template(int_model):
     im, _ = int_model
     g = ir.export_graph(im)
     L = len(im.layers)
-    # input quantizer, 7 nodes per hidden layer, 5 for the output stage
-    assert len(g.nodes) == 1 + 7 * (L - 1) + 5
+    # input quantizer, 4 nodes per hidden layer, 5 for the output stage
+    assert len(g.nodes) == 1 + 4 * (L - 1) + 5
+    assert g.node_counts()["Requant"] == L - 1
     assert g.inputs == ["x"]
     assert g.outputs == ["logits", "probabilities"]
 
@@ -156,6 +186,66 @@ def test_evaluate_survives_wide_accumulators():
     assert out["c"][0, 0] == 2 * 2 ** 80
 
 
+def requant_graph(attrs, bits=40, kind="int"):
+    return ir.IRGraph(
+        nodes=[ir.IRNode("Requant", ("a",), "q", attrs)],
+        inputs=["a"], outputs=["q"],
+        tensors={"a": ir.TensorInfo((-1,), kind, bits=bits, signed=True)
+                 if kind == "int" else ir.TensorInfo((-1,), "real")},
+        initializers={})
+
+
+def test_requant_node_rounds_half_up_and_clips():
+    # (a*3 + 2) >> 2 onto 0..15: ties round up, negatives clip to 0
+    g = requant_graph({"mantissa": 3, "shift": 2, "bits": 4, "signed": False})
+    a = np.array([-5, -1, 0, 1, 2, 6, 19, 20, 100])
+    assert ir.evaluate(g, {"a": a})["q"].tolist() == [0, 0, 0, 1, 2, 5, 14, 15, 15]
+    g.nodes[0] = ir.IRNode("Requant", ("a",), "q",
+                           {"mantissa": 3, "shift": 0, "bits": 4, "signed": True})
+    assert ir.evaluate(g, {"a": a})["q"].tolist() == [-8, -3, 0, 3, 6, 7, 7, 7, 7]
+
+
+@pytest.mark.parametrize("width", [20, 30, 40, 100])
+def test_requant_node_is_exact_at_every_input_width(width):
+    # with m close to 2^31 a 20-bit input stays in float64, a 30-bit one
+    # requantizes in int64, and 40- and 100-bit ones in Python ints; v0 and
+    # v0 - 2^31 put v*m + 2^30 one below a multiple of 2^31, past 2^53,
+    # where a float64 product would round up into the next code
+    m, c = (1 << 31) - 1, 31
+    rng = random.Random(width)
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    vals = [rng.randint(max(lo, -(1 << 31)), min(hi, 1 << 31)) for _ in range(64)]
+    v0 = (-1 - (1 << 30)) * pow(m, -1, 1 << 31) % (1 << 31)
+    vals += [v for v in (v0, v0 - (1 << 31)) if lo <= v <= hi]
+    a = qz.int_codes(vals + [lo, hi])
+    g = requant_graph({"mantissa": m, "shift": c, "bits": 32, "signed": True}, bits=width)
+    want = [min(max((int(v) * m + (1 << (c - 1))) >> c, -(1 << 31)), (1 << 31) - 1)
+            for v in a]
+    got = ir.evaluate(g, {"a": a})["q"]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("attrs, kind, message", [
+    ({"mantissa": 3, "bits": 8, "signed": False}, "int", "missing attribute shift"),
+    ({"mantissa": 4, "shift": 3, "bits": 8, "signed": False}, "int", "odd"),
+    ({"mantissa": 3, "shift": 32, "bits": 8, "signed": False}, "int", "shift must be"),
+    ({"mantissa": -3, "shift": 3, "bits": 8, "signed": False}, "int", "non-negative"),
+    ({"mantissa": 3, "shift": 3, "bits": 1, "signed": False}, "int", "width 1"),
+    ({"mantissa": 3, "shift": 3, "bits": 33, "signed": False}, "int", "width 33"),
+    ({"mantissa": 3, "shift": 3.0, "bits": 8, "signed": False}, "int", "integers"),
+    ({"mantissa": 3, "shift": 3, "bits": 8, "signed": 0}, "int", "boolean"),
+    ({"mantissa": 3, "shift": 3, "bits": 8, "signed": False}, "real", "integer input"),
+], ids=["missing", "even-mantissa", "shift", "negative", "narrow", "wide",
+        "float-shift", "signed", "real-input"])
+def test_malformed_requant_is_a_diagnostic_not_a_crash(attrs, kind, message):
+    g = requant_graph(attrs, kind=kind)
+    diags = ir.validate(g)
+    assert len(diags) == 1 and "node q: Requant" in diags[0] and message in diags[0]
+    with pytest.raises(ir.IRError, match=message):
+        ir.evaluate(g, {"a": np.array([1, 2])})
+
+
 # --- constant folding -----------------------------------------------------------
 
 def test_fold_constants_replaces_initializer_only_nodes(graph):
@@ -245,22 +335,35 @@ def test_merge_scales_relu_skips_negative_scales():
                           ir.evaluate(g, {"x": x})["y"])
 
 
-def test_merge_scales_relu_never_increases_node_count(graph):
-    merged = ir.merge_scales_relu(graph)
-    assert len(merged.nodes) <= len(graph.nodes)
-    # for the exported template every hidden layer loses exactly one Mul
-    hidden = sum(1 for n in graph.nodes if n.kind == "Relu")
-    assert len(merged.nodes) == len(graph.nodes) - hidden
+def test_split_scale_graph_still_evaluates_exactly(split_graph, int_model):
+    im, va = int_model
+    x = va.features[:64]
+    assert ir.validate(split_graph) == []
+    logits, _ = qz.int_forward(im, x)
+    assert np.array_equal(ir.evaluate(split_graph, {"x": x})["logits"], logits)
 
 
-def test_merge_scales_relu_preserves_semantics(graph, int_model):
+def test_merge_scales_relu_never_increases_node_count(split_graph):
+    merged = ir.merge_scales_relu(split_graph)
+    assert len(merged.nodes) <= len(split_graph.nodes)
+    # for the split-scale template every hidden layer loses exactly one Mul
+    hidden = sum(1 for n in split_graph.nodes if n.kind == "Relu")
+    assert len(merged.nodes) == len(split_graph.nodes) - hidden
+
+
+def test_merge_scales_relu_preserves_semantics(split_graph, int_model):
     _, va = int_model
     x = va.features[:32]
-    merged = ir.merge_scales_relu(graph)
+    merged = ir.merge_scales_relu(split_graph)
     assert ir.validate(merged) == []
-    before = ir.evaluate(graph, {"x": x})
+    before = ir.evaluate(split_graph, {"x": x})
     after = ir.evaluate(merged, {"x": x})
     assert np.array_equal(before["logits"], after["logits"])
+
+
+def test_merge_scales_relu_leaves_the_requant_template_alone(graph):
+    merged = ir.merge_scales_relu(graph)
+    assert [n.kind for n in merged.nodes] == [n.kind for n in graph.nodes]
 
 
 def test_merge_respects_multi_consumer_tensors():
