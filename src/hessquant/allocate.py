@@ -262,8 +262,7 @@ class SweepRecord:
 
 def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
           val: Dataset | None = None, sample: int | None = None,
-          seed: int = 0, jobs: int = 1,
-          coupling_offset: int = 3) -> list[SweepRecord]:
+          seed: int = 0, coupling_offset: int = 3) -> list[SweepRecord]:
     """Train-and-measure over (a sample of) the bit-width configuration grid.
 
     Each configuration gets a fresh model and a per-config training seed
@@ -275,7 +274,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     produces a record with the error message instead of aborting the sweep;
     any other exception propagates.  sample draws that many configs without
     replacement using the given seed.  Configurations run serially in
-    config order; jobs is accepted and ignored (threads were no faster).
+    config order.
     """
     cands = tuple(sorted(set(int(b) for b in candidates)))
     sizes = (arch.dims[0][0], *[m for _, m in arch.dims])

@@ -15,6 +15,7 @@ malformed-artifact error, 4 training divergence, 5 infeasible allocation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import io
@@ -112,15 +113,45 @@ def _load_artifact(load, path: str):
         raise DataError(f"malformed artifact {path}: {exc}") from None
 
 
-def _train_config(section: dict) -> nn.TrainConfig:
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a value of config section `name` that fails to convert or check
+    (KeyError, TypeError or ValueError) as a ConfigError naming the section."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from None
+
+
+def _train_config(cfg: dict, name: str) -> nn.TrainConfig:
+    section = cfg[name]
+    with _section(name):
         return nn.TrainConfig(epochs=int(section["epochs"]),
                               batch_size=int(section["batch_size"]),
                               learning_rate=float(section["learning_rate"]),
                               l1=float(section["l1"]), seed=int(section["seed"]),
                               optimizer=str(section["optimizer"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad training section: {exc}") from None
+
+
+def _arch_sizes(cfg: dict) -> list[int]:
+    with _section("arch"):
+        sizes = [int(s) for s in cfg["arch"]["sizes"]]
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"sizes must be at least two positive widths, got {sizes}")
+    return sizes
+
+
+def _bit_width(value) -> int:
+    """An integer bit width; ValueError outside the supported range."""
+    b = int(value)
+    if not quantize.MIN_BITS <= b <= quantize.MAX_BITS:
+        raise ValueError(f"bit width {b} outside {quantize.MIN_BITS}..{quantize.MAX_BITS}")
+    return b
+
+
+def _input_bits(cfg: dict) -> int:
+    with _section("arch"):
+        return _bit_width(cfg["arch"]["input_bits"])
 
 
 def _load_dataset(cfg: dict, out_dir: str) -> data.Dataset:
@@ -145,8 +176,9 @@ def _standardized_splits(cfg: dict, ds: data.Dataset,
                          std: np.ndarray | None = None):
     """Standardize (fitting stats if none are given) and split train/val."""
     ds_std = data.standardize(ds, mean=mean, std=std)
-    train_ds, val_ds = data.split(ds_std, cfg["data"]["val_fraction"],
-                                  cfg["data"]["split_seed"])
+    with _section("data"):
+        train_ds, val_ds = data.split(ds_std, float(cfg["data"]["val_fraction"]),
+                                      int(cfg["data"]["split_seed"]))
     return ds_std, train_ds, val_ds
 
 
@@ -164,7 +196,7 @@ def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
     sec = cfg["schema"]
     if sec is None:
         raise ConfigError(f"{command}.source is 'schema' but no schema is configured")
-    try:
+    with _section("schema"):
         wb = tuple(int(b) for b in sec["weight_bits"])
         ab = sec.get("activation_bits")
         input_bits = int(sec.get("input_bits", cfg["arch"]["input_bits"]))
@@ -173,8 +205,6 @@ def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
         return quantize.QuantSchema(weight_bits=wb,
                                     activation_bits=tuple(int(b) for b in ab),
                                     input_bits=input_bits)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schema section: {exc}") from None
 
 
 def _allocation_schema(path: str) -> quantize.QuantSchema:
@@ -202,8 +232,9 @@ def cmd_gen_data(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     sec = cfg["data"]
     if sec["source"] != "synthetic":
         raise ConfigError("gen-data only applies to data.source 'synthetic'")
-    ds = data.generate_synthetic(int(sec["n"]), seed=int(sec["seed"]),
-                                 separation=float(sec["separation"]))
+    with _section("data"):
+        ds = data.generate_synthetic(int(sec["n"]), seed=int(sec["seed"]),
+                                     separation=float(sec["separation"]))
     path = os.path.join(out_dir, "dataset.csv")
     data.write_csv(ds, path)
     return EXIT_OK, [path], {}
@@ -216,7 +247,7 @@ def cmd_train(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     if src == "synthetic":
         inputs[os.path.join(out_dir, "dataset.csv")] = \
             sha256_file(os.path.join(out_dir, "dataset.csv"))
-    sizes = [int(s) for s in cfg["arch"]["sizes"]]
+    sizes = _arch_sizes(cfg)
     if sizes[0] != ds.features.shape[1]:
         raise ConfigError(f"arch expects {sizes[0]} features, dataset has "
                           f"{ds.features.shape[1]}")
@@ -224,9 +255,8 @@ def cmd_train(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         raise ConfigError(f"arch has {sizes[-1]} outputs, labels reach "
                           f"{int(ds.labels.max())}")
     ds_std, train_ds, val_ds = _standardized_splits(cfg, ds)
-    model = nn.mlp(sizes, seed=int(cfg["train"]["seed"]))
-    tcfg = _train_config(cfg["train"])
-    model, history = nn.train(model, train_ds, tcfg, val=val_ds)
+    tcfg = _train_config(cfg, "train")
+    model, history = nn.train(nn.mlp(sizes, seed=tcfg.seed), train_ds, tcfg, val=val_ds)
     model_path = os.path.join(out_dir, "model.json")
     nn.save_model(model, model_path, mean=ds_std.mean, std=ds_std.std)
     hist_path = os.path.join(out_dir, "history.json")
@@ -244,10 +274,8 @@ def cmd_trace(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     inputs = {model_path: sha256_file(model_path)}
     ds = _load_dataset(cfg, out_dir)
     _, train_ds, _ = _standardized_splits(cfg, ds, mean=mean, std=std)
-    try:
+    with _section("trace"):
         batch = hessian.calibration_batch(train_ds, int(cfg["trace"]["batch"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad trace section: {exc}") from None
     report = hessian.layer_sensitivities(model, batch)
     path = os.path.join(out_dir, "traces.json")
     hessian.save_trace_report(report, path)
@@ -265,8 +293,8 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         raise DataError("traces.json was computed for a different architecture")
     sec = cfg["allocation"]
     arch = allocate.ArchSpec.from_model(model, sparsities=nn.sparsity(model),
-                                        input_bits=int(cfg["arch"]["input_bits"]))
-    try:
+                                        input_bits=_input_bits(cfg))
+    with _section("allocation"):
         budget = float(sec["budget"])
         if not math.isfinite(budget):
             raise ValueError(f"budget must be finite, got {budget}")
@@ -278,8 +306,6 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
             candidates=tuple(int(b) for b in sec["candidates"]),
             coupling_offset=int(sec["coupling_offset"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad allocation section: {exc}") from None
     sol = allocate.solve_ilp(problem)
     path = os.path.join(out_dir, "allocation.json")
     allocate.save_allocation(sol, path)
@@ -291,17 +317,21 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
+    sec = cfg["sweep"]
+    arch = allocate.ArchSpec.from_sizes(_arch_sizes(cfg),
+                                        input_bits=_input_bits(cfg))
+    tcfg = _train_config(cfg, "sweep")
+    with _section("sweep"):
+        candidates = [_bit_width(b) for b in sec["candidates"]]
+        if not candidates:
+            raise ValueError("candidates must not be empty")
+        sample = None if sec["sample"] in (None, "all") else int(sec["sample"])
+        if sample is not None and sample < 0:
+            raise ValueError(f"sample must be 'all' or at least 0, got {sample}")
     ds = _load_dataset(cfg, out_dir)
     _, train_ds, val_ds = _standardized_splits(cfg, ds)
-    sec = cfg["sweep"]
-    sizes = [int(s) for s in cfg["arch"]["sizes"]]
-    arch = allocate.ArchSpec.from_sizes(sizes,
-                                        input_bits=int(cfg["arch"]["input_bits"]))
-    tcfg = _train_config(sec)
-    records = allocate.sweep(arch, sec["candidates"], train_ds, tcfg, val=val_ds,
-                             sample=None if sec["sample"] in (None, "all")
-                             else int(sec["sample"]),
-                             seed=int(sec["seed"]))
+    records = allocate.sweep(arch, candidates, train_ds, tcfg, val=val_ds,
+                             sample=sample, seed=tcfg.seed)
     path = os.path.join(out_dir, "sweep.csv")
     write_atomic(path, allocate.sweep_csv(records))
     return EXIT_OK, [path], {}
@@ -316,10 +346,12 @@ def cmd_quantize(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
                           f"{model.n_layers}")
     ds = _load_dataset(cfg, out_dir)
     _, train_ds, val_ds = _standardized_splits(cfg, ds, mean=mean, std=std)
-    qcfg = _train_config(cfg["qat"])
+    qcfg = _train_config(cfg, "qat")
+    with _section("quantize"):
+        accumulator_bits = int(cfg["quantize"]["accumulator_bits"])
     fq = quantize.qat_train(model, train_ds, schema, qcfg, val=val_ds)
     try:
-        im = quantize.lower(fq, accumulator_bits=int(cfg["quantize"]["accumulator_bits"]))
+        im = quantize.lower(fq, accumulator_bits=accumulator_bits)
     except quantize.LoweringError as exc:
         raise ConfigError(str(exc)) from None
     int_path = os.path.join(out_dir, "intmodel.json")
@@ -385,6 +417,10 @@ def cmd_opt_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
 
 
 def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
+    with _section("run_ir"):
+        batch_size = int(cfg["run_ir"]["batch"])
+        if batch_size < 1:
+            raise ValueError(f"batch must be at least 1, got {batch_size}")
     graph_path = os.path.join(out_dir, cfg["run_ir"]["graph"])
     g = _load_graph_checked(graph_path)
     inputs = {graph_path: sha256_file(graph_path)}
@@ -404,7 +440,6 @@ def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     ds = _load_dataset(cfg, out_dir)
     ds_std = data.standardize(ds, mean=mean, std=std)
 
-    batch_size = int(cfg["run_ir"]["batch"])
     rows = []
     correct = 0
     for start in range(0, len(ds_std), batch_size):
@@ -446,7 +481,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     inputs: dict = {}
     coeffs = _coeffs_from_config(cfg, inputs)
     source = cfg["estimate"]["source"]
-    sizes = [int(s) for s in cfg["arch"]["sizes"]]
+    sizes = _arch_sizes(cfg)
     sparsities = None
     model_path = os.path.join(out_dir, "model.json")
     if os.path.exists(model_path):
@@ -484,7 +519,7 @@ def cmd_report(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     inputs = {sweep_path: sha256_file(sweep_path)}
     coeffs = _coeffs_from_config(cfg, inputs)
     records = _load_artifact(_read_sweep_csv, sweep_path)
-    sizes = [int(s) for s in cfg["arch"]["sizes"]]
+    sizes, input_bits = _arch_sizes(cfg), _input_bits(cfg)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -498,7 +533,7 @@ def cmd_report(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
             continue
         schema = quantize.QuantSchema(weight_bits=rec.weight_bits,
                                       activation_bits=rec.activation_bits,
-                                      input_bits=int(cfg["arch"]["input_bits"]))
+                                      input_bits=input_bits)
         arch = allocate.ArchSpec.from_sizes(sizes, sparsities=rec.sparsities,
                                             input_bits=schema.input_bits)
         est = hwest.estimate(arch, schema, coeffs=coeffs)

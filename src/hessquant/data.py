@@ -157,13 +157,6 @@ def standardize(ds: Dataset, mean: np.ndarray | None = None,
                    std=np.asarray(std, dtype=np.float64))
 
 
-def unstandardize_features(ds: Dataset) -> np.ndarray:
-    """Invert standardize(); requires the stored statistics."""
-    if not ds.standardized:
-        raise ValueError("dataset carries no standardization statistics")
-    return ds.features * ds.std + ds.mean
-
-
 def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled train/validation split."""
     if not 0.0 < val_fraction < 1.0:

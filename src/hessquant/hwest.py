@@ -125,21 +125,6 @@ def estimate(arch: ArchSpec, schema: QuantSchema, sparsities=None,
     )
 
 
-def save_coeffs(coeffs: EstimatorCoeffs, path: str) -> None:
-    from .ioutil import write_json_atomic
-
-    write_json_atomic(path, {
-        "format": "hessquant-coeffs",
-        "version": 1,
-        "dsp_threshold": coeffs.dsp_threshold,
-        "lut_per_bit_product": coeffs.lut_per_bit_product,
-        "lut_per_acc_bit": coeffs.lut_per_acc_bit,
-        "ff_per_acc_bit": coeffs.ff_per_acc_bit,
-        "softmax_lut": coeffs.softmax_lut,
-        "softmax_ff": coeffs.softmax_ff,
-    })
-
-
 def load_coeffs(path: str) -> EstimatorCoeffs:
     with open(path) as fh:
         doc = json.load(fh)

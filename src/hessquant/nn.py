@@ -247,17 +247,6 @@ def _backprop(model: MLPModel, x: np.ndarray, labels: np.ndarray, l1: float,
     return grads
 
 
-def grad(model: MLPModel, batch: Dataset, l1: float = 0.0) -> np.ndarray:
-    """Flat gradient in the canonical parameter order.
-
-    The L1 term uses the sign subgradient, taken as 0 at exactly 0.
-    """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    x = check_matrix(batch.features, cols=model.layers[0].fan_in)
-    return parameter_vector(_backprop(model, x, batch.labels, l1))
-
-
 def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
             cfg: TrainConfig) -> None:
     """Optimizer step t (Adam, or SGD) on theta and the moments, in place; each

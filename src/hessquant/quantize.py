@@ -427,18 +427,24 @@ def _fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
 
 
 def _fq_logits(model: MLPModel, schema: QuantSchema, act_max: list[float], xq: np.ndarray,
-               wqs: list[np.ndarray] | None = None, u: np.ndarray | None = None,
-               hs: list | None = None, gates: list | None = None) -> np.ndarray:
-    """Fake-quantized logits of the fake-quantized inputs xq, mirroring the
-    lowered pipeline: weights at weight_bits (wqs, if already done), hidden
-    ReLU outputs at activation_bits[i] onto [0, act_max[i]], logits left
-    unquantized.  u, if given, is layer 0's product and is overwritten.  With
-    hs and gates, each hidden layer appends its output and its
-    straight-through mask (inside the ReLU and the clip range)."""
+               wqs: list[np.ndarray] | None = None, hs: list | None = None,
+               gates: list | None = None, momentum: float | None = None) -> np.ndarray:
+    """Fake-quantized logits of the fake-quantized inputs xq: weights at
+    weight_bits (wqs, if already done), hidden ReLU outputs at
+    activation_bits[i] onto [0, act_max[i]], logits left unquantized.
+
+    With a momentum the ranges are observed in the same pass: just before
+    layer i's ReLU output is quantized, act_max[i] becomes
+    momentum * act_max[i] + (1 - momentum) * its maximum (momentum 0 seeds
+    the range with that maximum), and the output is quantized with the
+    updated range.  With hs and gates, each hidden layer appends its output
+    and its straight-through mask (inside the ReLU and the clip range)."""
     wqs = _fq_weights(model, schema) if wqs is None else wqs
-    u = nn._affine(xq, wqs[0], model.layers[0].bias) if u is None else u
+    u = nn._affine(xq, wqs[0], model.layers[0].bias)
     for i in range(model.n_layers - 1):
         a = np.maximum(u, 0.0, out=u)
+        if momentum is not None:
+            act_max[i] = momentum * act_max[i] + (1 - momentum) * float(a.max())
         if hs is not None:
             gates.append((a > 0) & (a <= act_max[i]))
             hs.append(a)  # fake-quantized in place next
@@ -447,56 +453,38 @@ def _fq_logits(model: MLPModel, schema: QuantSchema, act_max: list[float], xq: n
     return u
 
 
-def _observe_act_maxima(model: MLPModel, schema: QuantSchema, act_max: list[float],
-                        wqs: list[np.ndarray], u: np.ndarray, seeded: bool) -> list[float]:
-    """Hidden post-ReLU maxima of the fake-quant forward from layer 0's
-    product u, quantizing with the ranges from before this batch's update
-    (with the batch's own maxima until the ranges are seeded)."""
-    maxima: list[float] = []
-    for i in range(model.n_layers - 1):
-        if i > 0:
-            u = nn._affine(hq, wqs[i], model.layers[i].bias)
-        a = np.maximum(u, 0.0)
-        maxima.append(float(a.max()) if a.size else 0.0)
-        hq = _fq_unsigned(a, schema.activation_bits[i], act_max[i] if seeded else maxima[-1])
-    return maxima
-
-
 def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainConfig,
               val: Dataset | None = None) -> FakeQuantModel:
     """Quantization-aware training under a schema, on nn's training loop.
 
     The forward pass fake-quantizes weights and activations; gradients use
-    the straight-through estimator.  Activation ranges track per-batch maxima
-    with EMA momentum 0.95 and freeze for the final fifth of the epochs, so
-    the quantization is static by the end.  The input range is calibrated
-    once from the training data, whose rows are fake-quantized once.  Each
-    step fake-quantizes every weight once and shares it, and layer 0's
-    product, between range observation and the gradient pass.  Only a
-    non-finite epoch loss counts as divergence.  Deterministic in cfg.seed.
+    the straight-through estimator.  Each step fake-quantizes every weight
+    once and runs the network once: while the ranges are not frozen, that
+    forward moves each activation range towards the batch's post-ReLU
+    maximum (EMA momentum 0.95; the first batch seeds it) just before
+    quantizing with it.  The ranges freeze for the final fifth of the
+    epochs, so the quantization is static by the end.  The input range is
+    calibrated once from the training data, whose rows are fake-quantized
+    once.  Only a non-finite epoch loss counts as divergence.  Deterministic
+    in cfg.seed.
     """
     if len(data) == 0:
         raise ValueError("empty training set")
     if schema.n_layers != model.n_layers:
         raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
 
-    momentum = 0.95
     input_max = float(np.max(np.abs(data.features)))
     act_max: list[float] = [0.0] * (model.n_layers - 1)
-    seeded = False
     frozen_from = cfg.epochs - max(1, cfg.epochs // 5) if cfg.epochs >= 2 else cfg.epochs
+    momentum = 0.0  # the first observing step seeds the ranges
 
     def step(params, epoch, xq, y, grads):
-        nonlocal seeded
+        nonlocal momentum
         wqs = _fq_weights(params, schema)
-        u = nn._affine(xq, wqs[0], params.layers[0].bias)
-        if epoch < frozen_from:  # reads u before _fq_logits overwrites it
-            maxima = _observe_act_maxima(params, schema, act_max, wqs, u, seeded)
-            act_max[:] = [momentum * a + (1 - momentum) * m
-                          for a, m in zip(act_max, maxima)] if seeded else maxima
-            seeded = True
         hs, gates = [xq], []
-        logits = _fq_logits(params, schema, act_max, xq, wqs, u, hs, gates)
+        observe = momentum if epoch < frozen_from else None
+        logits = _fq_logits(params, schema, act_max, xq, wqs, hs, gates, observe)
+        momentum = 0.95
         nn._backward(logits, y, hs, gates + [None], params, cfg.l1, grads, mats=wqs)
 
     trained, history = nn._train_loop(
@@ -522,11 +510,9 @@ def calibrate_fake_quant(model: MLPModel, schema: QuantSchema, calib: Dataset) -
     if schema.n_layers != model.n_layers:
         raise ValueError("schema arity does not match the model")
     input_max = float(np.max(np.abs(calib.features)))
-    h = nn.check_matrix(calib.features, cols=model.layers[0].fan_in)
-    act_max = []
-    for i, layer in enumerate(model.layers[:-1]):
-        h = np.maximum(h @ layer.weights + layer.bias, 0.0)
-        act_max.append(float(h.max()))
+    hs, _ = nn._forward_caches(model, nn.check_matrix(calib.features,
+                                                      cols=model.layers[0].fan_in))
+    act_max = [float(h.max()) for h in hs[1:-1]]
     return FakeQuantModel(model=model.copy(), schema=schema,
                           input_max=input_max, act_max=act_max)
 
@@ -671,12 +657,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
                         schema=schema)
 
 
-# op_log names of the exported graph's nodes, in evaluation order
-_OP_NAMES = {"Quant": ("quantize_input",), "MatMul": ("matmul",), "Add": ("add_bias",),
-             "Requant": ("requantize", "clip_relu"), "Mul": ("dequantize_output",)}
-
-
-def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
+def int_forward(im: IntegerModel, x: np.ndarray):
     """Integer-only inference; returns (real logits, integer logit codes).
 
     `ir.evaluate` of `ir.export_graph(im)`, less its Softmax, with the last
@@ -684,9 +665,7 @@ def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     matmul, bias add and multiply-shift requantization on exact integers
     (the clip at zero realizes ReLU), and the final accumulator is
     dequantized by the output scale.  The codes come back as int64, or as
-    Python ints where they do not fit.  op_log, if given, receives each
-    operation with its domain: "int" when every tensor it reads and writes
-    is an integer one, else "real"; constant weight quantization is skipped.
+    Python ints where they do not fit.
     """
     from . import ir
 
@@ -695,13 +674,6 @@ def int_forward(im: IntegerModel, x: np.ndarray, op_log: list | None = None):
     codes = f"accb{len(im.layers) - 1}"
     g.nodes = [n for n in g.nodes if n.kind != "Softmax"]
     g.outputs = ["logits", codes]
-    if op_log is not None:
-        for node in g.nodes:
-            if all(n in g.initializers for n in node.inputs):
-                continue
-            domain = "int" if all(g.tensors[n].kind == "int"
-                                  for n in (*node.inputs, node.output)) else "real"
-            op_log.extend((op, domain) for op in _OP_NAMES[node.kind])
     out = ir.evaluate(g, {"x": x})
     return out["logits"], out[codes]
 

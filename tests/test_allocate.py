@@ -334,17 +334,6 @@ def test_sweep_full_grid_covers_every_config(sweep_data):
         (4, 4), (4, 6), (6, 4), (6, 6)]
 
 
-def test_sweep_jobs_does_not_change_the_result(sweep_data):
-    # jobs is accepted and ignored: configurations always run serially
-    tr, va = sweep_data
-    arch = al.ArchSpec.from_sizes([16, 6, 5])
-    cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
-    one = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=2, seed=0, jobs=1)
-    two = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=2, seed=0, jobs=2)
-    assert [(r.config_id, r.accuracy, r.bops) for r in one] == \
-           [(r.config_id, r.accuracy, r.bops) for r in two]
-
-
 def test_sweep_csv_round_trip(sweep_data):
     tr, va = sweep_data
     arch = al.ArchSpec.from_sizes([16, 6, 5])

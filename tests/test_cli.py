@@ -312,6 +312,31 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
     assert not os.path.exists(os.path.join(alt_out, "ir_outputs.csv"))
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("sweep", "sweep", {"sample": "x"}),
+    ("sweep", "sweep", {"candidates": ["a"]}),
+    ("sweep", "sweep", {"candidates": [4, 40]}),
+    ("sweep", "sweep", {"candidates": []}),
+    ("gen-data", "data", {"n": "x"}),
+    ("train", "data", {"val_fraction": 2}),
+    ("train", "arch", {"sizes": [16, "z", 5]}),
+    ("run-ir", "run_ir", {"batch": 0}),
+    ("allocate", "arch", {"input_bits": "x"}),
+    ("quantize", "quantize", {"accumulator_bits": None}),
+], ids=["sweep-sample", "sweep-candidates", "sweep-candidate-40", "sweep-no-candidates",
+        "data-n", "data-val-fraction", "arch-sizes", "run-ir-batch", "arch-input-bits",
+        "quantize-accumulator-bits"])
+def test_exit_2_on_a_bad_config_value(tmp_path, pipeline, capsys, command, section, value):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, **{section: value})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json",
+                                  "allocation.json", "graph.json"))
+    capsys.readouterr()
+    assert run(command, config) == 2
+    assert f"bad {section} section" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, f"manifest-{command}.json"))
+
+
 @pytest.mark.parametrize("batch", [0, -5])
 def test_exit_2_on_a_bad_trace_batch(tmp_path, pipeline, capsys, batch):
     _, _, out = pipeline

@@ -111,13 +111,6 @@ def test_standardize_zero_mean_unit_variance():
     assert np.array_equal(again.features, std.features)
 
 
-def test_unstandardize_inverts():
-    ds = data.generate_synthetic(200, seed=9)
-    std = data.standardize(ds)
-    back = data.unstandardize_features(std)
-    assert np.allclose(back, ds.features, atol=1e-12)
-
-
 def test_split_is_disjoint_and_seeded():
     ds = data.generate_synthetic(100, seed=4)
     tr_a, va_a = data.split(ds, 0.25, seed=1)

@@ -43,10 +43,6 @@ def test_sha256_file_matches_hashlib(tmp_path):
     assert ioutil.sha256_file(str(path)) == hashlib.sha256(b"hessquant").hexdigest()
 
 
-def test_sha256_text_matches_hashlib():
-    assert ioutil.sha256_text("abc") == hashlib.sha256(b"abc").hexdigest()
-
-
 def test_to_jsonable_rejects_unknown_types():
     with pytest.raises(TypeError):
         ioutil.dumps_canonical({"bad": object()})

@@ -75,7 +75,7 @@ def test_grad_matches_finite_differences():
         layer.bias[:] = 0.1 * rng.normal(size=layer.bias.shape)
     ds = tiny_batch(n=24, seed=6)
 
-    g = nn.grad(m, ds, l1=0.0)
+    g = nn.parameter_vector(nn._backprop(m, ds.features, ds.labels, 0.0))
     theta = nn.parameter_vector(m)
     eps = 1e-6
     idx = rng.choice(theta.size, size=25, replace=False)
@@ -90,8 +90,8 @@ def test_grad_matches_finite_differences():
 def test_grad_includes_l1_subgradient_away_from_zero():
     m = nn.mlp([4, 3, 2], seed=1)
     ds = tiny_batch(n=16, d=4, classes=2, seed=2)
-    g0 = nn.grad(m, ds, l1=0.0)
-    g1 = nn.grad(m, ds, l1=0.05)
+    g0, g1 = (nn.parameter_vector(nn._backprop(m, ds.features, ds.labels, l1))
+              for l1 in (0.0, 0.05))
     theta = nn.parameter_vector(m)
     signs = np.zeros_like(theta)
     pos = 0

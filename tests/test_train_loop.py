@@ -3,9 +3,12 @@
 `ref_train` and `ref_qat_train` below are the float and quantization-aware
 training loops as they stood before `nn.train` and `quantize.qat_train` were
 folded into `nn._train_loop`, copied together with the private helpers they
-called, for models of ReLU hidden layers and a softmax head.  Every
-comparison is exact: the new loop must reproduce their parameters,
-activation ranges, EMA counts and histories bit for bit.
+called, for models of ReLU hidden layers and a softmax head.  The QAT
+reference observes its activation ranges inside the forward that quantizes
+with them: each hidden layer's range takes the EMA step with the batch's
+post-ReLU maximum just before that output is quantized.  Every comparison
+is exact: the new loop must reproduce their parameters, activation ranges,
+EMA counts and histories bit for bit.
 """
 
 import math
@@ -179,8 +182,17 @@ def ref_fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
     return np.clip(np.rint(x / scale), lo, hi) * scale
 
 
+def ref_observe(act_max: list[float], i: int, a: np.ndarray, seeded: bool,
+                momentum: float = 0.95) -> None:
+    m = float(a.max())
+    act_max[i] = momentum * act_max[i] + (1 - momentum) * m if seeded else m
+
+
 def ref_fq_forward(model: MLPModel, schema: QuantSchema, input_max: float,
-                   act_max: list[float], x: np.ndarray, with_caches: bool = True):
+                   act_max: list[float], x: np.ndarray, with_caches: bool = True,
+                   observe: bool | None = None):
+    """observe None: the ranges stay; False: each is seeded with its layer's
+    maximum; True: each takes an EMA step towards it."""
     hq = ref_fq_signed(nn.check_matrix(x, cols=model.layers[0].fan_in),
                        schema.input_bits, input_max)
     hs = [hq] if with_caches else None
@@ -195,6 +207,8 @@ def ref_fq_forward(model: MLPModel, schema: QuantSchema, input_max: float,
             if with_caches:
                 relu_masks.append(u > 0)
             a = np.maximum(u, 0.0)
+            if observe is not None:
+                ref_observe(act_max, i, a, seeded=observe)
             if with_caches:
                 act_masks.append(a <= act_max[i])
             hq = ref_fq_unsigned(a, schema.activation_bits[i], act_max[i])
@@ -208,8 +222,10 @@ def ref_fq_forward(model: MLPModel, schema: QuantSchema, input_max: float,
 
 
 def ref_fq_grad(model: MLPModel, schema: QuantSchema, input_max: float,
-                act_max: list[float], batch: Dataset, l1: float) -> np.ndarray:
-    logits, caches, _ = ref_fq_forward(model, schema, input_max, act_max, batch.features)
+                act_max: list[float], batch: Dataset, l1: float,
+                observe: bool | None = None) -> np.ndarray:
+    logits, caches, _ = ref_fq_forward(model, schema, input_max, act_max, batch.features,
+                                       observe=observe)
     hs, relu_masks, act_masks, wqs = caches
     n = len(batch)
     probs = nn.softmax(logits)
@@ -230,22 +246,6 @@ def ref_fq_grad(model: MLPModel, schema: QuantSchema, input_max: float,
         if i > 0:
             dz = dz @ wqs[i].T
     return np.concatenate(parts)
-
-
-def ref_observe_act_maxima(model, schema, input_max, act_max, x, seeded) -> list[float]:
-    hq = ref_fq_signed(np.asarray(x, dtype=np.float64), schema.input_bits, input_max)
-    maxima = []
-    for i, layer in enumerate(model.layers):
-        wq, _ = ref_fq_weight(layer.weights, schema.weight_bits[i])
-        u = hq @ wq + layer.bias
-        if i == model.n_layers - 1:
-            break
-        a = np.maximum(u, 0.0)
-        m = float(a.max()) if a.size else 0.0
-        maxima.append(m)
-        rng_max = m if not seeded else act_max[i]
-        hq = ref_fq_unsigned(a, schema.activation_bits[i], rng_max)
-    return maxima
 
 
 def ref_fq_loss(fq: RefFakeQuantModel, batch: Dataset, l1: float) -> float:
@@ -274,7 +274,6 @@ def ref_qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: Trai
     if schema.n_layers != model.n_layers:
         raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
 
-    momentum = 0.95
     rng = np.random.default_rng(cfg.seed)
     theta = ref_parameter_vector(model)
     state = (np.zeros_like(theta), np.zeros_like(theta), 0)
@@ -292,17 +291,12 @@ def ref_qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: Trai
         order = rng.permutation(len(data))
         for start in range(0, len(data), cfg.batch_size):
             batch = data.take(order[start:start + cfg.batch_size])
+            observe = None
             if epoch < frozen_from:
-                maxima = ref_observe_act_maxima(current, schema, input_max, act_max,
-                                                batch.features, seeded)
-                if not seeded:
-                    act_max[:] = maxima
-                    seeded = True
-                else:
-                    for j, m in enumerate(maxima):
-                        act_max[j] = momentum * act_max[j] + (1 - momentum) * m
+                observe = seeded
+                seeded = True
                 updates += 1
-            g = ref_fq_grad(current, schema, input_max, act_max, batch, cfg.l1)
+            g = ref_fq_grad(current, schema, input_max, act_max, batch, cfg.l1, observe)
             if cfg.optimizer == "adam":
                 theta, state = ref_adam(theta, g, state, cfg)
             else:
@@ -377,7 +371,8 @@ def test_grad_matches_reference(splits):
     m = nn.mlp([16, 12, 8, 5], seed=9)
     batch = tr.take(np.arange(40))
     for l1 in (0.0, 1e-3):
-        assert nn.grad(m, batch, l1=l1).tobytes() == ref_grad(m, batch, l1=l1).tobytes()
+        got = nn.parameter_vector(nn._backprop(m, batch.features, batch.labels, l1))
+        assert got.tobytes() == ref_grad(m, batch, l1=l1).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -421,8 +416,24 @@ def test_qat_without_validation_set_matches_reference(splits, pretrained, optimi
                    ref_qat_train(pretrained, tr, schema, cfg))
 
 
+@pytest.mark.parametrize("sizes", [[16, 12, 8, 5], [16, 12, 8, 8, 5]])
+def test_an_observing_qat_step_runs_the_network_once(splits, monkeypatch, sizes):
+    # the products counted when each step reaches its backward pass
+    tr, _ = splits
+    affine, backward = nn._affine, nn._backward
+    products, at_backward = [], []
+    monkeypatch.setattr(nn, "_affine", lambda *a: products.append(1) or affine(*a))
+    monkeypatch.setattr(nn, "_backward",
+                        lambda *a, **k: at_backward.append(len(products)) or backward(*a, **k))
+    cfg = TrainConfig(epochs=1, batch_size=256, learning_rate=1e-3, seed=0)
+    qz.qat_train(nn.mlp(sizes, seed=0), tr, QuantSchema.coupled((6,) * (len(sizes) - 1)), cfg)
+    n_layers, steps = len(sizes) - 1, -(-len(tr) // cfg.batch_size)
+    assert steps > 1
+    assert at_backward == [n_layers * (k + 1) for k in range(steps)]
+
+
 def test_concurrent_calls_share_no_state(splits, pretrained):
-    # sweep fans configurations out over threads; each call must be independent
+    # training calls keep all their state local, so concurrent calls cannot interfere
     tr, va = splits
     cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=6)
     schemas = [QuantSchema.coupled((b,) * 3) for b in (3, 5, 7, 9)]
