@@ -25,6 +25,7 @@ import numpy as np
 
 from . import nn, quantize
 from .data import Dataset
+from .ioutil import read_document, write_json_atomic
 from .nn import MLPModel, TrainConfig
 from .quantize import QuantSchema
 
@@ -355,8 +356,6 @@ def parse_sweep_csv(text: str) -> list[SweepRecord]:
 
 
 def save_allocation(sol: AllocationSolution, path: str) -> None:
-    from .ioutil import write_json_atomic
-
     write_json_atomic(path, {
         "format": "hessquant-allocation",
         "version": 1,
@@ -372,12 +371,7 @@ def save_allocation(sol: AllocationSolution, path: str) -> None:
 
 
 def load_allocation(path: str) -> AllocationSolution:
-    import json
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "hessquant-allocation":
-        raise ValueError(f"{path}: not an allocation file")
+    doc = read_document(path, "hessquant-allocation")
     return AllocationSolution(
         weight_bits=tuple(doc["weight_bits"]),
         activation_bits=tuple(doc["activation_bits"]),

@@ -24,6 +24,7 @@ import math
 import os
 import platform
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -99,14 +100,13 @@ def _load_config(path: str | None) -> dict:
     return _deep_merge(cfg, user)
 
 
-def _require_file(path: str, hint: str) -> str:
+def _consume(path: str, inputs: dict, hint: str, load):
+    """load(path) for a file the command reads, with its SHA-256 recorded in
+    `inputs`.  A missing file, or one whose load raises ValueError, KeyError
+    or TypeError, is a data error."""
     if not os.path.exists(path):
         raise DataError(f"missing artifact {path} ({hint})")
-    return path
-
-
-def _load_artifact(load, path: str):
-    """load(path), with a malformed artifact reported as a data error."""
+    inputs[path] = sha256_file(path)
     try:
         return load(path)
     except (ValueError, KeyError, TypeError) as exc:
@@ -154,7 +154,7 @@ def _input_bits(cfg: dict) -> int:
         return _bit_width(cfg["arch"]["input_bits"])
 
 
-def _load_dataset(cfg: dict, out_dir: str) -> data.Dataset:
+def _load_dataset(cfg: dict, out_dir: str, inputs: dict) -> data.Dataset:
     src = cfg["data"]["source"]
     if src == "csv":
         path = cfg["data"]["csv"]
@@ -164,11 +164,8 @@ def _load_dataset(cfg: dict, out_dir: str) -> data.Dataset:
         path = os.path.join(out_dir, "dataset.csv")
     else:
         raise ConfigError(f"unknown data.source {src!r}")
-    _require_file(path, "run gen-data first or point data.csv at a file")
-    try:
-        return data.ingest_csv(path)
-    except data.CSVFormatError as exc:
-        raise DataError(str(exc)) from None
+    return _consume(path, inputs, "run gen-data first or point data.csv at a file",
+                    data.ingest_csv)
 
 
 def _standardized_splits(cfg: dict, ds: data.Dataset,
@@ -182,12 +179,12 @@ def _standardized_splits(cfg: dict, ds: data.Dataset,
     return ds_std, train_ds, val_ds
 
 
-def _load_model(out_dir: str):
-    path = _require_file(os.path.join(out_dir, "model.json"), "run train first")
-    model, mean, std = _load_artifact(nn.load_model, path)
+def _load_model(out_dir: str, inputs: dict):
+    path = os.path.join(out_dir, "model.json")
+    model, mean, std = _consume(path, inputs, "run train first", nn.load_model)
     if mean is None or std is None:
         raise DataError(f"{path} lacks standardization stats")
-    return model, mean, std, path
+    return model, mean, std
 
 
 def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
@@ -207,28 +204,28 @@ def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
                                     input_bits=input_bits)
 
 
-def _allocation_schema(path: str) -> quantize.QuantSchema:
-    return allocate.load_allocation(path).schema
-
-
-def _schema_from_config(cfg: dict, out_dir: str, inputs: dict) -> quantize.QuantSchema:
-    source = cfg["quantize"]["source"]
+def _schema_from_config(cfg: dict, command: str, out_dir: str,
+                        inputs: dict) -> quantize.QuantSchema:
+    """The schema `<command>.source` names: allocation.json, or the schema
+    section, which also stands in for an absent allocation.json."""
+    source = cfg[command]["source"]
+    path = os.path.join(out_dir, "allocation.json")
     if source == "schema" or (source == "allocation" and cfg["schema"] is not None
-                              and not os.path.exists(os.path.join(out_dir, "allocation.json"))):
-        return _schema_section(cfg, "quantize")
+                              and not os.path.exists(path)):
+        return _schema_section(cfg, command)
     if source != "allocation":
-        raise ConfigError(f"unknown quantize.source {source!r}")
-    path = _require_file(os.path.join(out_dir, "allocation.json"),
-                         "run allocate first or set quantize.source to 'schema'")
-    inputs[path] = sha256_file(path)
-    return _load_artifact(_allocation_schema, path)
+        raise ConfigError(f"unknown {command}.source {source!r}")
+    return _consume(path, inputs,
+                    f"run allocate first or set {command}.source to 'schema'",
+                    lambda p: allocate.load_allocation(p).schema)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (exit_code, artifact paths, consumed paths).
+# Subcommands.  Each records the files it reads in `inputs` and returns
+# (exit_code, artifact paths).
 
 
-def cmd_gen_data(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
+def cmd_gen_data(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     sec = cfg["data"]
     if sec["source"] != "synthetic":
         raise ConfigError("gen-data only applies to data.source 'synthetic'")
@@ -237,16 +234,11 @@ def cmd_gen_data(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
                                      separation=float(sec["separation"]))
     path = os.path.join(out_dir, "dataset.csv")
     data.write_csv(ds, path)
-    return EXIT_OK, [path], {}
+    return EXIT_OK, [path]
 
 
-def cmd_train(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    inputs: dict = {}
-    ds = _load_dataset(cfg, out_dir)
-    src = cfg["data"]["source"]
-    if src == "synthetic":
-        inputs[os.path.join(out_dir, "dataset.csv")] = \
-            sha256_file(os.path.join(out_dir, "dataset.csv"))
+def cmd_train(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    ds = _load_dataset(cfg, out_dir, inputs)
     sizes = _arch_sizes(cfg)
     if sizes[0] != ds.features.shape[1]:
         raise ConfigError(f"arch expects {sizes[0]} features, dataset has "
@@ -266,29 +258,25 @@ def cmd_train(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         "final_val_accuracy": history.val_accuracy[-1] if history.val_accuracy else None,
         "sparsity": nn.sparsity(model),
     })
-    return EXIT_OK, [model_path, hist_path], inputs
+    return EXIT_OK, [model_path, hist_path]
 
 
-def cmd_trace(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    model, mean, std, model_path = _load_model(out_dir)
-    inputs = {model_path: sha256_file(model_path)}
-    ds = _load_dataset(cfg, out_dir)
+def cmd_trace(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    model, mean, std = _load_model(out_dir, inputs)
+    ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, _ = _standardized_splits(cfg, ds, mean=mean, std=std)
     with _section("trace"):
         batch = hessian.calibration_batch(train_ds, int(cfg["trace"]["batch"]))
     report = hessian.layer_sensitivities(model, batch)
     path = os.path.join(out_dir, "traces.json")
     hessian.save_trace_report(report, path)
-    return EXIT_OK, [path], inputs
+    return EXIT_OK, [path]
 
 
-def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    model, _, _, model_path = _load_model(out_dir)
-    traces_path = _require_file(os.path.join(out_dir, "traces.json"),
-                                "run trace first")
-    inputs = {model_path: sha256_file(model_path),
-              traces_path: sha256_file(traces_path)}
-    report = _load_artifact(hessian.load_trace_report, traces_path)
+def cmd_allocate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    model, _, _ = _load_model(out_dir, inputs)
+    report = _consume(os.path.join(out_dir, "traces.json"), inputs, "run trace first",
+                      hessian.load_trace_report)
     if report.sizes and report.sizes != list(model.sizes):
         raise DataError("traces.json was computed for a different architecture")
     sec = cfg["allocation"]
@@ -312,11 +300,11 @@ def cmd_allocate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     if not sol.feasible:
         print(f"budget {sec['budget']} is infeasible; minimum achievable BOPs "
               f"is {sol.bops}", file=sys.stderr)
-        return EXIT_INFEASIBLE, [path], inputs
-    return EXIT_OK, [path], inputs
+        return EXIT_INFEASIBLE, [path]
+    return EXIT_OK, [path]
 
 
-def cmd_sweep(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
+def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     sec = cfg["sweep"]
     arch = allocate.ArchSpec.from_sizes(_arch_sizes(cfg),
                                         input_bits=_input_bits(cfg))
@@ -328,27 +316,31 @@ def cmd_sweep(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         sample = None if sec["sample"] in (None, "all") else int(sec["sample"])
         if sample is not None and sample < 0:
             raise ValueError(f"sample must be 'all' or at least 0, got {sample}")
-    ds = _load_dataset(cfg, out_dir)
+    ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, val_ds = _standardized_splits(cfg, ds)
     records = allocate.sweep(arch, candidates, train_ds, tcfg, val=val_ds,
                              sample=sample, seed=tcfg.seed)
     path = os.path.join(out_dir, "sweep.csv")
     write_atomic(path, allocate.sweep_csv(records))
-    return EXIT_OK, [path], {}
+    return EXIT_OK, [path]
 
 
-def cmd_quantize(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    model, mean, std, model_path = _load_model(out_dir)
-    inputs = {model_path: sha256_file(model_path)}
-    schema = _schema_from_config(cfg, out_dir, inputs)
+def cmd_quantize(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    model, mean, std = _load_model(out_dir, inputs)
+    schema = _schema_from_config(cfg, "quantize", out_dir, inputs)
     if schema.n_layers != model.n_layers:
         raise ConfigError(f"schema has {schema.n_layers} layers, model has "
                           f"{model.n_layers}")
-    ds = _load_dataset(cfg, out_dir)
-    _, train_ds, val_ds = _standardized_splits(cfg, ds, mean=mean, std=std)
-    qcfg = _train_config(cfg, "qat")
     with _section("quantize"):
         accumulator_bits = int(cfg["quantize"]["accumulator_bits"])
+    try:
+        quantize.accumulator_widths(schema, [l.fan_in for l in model.layers],
+                                    accumulator_bits)
+    except quantize.LoweringError as exc:
+        raise ConfigError(str(exc)) from None
+    ds = _load_dataset(cfg, out_dir, inputs)
+    _, train_ds, val_ds = _standardized_splits(cfg, ds, mean=mean, std=std)
+    qcfg = _train_config(cfg, "qat")
     fq = quantize.qat_train(model, train_ds, schema, qcfg, val=val_ds)
     try:
         im = quantize.lower(fq, accumulator_bits=accumulator_bits)
@@ -367,33 +359,26 @@ def cmd_quantize(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         "fq_accuracy": nn.accuracy(fq, val_ds),
         "int_accuracy": int_acc,
     })
-    return EXIT_OK, [int_path, report_path], inputs
+    return EXIT_OK, [int_path, report_path]
 
 
-def cmd_export_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    int_path = _require_file(os.path.join(out_dir, "intmodel.json"),
-                             "run quantize first")
-    inputs = {int_path: sha256_file(int_path)}
-    im = _load_artifact(quantize.load_integer_model, int_path)
+def cmd_export_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    im = _consume(os.path.join(out_dir, "intmodel.json"), inputs, "run quantize first",
+                  quantize.load_integer_model)
     g = ir.export_graph(im)
     path = os.path.join(out_dir, "graph.json")
     ir.save_graph(g, path)
-    return EXIT_OK, [path], inputs
+    return EXIT_OK, [path]
 
 
-def _load_graph_checked(path: str) -> ir.IRGraph:
-    return _load_artifact(ir.load_graph, _require_file(path, "run export-ir first"))
-
-
-def cmd_opt_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    in_path = os.path.join(out_dir, "graph.json")
-    g = _load_graph_checked(in_path)
-    inputs = {in_path: sha256_file(in_path)}
+def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    g = _consume(os.path.join(out_dir, "graph.json"), inputs, "run export-ir first",
+                 ir.load_graph)
     diags = ir.validate(g)
     if diags:
         for d in diags:
             print(d, file=sys.stderr)
-        return EXIT_IR, [], inputs
+        return EXIT_IR, []
     stages = [("input", g)]
     g = ir.infer_shapes(g)
     stages.append(("infer_shapes", g))
@@ -405,7 +390,7 @@ def cmd_opt_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     if diags:
         for d in diags:
             print(d, file=sys.stderr)
-        return EXIT_IR, [], inputs
+        return EXIT_IR, []
     out_path = os.path.join(out_dir, "graph_opt.json")
     ir.save_graph(g, out_path)
     report_path = os.path.join(out_dir, "opt_report.json")
@@ -413,31 +398,29 @@ def cmd_opt_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
         "stages": [{"stage": name, "nodes": len(st.nodes),
                     "kinds": st.node_counts()} for name, st in stages],
     })
-    return EXIT_OK, [out_path, report_path], inputs
+    return EXIT_OK, [out_path, report_path]
 
 
-def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
+def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     with _section("run_ir"):
         batch_size = int(cfg["run_ir"]["batch"])
         if batch_size < 1:
             raise ValueError(f"batch must be at least 1, got {batch_size}")
     graph_path = os.path.join(out_dir, cfg["run_ir"]["graph"])
-    g = _load_graph_checked(graph_path)
-    inputs = {graph_path: sha256_file(graph_path)}
+    g = _consume(graph_path, inputs, "run export-ir first", ir.load_graph)
     diags = ir.validate(g)
     if diags:
         for d in diags:
             print(d, file=sys.stderr)
-        return EXIT_IR, [], inputs
-    model, mean, std, model_path = _load_model(out_dir)
-    inputs[model_path] = sha256_file(model_path)
+        return EXIT_IR, []
+    model, mean, std = _load_model(out_dir, inputs)
     shapes = ir.infer_shapes(g).tensors
     for name, width in (("x", len(mean)), ("logits", model.sizes[-1])):
         got = shapes[name].shape[-1] if name in shapes else None
         if got != width:
             raise DataError(f"{graph_path} has {name} width {got}, "
-                            f"{model_path} needs {width}")
-    ds = _load_dataset(cfg, out_dir)
+                            f"{os.path.join(out_dir, 'model.json')} needs {width}")
+    ds = _load_dataset(cfg, out_dir, inputs)
     ds_std = data.standardize(ds, mean=mean, std=std)
 
     rows = []
@@ -462,14 +445,15 @@ def cmd_run_ir(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     report_path = os.path.join(out_dir, "ir_report.json")
     write_json_atomic(report_path, {"rows": len(rows),
                                     "accuracy": correct / max(len(rows), 1)})
-    return EXIT_OK, [out_path, report_path], inputs
+    return EXIT_OK, [out_path, report_path]
 
 
 def _coeffs_from_config(cfg: dict, inputs: dict) -> hwest.EstimatorCoeffs:
     path = cfg["estimate"]["coeffs"]
     if path is None:
         return hwest.EstimatorCoeffs()
-    _require_file(path, "coefficients file configured but missing")
+    if not os.path.exists(path):
+        raise DataError(f"missing artifact {path} (coefficients file configured but missing)")
     inputs[path] = sha256_file(path)
     try:
         return hwest.load_coeffs(path)
@@ -477,27 +461,16 @@ def _coeffs_from_config(cfg: dict, inputs: dict) -> hwest.EstimatorCoeffs:
         raise ConfigError(f"bad coefficients file: {exc}") from None
 
 
-def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    inputs: dict = {}
+def cmd_estimate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     coeffs = _coeffs_from_config(cfg, inputs)
-    source = cfg["estimate"]["source"]
     sizes = _arch_sizes(cfg)
     sparsities = None
     model_path = os.path.join(out_dir, "model.json")
     if os.path.exists(model_path):
-        model, _, _ = _load_artifact(nn.load_model, model_path)
-        inputs[model_path] = sha256_file(model_path)
+        model, _, _ = _consume(model_path, inputs, "run train first", nn.load_model)
         sizes = list(model.sizes)
         sparsities = nn.sparsity(model)
-    if source == "allocation":
-        path = _require_file(os.path.join(out_dir, "allocation.json"),
-                             "run allocate first or set estimate.source to 'schema'")
-        inputs[path] = sha256_file(path)
-        schema = _load_artifact(_allocation_schema, path)
-    elif source == "schema":
-        schema = _schema_section(cfg, "estimate")
-    else:
-        raise ConfigError(f"unknown estimate.source {source!r}")
+    schema = _schema_from_config(cfg, "estimate", out_dir, inputs)
     arch = allocate.ArchSpec.from_sizes(sizes, sparsities=sparsities,
                                         input_bits=schema.input_bits)
     est = hwest.estimate(arch, schema, coeffs=coeffs)
@@ -505,20 +478,13 @@ def cmd_estimate(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
     write_json_atomic(json_path, hwest.estimate_json(est))
     csv_path = os.path.join(out_dir, "estimate.csv")
     write_atomic(csv_path, hwest.estimate_csv(est))
-    return EXIT_OK, [json_path, csv_path], inputs
+    return EXIT_OK, [json_path, csv_path]
 
 
-def _read_sweep_csv(path: str) -> list[allocate.SweepRecord]:
-    with open(path) as fh:
-        return allocate.parse_sweep_csv(fh.read())
-
-
-def cmd_report(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
-    sweep_path = _require_file(os.path.join(out_dir, "sweep.csv"),
-                               "run sweep first")
-    inputs = {sweep_path: sha256_file(sweep_path)}
+def cmd_report(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    records = _consume(os.path.join(out_dir, "sweep.csv"), inputs, "run sweep first",
+                       lambda p: allocate.parse_sweep_csv(Path(p).read_text()))
     coeffs = _coeffs_from_config(cfg, inputs)
-    records = _load_artifact(_read_sweep_csv, sweep_path)
     sizes, input_bits = _arch_sizes(cfg), _input_bits(cfg)
 
     buf = io.StringIO()
@@ -541,7 +507,7 @@ def cmd_report(cfg: dict, out_dir: str) -> tuple[int, list[str], dict]:
                          repr(rec.bops), est.dsps, est.luts, est.ffs, ""])
     path = os.path.join(out_dir, "report.csv")
     write_atomic(path, buf.getvalue())
-    return EXIT_OK, [path], inputs
+    return EXIT_OK, [path]
 
 
 COMMANDS = {
@@ -620,7 +586,8 @@ def main(argv=None) -> int:
             cfg["sweep"]["jobs"] = args.jobs
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
-        code, artifacts, inputs = COMMANDS[args.command](cfg, out_dir)
+        inputs: dict = {}
+        code, artifacts = COMMANDS[args.command](cfg, out_dir, inputs)
         _write_manifest(args.command, cfg, out_dir, artifacts, inputs)
         return code
     except ConfigError as exc:

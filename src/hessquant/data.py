@@ -2,9 +2,8 @@
 
 Feature matrices are float64 arrays of shape (n, 16) by default and labels are
 integer class ids.  A Dataset optionally carries the per-feature
-standardization statistics that were used to transform its features, so the
-original values can be recovered and new data can be mapped into the same
-space.
+standardization statistics that were used to transform its features, so new
+data can be mapped into the same space.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def standardized(self) -> bool:
-        return self.mean is not None
 
     def take(self, idx) -> "Dataset":
         return replace(self, features=self.features[idx], labels=self.labels[idx])

@@ -13,13 +13,13 @@ the exact block product `layer_hvp` is an independent check.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .data import Dataset
+from .ioutil import read_document, write_json_atomic
 from .nn import MLPModel
 
 CALIBRATION_SIZE = 1024
@@ -168,8 +168,6 @@ def layer_sensitivities(model: MLPModel, batch: Dataset) -> TraceReport:
 
 
 def save_trace_report(report: TraceReport, path: str) -> None:
-    from .ioutil import write_json_atomic
-
     write_json_atomic(path, {
         "format": "hessquant-traces",
         "version": 2,
@@ -184,10 +182,7 @@ def save_trace_report(report: TraceReport, path: str) -> None:
 def load_trace_report(path: str) -> TraceReport:
     """A save_trace_report file.  Version 1 files load too: the estimator's
     standard errors, probe count and seeds they also hold are ignored."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "hessquant-traces":
-        raise ValueError(f"{path}: not a trace report file")
+    doc = read_document(path, "hessquant-traces")
     return TraceReport(
         traces=[float(t) for t in doc["traces"]],
         avg_traces=[float(t) for t in doc["avg_traces"]],

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 from dataclasses import dataclass, field
 
 from .allocate import ArchSpec
-from .quantize import QuantSchema
+from .ioutil import read_document
+from .quantize import QuantSchema, accumulator_widths
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,13 @@ def estimate(arch: ArchSpec, schema: QuantSchema, sparsities=None,
         raise ValueError("one sparsity per layer required")
 
     layers: list[LayerEstimate] = []
-    for i, (n, m) in enumerate(arch.dims):
+    accs = accumulator_widths(schema, [n for n, _ in arch.dims])
+    for i, ((n, m), acc) in enumerate(zip(arch.dims, accs)):
         f = float(sparsities[i])
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"sparsity {f} outside [0, 1]")
         b_w = schema.weight_bits[i]
         b_in = schema.input_act_bits(i)
-        acc = b_w + b_in + math.ceil(math.log2(max(n, 2)))
         mults = n * m * (1.0 - f)
         if max(b_w, b_in) >= coeffs.dsp_threshold:
             dsps = int(round(mults))
@@ -126,10 +125,7 @@ def estimate(arch: ArchSpec, schema: QuantSchema, sparsities=None,
 
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "hessquant-coeffs":
-        raise ValueError(f"{path}: not a coefficients file")
+    doc = read_document(path, "hessquant-coeffs")
     return EstimatorCoeffs(
         dsp_threshold=int(doc["dsp_threshold"]),
         lut_per_bit_product=float(doc["lut_per_bit_product"]),

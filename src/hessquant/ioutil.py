@@ -1,4 +1,4 @@
-"""Small helpers for deterministic file output: canonical JSON, atomic writes, hashing."""
+"""Small helpers for deterministic file I/O: canonical JSON, atomic writes, hashing."""
 
 from __future__ import annotations
 
@@ -65,3 +65,13 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_document(path: str, fmt: str) -> dict:
+    """The JSON object in `path`; ValueError unless it is a dict whose
+    "format" is `fmt`."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"{path}: not a {fmt} document")
+    return doc

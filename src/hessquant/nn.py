@@ -10,19 +10,18 @@ Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
 layer 0 weights (row-major), layer 0 bias, layer 1 weights, ... which every
 gradient and checkpoint in the package relies on.  A model is always ReLU
-hidden layers and a softmax head, so a layer is just its weights and bias;
-batch norm is folded into the preceding dense layer before a model gets here.
+hidden layers and a softmax head, so a layer is just its weights and bias.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
+from .ioutil import read_document, write_json_atomic
 
 class ShapeError(ValueError):
     pass
@@ -344,8 +343,6 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
                std: np.ndarray | None = None) -> None:
     """JSON checkpoint: layer widths, activations, flat parameters, and the
     standardization statistics the model expects its inputs to be in."""
-    from .ioutil import write_json_atomic
-
     doc = {
         "format": "hessquant-model",
         "version": 1,
@@ -363,10 +360,7 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
     """A save_model checkpoint.  A malformed one, or one whose `activations`
     are not the fixed list, raises ValueError, KeyError or TypeError."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "hessquant-model":
-        raise ValueError(f"{path}: not a model checkpoint")
+    doc = read_document(path, "hessquant-model")
     skeleton = mlp(doc["sizes"], seed=0)
     want = _activation_names(skeleton.n_layers)
     if doc["activations"] != want:

@@ -30,7 +30,6 @@ Bias codes are int64 whenever every value fits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
+from .ioutil import read_document, write_json_atomic
 from .nn import MLPModel, TrainConfig, TrainHistory
 
 MIN_BITS = 2
@@ -575,6 +575,24 @@ def _pow2_dyadic(exp: int) -> DyadicScale:
     return DyadicScale(mantissa=1 << (-exp), shift=0)
 
 
+def accumulator_widths(schema: QuantSchema, fan_ins,
+                       accumulator_bits: int | None = None) -> list[int]:
+    """Worst-case accumulator width of each layer: weight bits + incoming
+    activation bits + ceil(log2 max(fan_in, 2)).  Raises LoweringError when
+    accumulator_bits is given and a layer needs more."""
+    widths = []
+    for i, n in enumerate(fan_ins):
+        b_w, b_in = schema.weight_bits[i], schema.input_act_bits(i)
+        need = b_w + b_in + math.ceil(math.log2(max(n, 2)))
+        if accumulator_bits is not None and accumulator_bits < need:
+            raise LoweringError(
+                f"layer {i}: accumulator needs {need} bits "
+                f"(weights {b_w} + activations {b_in} + log2 fan-in), "
+                f"have {accumulator_bits}")
+        widths.append(need)
+    return widths
+
+
 def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
     """Turn a fake-quantized model into an integer-only one.
 
@@ -603,18 +621,13 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
                                alpha=-beta_in, beta=beta_in)
 
     acc_lo, acc_hi = _int_range(accumulator_bits, signed=True)
+    required = accumulator_widths(schema, [l.fan_in for l in model.layers],
+                                  accumulator_bits)
     layers: list[IntLayer] = []
     prev_scale = input_scale
     output_scale = None
     for i, layer in enumerate(model.layers):
         b_w = schema.weight_bits[i]
-        b_in = schema.input_act_bits(i)
-        required = b_w + b_in + math.ceil(math.log2(max(layer.fan_in, 2)))
-        if accumulator_bits < required:
-            raise LoweringError(
-                f"layer {i}: accumulator needs {required} bits "
-                f"(weights {b_w} + activations {b_in} + log2 fan-in), "
-                f"have {accumulator_bits}")
 
         w_real = calibrate(layer.weights, b_w, symmetric=True).scale
         w_scale = to_dyadic(w_real, mantissa_bits=DEFAULT_MULTIPLIER_BITS)
@@ -631,7 +644,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
         last = i == model.n_layers - 1
         # Mantissa budget that keeps acc * mantissa below 2^53, so that the
         # requantization runs in the float64 tier; it is exact either way.
-        budget = min(DEFAULT_MULTIPLIER_BITS, 52 - (required + 1))
+        budget = min(DEFAULT_MULTIPLIER_BITS, 52 - (required[i] + 1))
         if budget < 2:
             budget = 2
         if last:
@@ -683,8 +696,6 @@ def int_forward(im: IntegerModel, x: np.ndarray):
 
 
 def save_integer_model(im: IntegerModel, path: str) -> None:
-    from .ioutil import write_json_atomic
-
     doc = {
         "format": "hessquant-integer-model",
         "version": 1,
@@ -737,10 +748,7 @@ def load_integer_model(path: str) -> IntegerModel:
     """A save_integer_model file.  A malformed one, or one whose layers do not
     chain or disagree with its schema, raises ValueError, KeyError or
     TypeError."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "hessquant-integer-model":
-        raise ValueError(f"{path}: not an integer model file")
+    doc = read_document(path, "hessquant-integer-model")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),
                          input_bits=doc["schema"]["input_bits"])

@@ -1,5 +1,8 @@
+import builtins
+import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -224,9 +227,11 @@ def truncated_intmodel(out):
     ("export-ir", "intmodel.json", truncated_intmodel, ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
+    ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
+    ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
         "traces", "allocation", "allocation-bits-40", "intmodel", "intmodel-two-of-three",
-        "graph", "sweep"])
+        "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -415,12 +420,20 @@ def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, tamp
     assert "node h1: Requant" in err and message in err
 
 
-def test_exit_2_on_lowering_error(tmp_path, pipeline):
+def test_exit_2_on_lowering_error(tmp_path, pipeline, capsys, monkeypatch):
+    # an accumulator too narrow for the schema is refused before QAT runs
     _, _, out = pipeline
     config, alt_out = write_config(
         tmp_path, quantize={"accumulator_bits": 8})
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "allocation.json"))
+
+    def no_qat(*args, **kwargs):
+        raise AssertionError("QAT ran on a schema that cannot lower")
+
+    monkeypatch.setattr(quantize, "qat_train", no_qat)
+    capsys.readouterr()
     assert cli.main(["quantize", "--config", config]) == 2
+    assert "layer 0: accumulator needs" in capsys.readouterr().err
 
 
 def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
@@ -453,6 +466,55 @@ def test_exit_2_when_the_output_scale_underflows(tmp_path, capsys):
     assert run("quantize", str(path)) == 2
     assert "output scale underflowed" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "intmodel.json")
+
+
+def test_estimate_falls_back_to_the_schema_section(tmp_path):
+    # no allocation.json: the configured schema stands in, as at quantize
+    config, out = write_config(tmp_path, schema={"weight_bits": [4, 6, 8]})
+    assert run("estimate", config) == 0
+    est = read_json(out, "estimate.json")
+    assert [l["weight_bits"] for l in est["layers"]] == [4, 6, 8]
+    assert read_json(out, "manifest-estimate.json")["inputs"] == {}
+
+
+@pytest.mark.parametrize("command", ["quantize", "estimate"])
+def test_exit_2_on_an_unknown_schema_source(tmp_path, pipeline, capsys, command):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, **{command: {"source": "nope"}})
+    copy_artifacts(out, alt_out, ("model.json",))
+    capsys.readouterr()
+    assert run(command, config) == 2
+    assert f"unknown {command}.source 'nope'" in capsys.readouterr().err
+
+
+def test_each_manifest_lists_every_file_its_command_read(tmp_path, monkeypatch):
+    config, out = write_config(tmp_path, sweep={"sample": 2, "epochs": 1,
+                                                "candidates": [4, 8]})
+    real_open = io.open
+    read = set()
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            read.add(os.path.realpath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    for cmd in ("gen-data", "train", "trace", "allocate", "quantize", "export-ir",
+                "opt-ir", "run-ir", "estimate", "sweep", "report"):
+        read.clear()
+        assert run(cmd, config) == 0, cmd
+        # the config is embedded in the manifest; artifacts are hashed after writing
+        consumed = {os.path.relpath(p, os.path.realpath(out))
+                    for p in read if p != os.path.realpath(config)}
+        man = read_json(out, f"manifest-{cmd}.json")
+        assert consumed - set(man["artifacts"]) == set(man["inputs"]), cmd
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"//.*", "", block)) == cli.DEFAULT_CONFIG
 
 
 def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
