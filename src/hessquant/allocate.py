@@ -274,8 +274,9 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     ValueError that fake-quantizing non-finite weights raises mid-epoch)
     produces a record with the error message instead of aborting the sweep;
     any other exception propagates.  sample draws that many configs without
-    replacement using the given seed.  Configurations run serially in
-    config order.
+    replacement using the given seed.  The configurations train as one
+    stack (quantize.qat_train_many), each exactly as it would alone, and
+    each record's accuracy is its run's last validation accuracy.
     """
     cands = tuple(sorted(set(int(b) for b in candidates)))
     sizes = (arch.dims[0][0], *[m for _, m in arch.dims])
@@ -284,24 +285,30 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     if sample is not None and sample < len(grid):
         rng = np.random.default_rng(seed)
         ids = sorted(rng.choice(len(grid), size=sample, replace=False).tolist())
+    if not ids:
+        return []
+    schemas = [QuantSchema.coupled(grid[i], input_bits=arch.input_bits, offset=coupling_offset)
+               for i in ids]
+    cfgs = [TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                        learning_rate=cfg.learning_rate, l1=cfg.l1, seed=cfg.seed + i,
+                        optimizer=cfg.optimizer) for i in ids]
+    try:
+        fqs = quantize.qat_train_many([nn.mlp(list(sizes), seed=c.seed) for c in cfgs],
+                                      data, schemas, cfgs, val=val)
+    except ValueError as exc:  # fails every configuration alike
+        fqs = [exc] * len(ids)
 
-    def run_one(config_id: int) -> SweepRecord:
-        bits = grid[config_id]
-        schema = QuantSchema.coupled(bits, input_bits=arch.input_bits,
-                                     offset=coupling_offset)
-        run_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                              learning_rate=cfg.learning_rate, l1=cfg.l1,
-                              seed=cfg.seed + config_id, optimizer=cfg.optimizer)
+    def record(config_id: int, schema: QuantSchema, fq) -> SweepRecord:
         try:
-            model = nn.mlp(list(sizes), seed=run_cfg.seed)
-            fq = quantize.qat_train(model, data, schema, run_cfg, val=val)
-            acc = nn.accuracy(fq, val if val is not None else data)
+            if isinstance(fq, Exception):
+                raise fq
             sp = tuple(nn.sparsity(fq.model))
             measured = ArchSpec(dims=arch.dims, sparsities=sp, input_bits=arch.input_bits)
             return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
-                               activation_bits=schema.activation_bits, accuracy=acc,
+                               activation_bits=schema.activation_bits,
+                               accuracy=fq.history.val_accuracy[-1],
                                bops=model_bops(measured, schema), sparsities=sp,
-                               seed=run_cfg.seed)
+                               seed=cfg.seed + config_id)
         except (nn.TrainingDiverged, ValueError) as exc:  # recorded, not fatal
             return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
                                activation_bits=schema.activation_bits,
@@ -309,7 +316,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
                                sparsities=(float("nan"),) * arch.n_layers,
                                seed=cfg.seed + config_id, error=str(exc))
 
-    return [run_one(i) for i in ids]
+    return [record(*args) for args in zip(ids, schemas, fqs)]
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:

@@ -457,7 +457,7 @@ def _coeffs_from_config(cfg: dict, inputs: dict) -> hwest.EstimatorCoeffs:
     inputs[path] = sha256_file(path)
     try:
         return hwest.load_coeffs(path)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad coefficients file: {exc}") from None
 
 

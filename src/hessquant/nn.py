@@ -2,9 +2,14 @@
 training.  `hessian` builds the exact layer curvature on the forward caches.
 
 One mini-batch loop, `_train_loop`, serves float training (`train`) and
-quantization-aware training (`quantize.qat_train`), which plug in their own
-gradient step.  It keeps the parameters in one flat buffer that the layers
-view and updates it in place.
+quantization-aware training (`quantize.qat_train_many`), which plug in their
+own gradient step.  It trains a stack of K same-shape models in lockstep:
+their parameters live in one (K, P) buffer that the layers view with a
+leading member axis, and the buffer is updated in place.  The kernels
+(`_affine`, `softmax`, `_forward_caches`, `_backward`) work on one model's
+2-d arrays and on such stacks alike, and each stacked product equals the
+member's own product bit for bit, so a member trains exactly as it would
+alone; `train` is a stack of one.
 
 Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
@@ -16,7 +21,7 @@ hidden layers and a softmax head, so a layer is just its weights and bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +30,16 @@ from .ioutil import read_document, write_json_atomic
 
 class ShapeError(ValueError):
     pass
+
+
+class MemberErrors(Exception):
+    """Raised by a stacked training step for members that cannot take it:
+    errors maps each one's stack position to the exception its own run
+    raises at that step."""
+
+    def __init__(self, errors: dict[int, Exception]):
+        super().__init__(f"{len(errors)} stacked members failed")
+        self.errors = errors
 
 
 class TrainingDiverged(RuntimeError):
@@ -128,15 +143,16 @@ def check_matrix(x: np.ndarray, cols: int | None = None, name: str = "input") ->
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """h @ w + b with one temporary instead of two."""
+    """h @ w + b with one temporary instead of two; b is (fan_out,) or, for
+    a stack, (K, fan_out)."""
     u = h @ w
-    u += b
+    u += b[..., None, :]
     return u
 
 
@@ -181,16 +197,19 @@ def parameter_vector(model: MLPModel) -> np.ndarray:
 
 def _view_model(model: MLPModel, flat: np.ndarray) -> MLPModel:
     """A model like `model` whose weights and biases are views into a flat
-    vector in the canonical order."""
+    vector in the canonical order, or into each row of a (K, P) stack of
+    them, which gives the layers a leading member axis."""
     layers = []
     off = 0
+    lead = flat.shape[:-1]
     for layer in model.layers:
         nw, nb = layer.weights.size, layer.bias.size
-        layers.append(DenseLayer(weights=flat[off:off + nw].reshape(layer.weights.shape),
-                                 bias=flat[off + nw:off + nw + nb]))
+        layers.append(DenseLayer(
+            weights=flat[..., off:off + nw].reshape(lead + layer.weights.shape),
+            bias=flat[..., off + nw:off + nw + nb]))
         off += nw + nb
-    if off != flat.size:
-        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {off}")
+    if off != flat.shape[-1]:
+        raise ShapeError(f"parameter vector has {flat.shape[-1]} entries, model needs {off}")
     return MLPModel(layers=layers)
 
 
@@ -221,20 +240,21 @@ def _backward(logits: np.ndarray, labels: np.ndarray, hs, gates, model: MLPModel
     `grads`, a model-shaped set of arrays.  hs[i] is layer i's input, gates[i]
     multiplies the gradient at its output (None: unchanged), and mats[i] is
     the matrix the forward pass used when it is not the weights (under fake
-    quantization); the L1 subgradient takes the weights' sign."""
-    dz = softmax(logits)
-    dz[np.arange(len(labels)), labels] -= 1.0
-    dz /= len(labels)
+    quantization); the L1 subgradient takes the weights' sign.  For a stack,
+    labels is (K, B) and every array carries the leading member axis."""
+    dz = softmax(logits)  # a fresh C-order array, so the reshape below is a view
+    dz.reshape(-1, dz.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
+    dz /= labels.shape[-1]
     for i in reversed(range(model.n_layers)):
         if gates[i] is not None:
-            dz = dz * gates[i]
+            np.multiply(dz, gates[i], out=dz)
         gw = grads.layers[i].weights
-        np.matmul(hs[i].T, dz, out=gw)
+        np.matmul(hs[i].swapaxes(-1, -2), dz, out=gw)
         if l1 != 0.0:
             gw += l1 * np.sign(model.layers[i].weights)
-        np.sum(dz, axis=0, out=grads.layers[i].bias)
+        np.sum(dz, axis=-2, out=grads.layers[i].bias)
         if i > 0:
-            dz = dz @ (model.layers[i].weights if mats is None else mats[i]).T
+            dz = dz @ (model.layers[i].weights if mats is None else mats[i]).swapaxes(-1, -2)
 
 
 def _backprop(model: MLPModel, x: np.ndarray, labels: np.ndarray, l1: float,
@@ -249,58 +269,150 @@ def _backprop(model: MLPModel, x: np.ndarray, labels: np.ndarray, l1: float,
 def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
             cfg: TrainConfig) -> None:
     """Optimizer step t (Adam, or SGD) on theta and the moments, in place; each
-    element sees the operations of the textbook form in its order, bit for bit."""
+    element sees the operations of the textbook form in its order, bit for bit.
+    Adam works in two scratch arrays, which keeps a wide stack's step cheap."""
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * g
         return
+    s = np.multiply(1 - cfg.beta1, g)
     m *= cfg.beta1
-    m += (1 - cfg.beta1) * g
+    m += s
+    np.multiply(1 - cfg.beta2, g, out=s)
+    s *= g
     v *= cfg.beta2
-    v += (1 - cfg.beta2) * g * g
-    denom = np.sqrt(v / (1 - cfg.beta2 ** t))
+    v += s
+    denom = np.divide(v, 1 - cfg.beta2 ** t)
+    np.sqrt(denom, out=denom)
     denom += cfg.adam_eps
-    theta -= cfg.learning_rate * (m / (1 - cfg.beta1 ** t)) / denom
+    np.divide(m, 1 - cfg.beta1 ** t, out=s)
+    np.multiply(cfg.learning_rate, s, out=s)
+    s /= denom
+    theta -= s
 
 
-def _train_loop(model: MLPModel, data: Dataset, cfg: TrainConfig, step, logits, predictor,
-                val: Dataset | None = None, inputs: np.ndarray | None = None,
-                max_loss: float = math.inf) -> tuple[MLPModel, TrainHistory]:
-    """The mini-batch loop shared by float and quantization-aware training.
+def _check_stack(models: list[MLPModel], cfgs: list[TrainConfig]) -> None:
+    """Models trained as one stack need the same widths and every training
+    setting but the seed in common."""
+    if not models or len(cfgs) != len(models):
+        raise ValueError(f"a stack needs one config per model and at least one model, "
+                         f"got {len(models)} models and {len(cfgs)} configs")
+    if any(m.sizes != models[0].sizes for m in models):
+        raise ValueError("stacked models must have the same layer widths")
+    differ = [f.name for f in fields(TrainConfig)
+              if f.name != "seed" and len({getattr(c, f.name) for c in cfgs}) > 1]
+    if differ:
+        raise ValueError(f"stacked runs may differ only in seed, not in {', '.join(differ)}")
 
-    `params` is a model of views into one flat parameter buffer and `grads`
-    the same over a gradient buffer.  Each step hands a shuffled batch of
-    rows of `inputs` (the training features unless given, checked once) to
-    step(params, epoch, x, y, grads), which overwrites every gradient, then
-    updates the buffer in place.  Each epoch records the loss of
-    logits(params, inputs) and the accuracy of predictor(params) on `val`
-    (else the training data); a loss that is not finite or exceeds max_loss
-    raises TrainingDiverged.  The returned model owns its arrays.
+
+def _drop(failed: dict, results: list, members: np.ndarray, *stacked):
+    """Record the exceptions of the failed stack positions in results and
+    return members and the stacked arrays without those positions."""
+    for j, exc in failed.items():
+        results[members[j]] = exc
+    keep = [j for j in range(len(members)) if j not in failed]
+    return [a[keep] for a in (members, *stacked)]
+
+
+def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step, logits,
+                predictor, val: Dataset | None = None, inputs: list | None = None,
+                max_loss: float = math.inf) -> list:
+    """The mini-batch loop shared by float and quantization-aware training;
+    it trains a stack of same-shape models in lockstep.
+
+    Member k starts from models[k], shuffles with default_rng(cfgs[k].seed)
+    and reads rows of inputs[k] (else the training features; each distinct
+    array is checked once and none is copied per member).  `params` and
+    `grads` are models of views into the stack's (K, P) parameter and
+    gradient buffers, with layers (K, fan_in, fan_out) and (K, fan_out); a
+    stack of one gets its member's 2-d views.  Each step hands the (K, B, n)
+    batches and (K, B) labels to step(params, members, epoch, x, y, grads),
+    where members[j] is the index of the model at stack position j; the step
+    overwrites every gradient, then the buffer is updated in place.  A step
+    may raise MemberErrors before it changes any state: those members leave
+    the stack and the step runs again on the rest.  A ValueError from the
+    step of a stack of one ends that run.
+
+    Each epoch ends per member on 2-d views, as one run would: the loss of
+    logits(params_k, inputs[k], k), which raises TrainingDiverged when it is
+    not finite or exceeds max_loss, and the accuracy of predictor(params_k, k)
+    on `val` (else the training data).  A member whose epoch end raises
+    TrainingDiverged or a ValueError leaves the stack there.  Returns per
+    model (model, history), the model owning its arrays, or the exception
+    that ended its run.
     """
+    _check_stack(models, cfgs)
     if len(data) == 0:
         raise ValueError("empty training set")
-    x = check_matrix(data.features if inputs is None else inputs,
-                     cols=model.layers[0].fan_in, name="training input")
-    y = data.labels
-    rng = np.random.default_rng(cfg.seed)
-    theta = parameter_vector(model)
+    template, cfg, n = models[0], cfgs[0], len(data)
+    arrays = [data.features] * len(models) if inputs is None else inputs
+    distinct = {id(a): a for a in arrays}
+    group = {key: j for j, key in enumerate(distinct)}
+    checked = [check_matrix(a, cols=template.layers[0].fan_in, name="training input")
+               for a in distinct.values()]
+    x = checked[0] if len(checked) == 1 else np.concatenate(checked)
+    offset = np.array([n * group[id(a)] for a in arrays])
+    y = np.tile(data.labels, len(checked))  # the labels of each row of x
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    theta = np.stack([parameter_vector(model) for model in models])
     g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
-    params, grads = _view_model(model, theta), _view_model(model, g)
+    members = np.arange(len(models))
+    results: list = [None] * len(models)
+    histories = [TrainHistory() for _ in models]
     eval_set = val if val is not None else data
-    history = TrainHistory()
     t = 0
+
+    def lead(*stacked):
+        """The stacked arrays, or for a stack of one the member's own."""
+        return stacked if len(members) != 1 else [a[0] for a in stacked]
+
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            step(params, epoch, x[idx], y[idx], grads)
+        order = np.stack([rngs[k].permutation(n) for k in members])
+        order += offset[members, None]  # each member's shuffled rows of x
+        params, grads = (_view_model(template, a) for a in lead(theta, g))
+        for start in range(0, n, cfg.batch_size):
+            idx = order[:, start:start + cfg.batch_size]
+            while len(members):
+                try:
+                    step(params, members, epoch, *lead(x[idx], y[idx]), grads)
+                    break
+                except MemberErrors as exc:
+                    failed = exc.errors
+                except ValueError as exc:
+                    if len(members) > 1:
+                        raise
+                    failed = {0: exc}  # it ends a stack of one, as it ends a single run
+                members, theta, g, m, v, order, idx = _drop(
+                    failed, results, members, theta, g, m, v, order, idx)
+                params, grads = (_view_model(template, a) for a in lead(theta, g))
             t += 1
             _update(theta, g, m, v, t, cfg)
-        epoch_loss = _objective(logits(params, x), y, params, cfg.l1)
-        if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
-            raise TrainingDiverged(epoch)
-        history.train_loss.append(epoch_loss)
-        history.val_accuracy.append(accuracy(predictor(params), eval_set))
-    return replace_parameters(params, theta), history
+        failed = {}
+        for j, k in enumerate(members):
+            member = _view_model(template, theta[j])
+            try:
+                epoch_loss = _objective(logits(member, x[offset[k]:offset[k] + n], k),
+                                        data.labels, member, cfg.l1)
+                if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
+                    raise TrainingDiverged(epoch)
+                histories[k].train_loss.append(epoch_loss)
+                histories[k].val_accuracy.append(accuracy(predictor(member, k), eval_set))
+            except (TrainingDiverged, ValueError) as exc:
+                failed[j] = exc
+        if failed:
+            members, theta, g, m, v = _drop(failed, results, members, theta, g, m, v)
+        if not len(members):
+            break
+    for j, k in enumerate(members):
+        results[k] = (replace_parameters(template, theta[j]), histories[k])
+    return results
+
+
+def _only(results: list):
+    """The result of a stack of one; raises the exception that ended its run."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
@@ -313,11 +425,11 @@ def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
     Raises TrainingDiverged when the epoch loss stops being finite or passes
     1e8 (the log-sum-exp keeps cross entropy finite even for absurd logits).
     """
-    def step(params, epoch, x, y, grads):
+    def step(params, members, epoch, x, y, grads):
         _backprop(params, x, y, cfg.l1, grads)
 
-    return _train_loop(model, data, cfg, step, forward_logits, lambda params: params,
-                       val=val, max_loss=1e8)
+    return _only(_train_loop([model], data, [cfg], step, lambda p, x, k: forward_logits(p, x),
+                             lambda p, k: p, val=val, max_loss=1e8))
 
 
 def accuracy(model, data: Dataset) -> float:

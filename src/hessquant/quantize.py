@@ -9,7 +9,11 @@ zero-points.
 
 Quantization-aware training runs on nn's training loop with a
 straight-through step that fake-quantizes each weight once per step and the
-training inputs once per call.
+training inputs once per call.  `qat_train_many` trains a stack of same-shape
+models, each under its own schema and seed, in that one loop; per-member bit
+widths and activation ranges are (K, 1, 1) arrays that broadcast over the
+stack, and each member ends bit for bit as `qat_train` (a stack of one)
+would leave it.
 
 Lowering produces an IntegerModel whose per-layer rescaling multipliers are
 dyadic rationals (mantissa / 2^shift).  Requantization is then a single
@@ -377,42 +381,55 @@ class FakeQuantModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         xq = _fq_signed(nn.check_matrix(x, cols=self.model.layers[0].fan_in),
                         self.schema.input_bits, self.input_max)
-        return nn.softmax(_fq_logits(self.model, self.schema, self.act_max, xq))
+        return nn.softmax(self._logits(xq))
+
+    def _logits(self, xq: np.ndarray) -> np.ndarray:
+        """Logits of already fake-quantized inputs."""
+        return _fq_logits(self.model, _fq_weights(self.model, self.schema.weight_bits),
+                          self.schema.activation_bits, self.act_max, xq)
 
 
-def _fq_weight(w: np.ndarray, bits: int) -> np.ndarray:
+def _fq_weight(w: np.ndarray, bits) -> np.ndarray:
     """Symmetric per-tensor fake-quant of a weight matrix, bitwise equal to
-    fake_quant(w, calibrate(w, bits, symmetric=True)) without QuantParams.
+    fake_quant(w, calibrate(w, bits, symmetric=True)) without QuantParams;
+    for a (K, fan_in, fan_out) stack, of each member with bits (K, 1, 1).
 
     |w| / scale stays below 2^(bits-1), so only the upper clip can bind, and
-    adding 0.0 turns rint's -0.0 into the +0.0 of the int64 round trip.
+    adding 0.0 turns rint's -0.0 into the +0.0 of the int64 round trip.  A
+    scale that is not finite raises calibrate's ValueError, and in a stack
+    nn.MemberErrors with that error for each such member.
     """
-    beta = float(np.max(np.abs(w)))
-    if not math.isfinite(beta):
-        raise ValueError("calibration values contain non-finite entries")
-    scale = 2 * (beta or 1.0) / (2 ** bits - 1)
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    stacked = w.ndim == 3
+    beta = np.abs(w).max(axis=(-2, -1), keepdims=True) if stacked else float(np.max(np.abs(w)))
+    scale = 2 * (beta + (beta == 0.0)) / (2 ** bits - 1)
+    if not (np.isfinite(scale).all() if stacked else math.isfinite(scale)):
+        errors = {j: ValueError("calibration values contain non-finite entries"
+                                if not math.isfinite(b) else
+                                f"scale must be positive and finite, got {sc}")
+                  for j, (b, sc) in enumerate(zip(np.ravel(beta).tolist(),
+                                                  np.ravel(scale).tolist()))
+                  if not math.isfinite(sc)}
+        raise nn.MemberErrors(errors) if stacked else errors[0]
     q = w / scale
     np.rint(q, out=q)
-    np.minimum(q, _int_range(bits, signed=True)[1], out=q)
+    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
     q += 0.0
     q *= scale
     return q
 
 
-def _fq_weights(model: MLPModel, schema: QuantSchema) -> list[np.ndarray]:
-    return [_fq_weight(l.weights, b) for l, b in zip(model.layers, schema.weight_bits)]
+def _fq_weights(model: MLPModel, bits) -> list[np.ndarray]:
+    return [_fq_weight(l.weights, b) for l, b in zip(model.layers, bits)]
 
 
-def _fq_unsigned(a: np.ndarray, bits: int, amax: float) -> np.ndarray:
+def _fq_unsigned(a: np.ndarray, bits, amax) -> np.ndarray:
     """Fake-quant of post-ReLU activations onto [0, amax], in place.
 
     For a >= 0 the clip at 0 of clip(rint(a / scale), 0, qmax) * scale never
     binds, so only the upper clip runs.
     """
     qmax = 2 ** bits - 1
-    scale = max(amax, 1e-12) / qmax
+    scale = np.maximum(amax, 1e-12) / qmax
     a /= scale
     np.rint(a, out=a)
     np.minimum(a, qmax, out=a)
@@ -426,12 +443,13 @@ def _fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
     return np.clip(np.rint(x / scale), lo, hi) * scale
 
 
-def _fq_logits(model: MLPModel, schema: QuantSchema, act_max: list[float], xq: np.ndarray,
-               wqs: list[np.ndarray] | None = None, hs: list | None = None,
-               gates: list | None = None, momentum: float | None = None) -> np.ndarray:
-    """Fake-quantized logits of the fake-quantized inputs xq: weights at
-    weight_bits (wqs, if already done), hidden ReLU outputs at
-    activation_bits[i] onto [0, act_max[i]], logits left unquantized.
+def _fq_logits(model: MLPModel, wqs: list[np.ndarray], abits, act_max, xq: np.ndarray,
+               hs: list | None = None, gates: list | None = None,
+               momentum: float | None = None) -> np.ndarray:
+    """Fake-quantized logits of the fake-quantized inputs xq: the model's
+    fake-quantized weights wqs, hidden ReLU outputs at abits[i] onto
+    [0, act_max[i]], logits left unquantized.  For a stack, abits[i] and
+    act_max[i] are (K, 1, 1) arrays.
 
     With a momentum the ranges are observed in the same pass: just before
     layer i's ReLU output is quantized, act_max[i] becomes
@@ -439,16 +457,16 @@ def _fq_logits(model: MLPModel, schema: QuantSchema, act_max: list[float], xq: n
     the range with that maximum), and the output is quantized with the
     updated range.  With hs and gates, each hidden layer appends its output
     and its straight-through mask (inside the ReLU and the clip range)."""
-    wqs = _fq_weights(model, schema) if wqs is None else wqs
     u = nn._affine(xq, wqs[0], model.layers[0].bias)
     for i in range(model.n_layers - 1):
         a = np.maximum(u, 0.0, out=u)
         if momentum is not None:
-            act_max[i] = momentum * act_max[i] + (1 - momentum) * float(a.max())
+            act_max[i] = (momentum * act_max[i]
+                          + (1 - momentum) * a.max(axis=(-2, -1), keepdims=a.ndim == 3))
         if hs is not None:
             gates.append((a > 0) & (a <= act_max[i]))
             hs.append(a)  # fake-quantized in place next
-        hq = _fq_unsigned(a, schema.activation_bits[i], act_max[i])
+        hq = _fq_unsigned(a, abits[i], act_max[i])
         u = nn._affine(hq, wqs[i + 1], model.layers[i + 1].bias)
     return u
 
@@ -466,37 +484,75 @@ def qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainCon
     epochs, so the quantization is static by the end.  The input range is
     calibrated once from the training data, whose rows are fake-quantized
     once.  Only a non-finite epoch loss counts as divergence.  Deterministic
-    in cfg.seed.
+    in cfg.seed.  A stack of one on `qat_train_many`.
+    """
+    return nn._only(qat_train_many([model], data, [schema], [cfg], val=val))
+
+
+def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSchema],
+                   cfgs: list[TrainConfig],
+                   val: Dataset | None = None) -> list[FakeQuantModel | Exception]:
+    """Quantization-aware training of a stack of same-shape models in one
+    loop: member k is qat_train(models[k], data, schemas[k], cfgs[k], val),
+    bit for bit.
+
+    The members may differ in their schemas and seeds; every other training
+    setting and the layer widths must match (ValueError otherwise).  Inputs
+    are fake-quantized once per distinct input width.  A member whose own
+    run would raise TrainingDiverged or a ValueError leaves the stack at
+    that point, and its slot of the result holds that exception; the others
+    continue unchanged.
     """
     if len(data) == 0:
         raise ValueError("empty training set")
-    if schema.n_layers != model.n_layers:
-        raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
+    nn._check_stack(models, cfgs)
+    if len(schemas) != len(models):
+        raise ValueError(f"{len(schemas)} schemas for {len(models)} models")
+    for model, schema in zip(models, schemas):
+        if schema.n_layers != model.n_layers:
+            raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
 
+    cfg = cfgs[0]
     input_max = float(np.max(np.abs(data.features)))
-    act_max: list[float] = [0.0] * (model.n_layers - 1)
+    # per layer, each model's widths and activation range (column k for model k)
+    wbits = np.array([s.weight_bits for s in schemas], dtype=np.float64).T
+    abits = np.array([s.activation_bits for s in schemas], dtype=np.float64).T
+    act_max = np.zeros((models[0].n_layers - 1, len(models)))
     frozen_from = cfg.epochs - max(1, cfg.epochs // 5) if cfg.epochs >= 2 else cfg.epochs
     momentum = 0.0  # the first observing step seeds the ranges
 
-    def step(params, epoch, xq, y, grads):
+    def step(params, members, epoch, xq, y, grads):
         nonlocal momentum
-        wqs = _fq_weights(params, schema)
+        if xq.ndim == 2:  # a stack of one: its schema's widths and a view of its ranges
+            schema = schemas[members[0]]
+            wb, ab, ranges = schema.weight_bits, schema.activation_bits, act_max[:, members[0]]
+        else:
+            wb, ab, ranges = (a[:, members, None, None] for a in (wbits, abits, act_max))
+        wqs = _fq_weights(params, wb)
         hs, gates = [xq], []
         observe = momentum if epoch < frozen_from else None
-        logits = _fq_logits(params, schema, act_max, xq, wqs, hs, gates, observe)
+        logits = _fq_logits(params, wqs, ab, ranges, xq, hs, gates, observe)
+        if xq.ndim == 3:
+            act_max[:, members] = ranges[..., 0, 0]
         momentum = 0.95
         nn._backward(logits, y, hs, gates + [None], params, cfg.l1, grads, mats=wqs)
 
-    trained, history = nn._train_loop(
-        model, data, cfg, step, lambda params, xq: _fq_logits(params, schema, act_max, xq),
-        lambda params: FakeQuantModel(model=params, schema=schema, input_max=input_max,
-                                      act_max=list(act_max)),
-        val=val, inputs=_fq_signed(data.features, schema.input_bits, input_max))
+    def predictor(params, k):
+        return FakeQuantModel(model=params, schema=schemas[k], input_max=input_max,
+                              act_max=act_max[:, k].tolist())
+
+    inputs = {b: _fq_signed(data.features, b, input_max)
+              for b in sorted({s.input_bits for s in schemas})}
+    results = nn._train_loop(models, data, cfgs, step,
+                             lambda params, xq, k: predictor(params, k)._logits(xq), predictor,
+                             val=val, inputs=[inputs[s.input_bits] for s in schemas])
     batches = -(-len(data) // cfg.batch_size)
-    return FakeQuantModel(model=trained, schema=schema, input_max=input_max,
-                          act_max=list(act_max), history=history,
-                          ema_updates=[batches if e < frozen_from else 0
-                                       for e in range(cfg.epochs)])
+    ema_updates = [batches if e < frozen_from else 0 for e in range(cfg.epochs)]
+    return [result if isinstance(result, Exception) else
+            FakeQuantModel(model=result[0], schema=schema, input_max=input_max,
+                           act_max=act_max[:, k].tolist(), history=result[1],
+                           ema_updates=list(ema_updates))
+            for k, (result, schema) in enumerate(zip(results, schemas))]
 
 
 def calibrate_fake_quant(model: MLPModel, schema: QuantSchema, calib: Dataset) -> FakeQuantModel:

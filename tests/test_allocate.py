@@ -346,17 +346,34 @@ def test_sweep_csv_round_trip(sweep_data):
     assert al.sweep_csv(back) == text
 
 
+def test_sweep_records_each_configuration_as_its_own_run(sweep_data):
+    # the stacked sweep against one qat_train per configuration; the recorded
+    # accuracy is the run's last validation accuracy, the same predictor on va
+    tr, va = sweep_data
+    arch = al.ArchSpec.from_sizes([16, 8, 5])
+    cfg = nn.TrainConfig(epochs=3, batch_size=64, learning_rate=1e-3, l1=1e-4, seed=5)
+    recs = al.sweep(arch, (3, 5, 8), tr, cfg, val=va, sample=4, seed=2)
+    assert len(recs) == 4 and not any(r.error for r in recs)
+    for r in recs:
+        schema = qz.QuantSchema.coupled(r.weight_bits, input_bits=arch.input_bits)
+        run_cfg = nn.TrainConfig(epochs=3, batch_size=64, learning_rate=1e-3, l1=1e-4,
+                                 seed=r.seed)
+        fq = qz.qat_train(nn.mlp([16, 8, 5], seed=r.seed), tr, schema, run_cfg, val=va)
+        assert r.accuracy == nn.accuracy(fq, va) == fq.history.val_accuracy[-1]
+        assert r.sparsities == tuple(nn.sparsity(fq.model))
+
+
 def test_sweep_records_failures_without_aborting(sweep_data, monkeypatch):
     tr, va = sweep_data
     arch = al.ArchSpec.from_sizes([16, 6, 5])
     cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
 
-    real = qz.qat_train
-    def sometimes_fails(model, dataset, schema, cfg, val=None):
-        if schema.weight_bits == (4, 4):
-            raise nn.TrainingDiverged(0)
-        return real(model, dataset, schema, cfg, val=val)
-    monkeypatch.setattr(qz, "qat_train", sometimes_fails)
+    real = qz.qat_train_many
+    def sometimes_fails(models, dataset, schemas, cfgs, val=None):
+        fqs = real(models, dataset, schemas, cfgs, val=val)
+        return [nn.TrainingDiverged(0) if schema.weight_bits == (4, 4) else fq
+                for fq, schema in zip(fqs, schemas)]
+    monkeypatch.setattr(qz, "qat_train_many", sometimes_fails)
 
     recs = al.sweep(arch, (4, 6), tr, cfg, val=va)
     failed = [r for r in recs if r.error]
@@ -372,8 +389,8 @@ def test_sweep_propagates_programming_errors(sweep_data, monkeypatch):
     arch = al.ArchSpec.from_sizes([16, 6, 5])
     cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
 
-    def broken(model, dataset, schema, cfg, val=None):
+    def broken(models, dataset, schemas, cfgs, val=None):
         raise TypeError("synthetic programming error")
-    monkeypatch.setattr(qz, "qat_train", broken)
+    monkeypatch.setattr(qz, "qat_train_many", broken)
     with pytest.raises(TypeError, match="synthetic programming error"):
         al.sweep(arch, (4, 6), tr, cfg, val=va)

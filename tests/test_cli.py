@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessquant import cli, data, ir, nn, quantize
+from hessquant import allocate, cli, data, ir, nn, quantize
 
 
 def write_config(tmp_path, **overrides):
@@ -522,3 +522,22 @@ def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
                              schema={"weight_bits": [40, 8, 8]})
     assert run("estimate", config) == 2
     assert "bad schema section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "report"])
+def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, capsys,
+                                                                      command):
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({
+        "format": "hessquant-coeffs", "dsp_threshold": [1], "lut_per_bit_product": 1.0,
+        "lut_per_acc_bit": 1.0, "ff_per_acc_bit": 1.0, "softmax_lut": 1.0,
+        "softmax_ff": 1.0}))
+    config, out = write_config(tmp_path, estimate={"source": "schema", "coeffs": str(coeffs)},
+                               schema={"weight_bits": [4, 6, 8]})
+    os.makedirs(out)
+    Path(out, "sweep.csv").write_text(allocate.sweep_csv([allocate.SweepRecord(
+        config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
+        bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)]))
+    capsys.readouterr()
+    assert run(command, config) == 2
+    assert "bad coefficients file" in capsys.readouterr().err

@@ -510,3 +510,117 @@ def test_activation_fake_quant_equals_the_clip_form(bits):
     for amax in (0.0, 1e-15, 0.7, 2.5, 5.0):
         want = ref_fq_unsigned(a, bits, amax)
         assert qz._fq_unsigned(a.copy(), bits, amax).tobytes() == want.tobytes()
+
+
+# --- stacked training -------------------------------------------------------------
+
+STACK_SCHEMAS = [QuantSchema.coupled((4, 6, 3), input_bits=8),
+                 QuantSchema.coupled((8, 8, 8), input_bits=12),
+                 QuantSchema((2, 5, 7), (6, 3, 9), input_bits=8)]
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+def test_stacked_qat_equals_each_reference_run(splits, pretrained, with_val):
+    # three members with their own seeds and schemas over two input widths
+    tr, va = splits
+    val = va if with_val else None
+    cfgs = [TrainConfig(epochs=5, batch_size=64, learning_rate=5e-4, l1=1e-4, seed=s)
+            for s in (11, 3, 29)]
+    starts = [pretrained, nn.mlp([16, 12, 8, 5], seed=1), nn.mlp([16, 12, 8, 5], seed=2)]
+    before = [_snapshot(m) for m in starts]
+    got = qz.qat_train_many(starts, tr, STACK_SCHEMAS, cfgs, val=val)
+    assert len(got) == 3
+    for fq, start, schema, cfg in zip(got, starts, STACK_SCHEMAS, cfgs):
+        assert_same_fq(fq, ref_qat_train(start, tr, schema, cfg, val=val))
+        assert fq.schema == schema
+        assert_owns_arrays(fq.model)
+    assert [_snapshot(m) for m in starts] == before
+
+
+def _huge_weight_model(w: float) -> MLPModel:
+    # 1.7e308: the fake-quant scale overflows at the first step; 8e307: the
+    # first step's logits overflow and the second step finds non-finite weights
+    m = nn.mlp([16, 8, 5], seed=4)
+    m.layers[0].weights[0, 0] = w
+    return m
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kinds", [("ok", "runaway", "ok", "overflowing"),
+                                   ("overflowing", "ok"), ("ok", "runaway"),
+                                   ("runaway", "overflowing"), ("overflowing", "nan_later"),
+                                   ("nan_later", "ok", "nan_later")],
+                         ids=["two-of-four", "one-left-after-a-step", "one-left-after-an-epoch",
+                              "none-left", "the-last-one-fails-at-a-step",
+                              "two-fail-at-the-second-step"])
+def test_a_failing_member_leaves_the_rest_of_the_stack_alone(splits, kinds):
+    # a member whose own run diverges at an epoch end or cannot quantize its
+    # weights at a step reports that run's error; the others end exactly as
+    # their own runs do, also when one member or none is left
+    tr, va = splits
+    make = {"ok": lambda k: nn.mlp([16, 8, 5], seed=k),
+            "runaway": lambda k: _runaway_bias_model(1.5e308),
+            "overflowing": lambda k: _huge_weight_model(1.7e308),
+            "nan_later": lambda k: _huge_weight_model(8e307)}
+    starts = [make[kind](k) for k, kind in enumerate(kinds)]
+    cfgs = [TrainConfig(epochs=3, batch_size=64, learning_rate=1e-3, seed=k)
+            for k in range(len(kinds))]
+    schemas = [QuantSchema.coupled(b) for b in ((6, 6), (4, 5), (3, 8), (5, 4))][:len(kinds)]
+    got = qz.qat_train_many(starts, tr, schemas, cfgs, val=va)
+    for fq, kind, start, schema, cfg in zip(got, kinds, starts, schemas, cfgs):
+        if kind == "ok":
+            assert_same_fq(fq, qz.qat_train(start, tr, schema, cfg, val=va))
+            assert_same_fq(fq, ref_qat_train(start, tr, schema, cfg, val=va))
+            continue
+        with pytest.raises((TrainingDiverged, ValueError)) as err:
+            qz.qat_train(start, tr, schema, cfg, val=va)
+        assert type(fq) is type(err.value) and str(fq) == str(err.value)
+        assert str(fq) == {"runaway": str(TrainingDiverged(0)),
+                           "overflowing": "scale must be positive and finite, got inf",
+                           "nan_later": "calibration values contain non-finite entries"}[kind]
+
+
+def test_stacked_float_training_equals_each_reference_run(splits):
+    tr, va = splits
+    cfgs = [TrainConfig(epochs=3, batch_size=50, learning_rate=2e-3, l1=1e-4, seed=s)
+            for s in (2, 9)]
+    starts = [nn.mlp([16, 10, 5], seed=s) for s in (1, 5)]
+
+    def step(params, members, epoch, x, y, grads):
+        nn._backprop(params, x, y, 1e-4, grads)
+
+    got = nn._train_loop(starts, tr, cfgs, step, lambda p, x, k: nn.forward_logits(p, x),
+                         lambda p, k: p, val=va)
+    for (model, hist), start, cfg in zip(got, starts, cfgs):
+        want, want_hist = ref_train(start, tr, cfg, val=va)
+        assert_same_model(model, want)
+        assert (hist.train_loss, hist.val_accuracy) == (want_hist.train_loss,
+                                                        want_hist.val_accuracy)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 3), ("batch_size", 32), ("learning_rate", 2e-3), ("l1", 1e-4),
+    ("optimizer", "sgd"), ("beta1", 0.8), ("beta2", 0.99), ("adam_eps", 1e-7)])
+def test_stacked_qat_refuses_members_that_differ_in_a_shared_setting(splits, field, value):
+    tr, _ = splits
+    cfgs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
+    setattr(cfgs[1], field, value)
+    models = [nn.mlp([16, 8, 5], seed=s) for s in (0, 1)]
+    schemas = [QuantSchema.coupled((4, 4))] * 2
+    with pytest.raises(ValueError, match=field):
+        qz.qat_train_many(models, tr, schemas, cfgs)
+
+
+def test_stacked_qat_refuses_an_empty_or_mismatched_stack(splits):
+    tr, _ = splits
+    cfg = TrainConfig(epochs=1, seed=0)
+    schema = QuantSchema.coupled((4, 4))
+    with pytest.raises(ValueError, match="at least one model"):
+        qz.qat_train_many([], tr, [], [])
+    with pytest.raises(ValueError, match="layer widths"):
+        qz.qat_train_many([nn.mlp([16, 8, 5]), nn.mlp([16, 9, 5])], tr, [schema] * 2,
+                          [cfg] * 2)
+    with pytest.raises(ValueError, match="one config per model"):
+        qz.qat_train_many([nn.mlp([16, 8, 5])] * 2, tr, [schema] * 2, [cfg])
+    with pytest.raises(ValueError, match="schemas for"):
+        qz.qat_train_many([nn.mlp([16, 8, 5])] * 2, tr, [schema], [cfg] * 2)
