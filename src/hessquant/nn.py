@@ -315,43 +315,36 @@ def _drop(failed: dict, results: list, members: np.ndarray, *stacked):
 
 def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step, logits,
                 predictor, val: Dataset | None = None, inputs: list | None = None,
-                max_loss: float = math.inf) -> list:
+                group: list | None = None, max_loss: float = math.inf) -> list:
     """The mini-batch loop shared by float and quantization-aware training;
-    it trains a stack of same-shape models in lockstep.
+    it trains a stack of same-shape models in lockstep.  The caller checks
+    the stack (`_check_stack`) and that the training set is not empty.
 
     Member k starts from models[k], shuffles with default_rng(cfgs[k].seed)
-    and reads rows of inputs[k] (else the training features; each distinct
-    array is checked once and none is copied per member).  `params` and
+    and reads rows of inputs[group[k]] (else of the training features); each
+    input array is checked once and none is copied per member.  `params` and
     `grads` are models of views into the stack's (K, P) parameter and
-    gradient buffers, with layers (K, fan_in, fan_out) and (K, fan_out); a
-    stack of one gets its member's 2-d views.  Each step hands the (K, B, n)
-    batches and (K, B) labels to step(params, members, epoch, x, y, grads),
-    where members[j] is the index of the model at stack position j; the step
-    overwrites every gradient, then the buffer is updated in place.  A step
-    may raise MemberErrors before it changes any state: those members leave
-    the stack and the step runs again on the rest.  A ValueError from the
-    step of a stack of one ends that run.
+    gradient buffers, with layers (K, fan_in, fan_out) and (K, fan_out).
+    Each step hands the (K, B, n) batches and (K, B) labels to
+    step(params, members, epoch, x, y, grads), where members[j] is the index
+    of the model at stack position j; the step overwrites every gradient,
+    then the buffer is updated in place.  A step may raise MemberErrors
+    before it changes any state: those members leave the stack and the step
+    runs again on the rest.
 
     Each epoch ends per member on 2-d views, as one run would: the loss of
-    logits(params_k, inputs[k], k), which raises TrainingDiverged when it is
-    not finite or exceeds max_loss, and the accuracy of predictor(params_k, k)
-    on `val` (else the training data).  A member whose epoch end raises
-    TrainingDiverged or a ValueError leaves the stack there.  Returns per
-    model (model, history), the model owning its arrays, or the exception
-    that ended its run.
+    logits(params_k, inputs[group[k]], k), which raises TrainingDiverged
+    when it is not finite or exceeds max_loss, and the accuracy of
+    predictor(params_k, k) on `val` (else the training data).  A member
+    whose epoch end raises TrainingDiverged or a ValueError leaves the stack
+    there.  Returns per model (model, history), the model owning its arrays,
+    or the exception that ended its run.
     """
-    _check_stack(models, cfgs)
-    if len(data) == 0:
-        raise ValueError("empty training set")
     template, cfg, n = models[0], cfgs[0], len(data)
-    arrays = [data.features] * len(models) if inputs is None else inputs
-    distinct = {id(a): a for a in arrays}
-    group = {key: j for j, key in enumerate(distinct)}
     checked = [check_matrix(a, cols=template.layers[0].fan_in, name="training input")
-               for a in distinct.values()]
-    x = checked[0] if len(checked) == 1 else np.concatenate(checked)
-    offset = np.array([n * group[id(a)] for a in arrays])
-    y = np.tile(data.labels, len(checked))  # the labels of each row of x
+               for a in ([data.features] if inputs is None else inputs)]
+    x = np.stack(checked) if len(checked) > 1 else checked[0][None]
+    group = np.zeros(len(models), dtype=np.int64) if group is None else np.asarray(group)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     theta = np.stack([parameter_vector(model) for model in models])
     g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
@@ -360,38 +353,28 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
     histories = [TrainHistory() for _ in models]
     eval_set = val if val is not None else data
     t = 0
-
-    def lead(*stacked):
-        """The stacked arrays, or for a stack of one the member's own."""
-        return stacked if len(members) != 1 else [a[0] for a in stacked]
-
     for epoch in range(cfg.epochs):
         order = np.stack([rngs[k].permutation(n) for k in members])
-        order += offset[members, None]  # each member's shuffled rows of x
-        params, grads = (_view_model(template, a) for a in lead(theta, g))
+        params, grads = _view_model(template, theta), _view_model(template, g)
         for start in range(0, n, cfg.batch_size):
             idx = order[:, start:start + cfg.batch_size]
             while len(members):
                 try:
-                    step(params, members, epoch, *lead(x[idx], y[idx]), grads)
+                    step(params, members, epoch, x[group[members, None], idx],
+                         data.labels[idx], grads)
                     break
                 except MemberErrors as exc:
-                    failed = exc.errors
-                except ValueError as exc:
-                    if len(members) > 1:
-                        raise
-                    failed = {0: exc}  # it ends a stack of one, as it ends a single run
-                members, theta, g, m, v, order, idx = _drop(
-                    failed, results, members, theta, g, m, v, order, idx)
-                params, grads = (_view_model(template, a) for a in lead(theta, g))
+                    members, theta, g, m, v, order, idx = _drop(
+                        exc.errors, results, members, theta, g, m, v, order, idx)
+                    params, grads = _view_model(template, theta), _view_model(template, g)
             t += 1
             _update(theta, g, m, v, t, cfg)
         failed = {}
         for j, k in enumerate(members):
             member = _view_model(template, theta[j])
             try:
-                epoch_loss = _objective(logits(member, x[offset[k]:offset[k] + n], k),
-                                        data.labels, member, cfg.l1)
+                epoch_loss = _objective(logits(member, x[group[k]], k), data.labels, member,
+                                        cfg.l1)
                 if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
                     raise TrainingDiverged(epoch)
                 histories[k].train_loss.append(epoch_loss)
@@ -425,6 +408,9 @@ def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
     Raises TrainingDiverged when the epoch loss stops being finite or passes
     1e8 (the log-sum-exp keeps cross entropy finite even for absurd logits).
     """
+    if len(data) == 0:
+        raise ValueError("empty training set")
+
     def step(params, members, epoch, x, y, grads):
         _backprop(params, x, y, cfg.l1, grads)
 

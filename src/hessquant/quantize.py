@@ -10,10 +10,10 @@ zero-points.
 Quantization-aware training runs on nn's training loop with a
 straight-through step that fake-quantizes each weight once per step and the
 training inputs once per call.  `qat_train_many` trains a stack of same-shape
-models, each under its own schema and seed, in that one loop; per-member bit
-widths and activation ranges are (K, 1, 1) arrays that broadcast over the
-stack, and each member ends bit for bit as `qat_train` (a stack of one)
-would leave it.
+models, each under its own schema and seed, in that one loop; per-member
+weight scales, activation widths and activation ranges are (K, 1, 1) arrays
+that broadcast over the stack, and each member ends bit for bit as
+`qat_train` (a stack of one) would leave it.
 
 Lowering produces an IntegerModel whose per-layer rescaling multipliers are
 dyadic rationals (mantissa / 2^shift).  Requantization is then a single
@@ -392,27 +392,32 @@ class FakeQuantModel:
 def _fq_weight(w: np.ndarray, bits) -> np.ndarray:
     """Symmetric per-tensor fake-quant of a weight matrix, bitwise equal to
     fake_quant(w, calibrate(w, bits, symmetric=True)) without QuantParams;
-    for a (K, fan_in, fan_out) stack, of each member with bits (K, 1, 1).
+    for a (K, fan_in, fan_out) stack, of each member k at width bits[k].
 
+    The scales are Python floats, computed as calibrate computes them.
     |w| / scale stays below 2^(bits-1), so only the upper clip can bind, and
     adding 0.0 turns rint's -0.0 into the +0.0 of the int64 round trip.  A
-    scale that is not finite raises calibrate's ValueError, and in a stack
-    nn.MemberErrors with that error for each such member.
+    scale that is not positive and finite raises calibrate's ValueError, and
+    in a stack nn.MemberErrors with that error for each such member.
     """
     stacked = w.ndim == 3
-    beta = np.abs(w).max(axis=(-2, -1), keepdims=True) if stacked else float(np.max(np.abs(w)))
-    scale = 2 * (beta + (beta == 0.0)) / (2 ** bits - 1)
-    if not (np.isfinite(scale).all() if stacked else math.isfinite(scale)):
-        errors = {j: ValueError("calibration values contain non-finite entries"
-                                if not math.isfinite(b) else
-                                f"scale must be positive and finite, got {sc}")
-                  for j, (b, sc) in enumerate(zip(np.ravel(beta).tolist(),
-                                                  np.ravel(scale).tolist()))
-                  if not math.isfinite(sc)}
+    betas = np.abs(w).max(axis=(-2, -1)).tolist() if stacked else [float(np.max(np.abs(w)))]
+    widths = list(bits) if stacked else [bits]
+    scales = [2 * (b + (b == 0.0)) / (2 ** n - 1) for b, n in zip(betas, widths)]
+    errors = {j: ValueError("calibration values contain non-finite entries"
+                            if not math.isfinite(b) else
+                            f"scale must be positive and finite, got {sc}")
+              for j, (b, sc) in enumerate(zip(betas, scales)) if not 0 < sc < math.inf}
+    if errors:
         raise nn.MemberErrors(errors) if stacked else errors[0]
+    qmax = [2 ** (n - 1) - 1 for n in widths]
+    if stacked:
+        scale, top = (np.array(v, dtype=np.float64)[:, None, None] for v in (scales, qmax))
+    else:
+        scale, top = scales[0], qmax[0]
     q = w / scale
     np.rint(q, out=q)
-    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
+    np.minimum(q, top, out=q)
     q += 0.0
     q *= scale
     return q
@@ -515,7 +520,7 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
     cfg = cfgs[0]
     input_max = float(np.max(np.abs(data.features)))
     # per layer, each model's widths and activation range (column k for model k)
-    wbits = np.array([s.weight_bits for s in schemas], dtype=np.float64).T
+    wbits = np.array([s.weight_bits for s in schemas]).T
     abits = np.array([s.activation_bits for s in schemas], dtype=np.float64).T
     act_max = np.zeros((models[0].n_layers - 1, len(models)))
     frozen_from = cfg.epochs - max(1, cfg.epochs // 5) if cfg.epochs >= 2 else cfg.epochs
@@ -523,17 +528,12 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
 
     def step(params, members, epoch, xq, y, grads):
         nonlocal momentum
-        if xq.ndim == 2:  # a stack of one: its schema's widths and a view of its ranges
-            schema = schemas[members[0]]
-            wb, ab, ranges = schema.weight_bits, schema.activation_bits, act_max[:, members[0]]
-        else:
-            wb, ab, ranges = (a[:, members, None, None] for a in (wbits, abits, act_max))
-        wqs = _fq_weights(params, wb)
+        ab, ranges = (a[:, members, None, None] for a in (abits, act_max))
+        wqs = _fq_weights(params, wbits[:, members].tolist())
         hs, gates = [xq], []
         observe = momentum if epoch < frozen_from else None
         logits = _fq_logits(params, wqs, ab, ranges, xq, hs, gates, observe)
-        if xq.ndim == 3:
-            act_max[:, members] = ranges[..., 0, 0]
+        act_max[:, members] = ranges[..., 0, 0]
         momentum = 0.95
         nn._backward(logits, y, hs, gates + [None], params, cfg.l1, grads, mats=wqs)
 
@@ -541,11 +541,12 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
         return FakeQuantModel(model=params, schema=schemas[k], input_max=input_max,
                               act_max=act_max[:, k].tolist())
 
-    inputs = {b: _fq_signed(data.features, b, input_max)
-              for b in sorted({s.input_bits for s in schemas})}
+    widths = sorted({s.input_bits for s in schemas})
     results = nn._train_loop(models, data, cfgs, step,
                              lambda params, xq, k: predictor(params, k)._logits(xq), predictor,
-                             val=val, inputs=[inputs[s.input_bits] for s in schemas])
+                             val=val,
+                             inputs=[_fq_signed(data.features, b, input_max) for b in widths],
+                             group=[widths.index(s.input_bits) for s in schemas])
     batches = -(-len(data) // cfg.batch_size)
     ema_updates = [batches if e < frozen_from else 0 for e in range(cfg.epochs)]
     return [result if isinstance(result, Exception) else

@@ -465,11 +465,21 @@ def test_weight_fake_quant_equals_calibrate_then_fake_quant(bits):
         assert qz._fq_weight(w, bits).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_weight_fake_quant_rejects_non_finite_weights():
-    with pytest.raises(ValueError):
-        qz._fq_weight(np.array([[1.0, np.nan]]), 8)
-    with pytest.raises(ValueError):
-        qz._fq_weight(np.array([[1.0, np.inf]]), 8)
+    # calibrate's error, alone and in a stack for that member only: NaN,
+    # infinite weights, an overflowing scale and one that underflows to 0
+    for w in ([[1.0, np.nan]], [[1.0, np.inf]], [[1.7e308, 1.0]], [[5e-324]]):
+        w = np.array(w)
+        with pytest.raises(ValueError) as want:
+            fake_quant(w, calibrate(w, 8, symmetric=True))
+        with pytest.raises(ValueError) as got:
+            qz._fq_weight(w, 8)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(nn.MemberErrors) as stacked:
+            qz._fq_weight(np.stack([np.ones_like(w), w]), [8, 8])
+        assert list(stacked.value.errors) == [1]
+        assert str(stacked.value.errors[1]) == str(want.value)
 
 
 def _runaway_bias_model(size: float) -> MLPModel:
