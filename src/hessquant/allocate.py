@@ -135,8 +135,9 @@ class AllocationProblem:
             raise ValueError(f"budget must be positive, got {self.budget}")
         if not (len(self.traces) == len(self.weights) == self.arch.n_layers):
             raise ValueError("traces/weights arity does not match the architecture")
-        # sampled traces can dip below zero on barely-trained models; a
-        # negative sensitivity would reward quantization error, so floor at 0
+        # traces.json may come from outside, such as a version-1 file of
+        # sampled (Hutchinson) traces that can dip below zero; a negative
+        # sensitivity would reward quantization error, so floor at 0
         self.traces = [max(0.0, float(t)) for t in self.traces]
         self.candidates = tuple(sorted(set(int(b) for b in self.candidates)))
         if not self.candidates:

@@ -69,11 +69,11 @@ class ResourceEstimate:
             raise ValueError("DSP total does not match breakdown")
 
 
-def estimate(arch: ArchSpec, schema: QuantSchema, sparsities=None,
+def estimate(arch: ArchSpec, schema: QuantSchema,
              coeffs: EstimatorCoeffs | None = None) -> ResourceEstimate:
     """Resource estimate for a schema on an architecture.
 
-    sparsities defaults to the ones stored in arch.  A multiplier whose wider
+    Each layer's sparsity is the one stored in arch.  A multiplier whose wider
     operand is at least coeffs.dsp_threshold bits counts as one DSP;
     narrower products cost lut_per_bit_product * b_w * b_a LUTs each.  Every
     nonzero multiplier additionally costs lut_per_acc_bit LUTs per
@@ -86,17 +86,10 @@ def estimate(arch: ArchSpec, schema: QuantSchema, sparsities=None,
     if schema.n_layers != arch.n_layers:
         raise ValueError(f"schema has {schema.n_layers} layers, architecture "
                          f"{arch.n_layers}")
-    if sparsities is None:
-        sparsities = arch.sparsities
-    if len(sparsities) != arch.n_layers:
-        raise ValueError("one sparsity per layer required")
 
     layers: list[LayerEstimate] = []
     accs = accumulator_widths(schema, [n for n, _ in arch.dims])
-    for i, ((n, m), acc) in enumerate(zip(arch.dims, accs)):
-        f = float(sparsities[i])
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"sparsity {f} outside [0, 1]")
+    for i, ((n, m), acc, f) in enumerate(zip(arch.dims, accs, arch.sparsities)):
         b_w = schema.weight_bits[i]
         b_in = schema.input_act_bits(i)
         mults = n * m * (1.0 - f)

@@ -144,7 +144,7 @@ def export_graph(im: IntegerModel) -> IRGraph:
     inits["in_scale"] = np.array(im.input_scale.value, dtype=np.float64)
 
     nodes.append(IRNode("Quant", ("x", "in_scale", "zero"), "h0", {
-        "bits": im.input_params.bits, "signed": True, "narrow": False,
+        "bits": im.schema.input_bits, "signed": True, "narrow": False,
         "rounding": "half_even"}))
 
     h = "h0"

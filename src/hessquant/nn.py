@@ -314,37 +314,34 @@ def _drop(failed: dict, results: list, members: np.ndarray, *stacked):
 
 
 def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step, logits,
-                predictor, val: Dataset | None = None, inputs: list | None = None,
-                group: list | None = None, max_loss: float = math.inf) -> list:
+                predictor, val: Dataset | None = None, x: np.ndarray | None = None,
+                max_loss: float = math.inf) -> list:
     """The mini-batch loop shared by float and quantization-aware training;
     it trains a stack of same-shape models in lockstep.  The caller checks
     the stack (`_check_stack`) and that the training set is not empty.
 
     Member k starts from models[k], shuffles with default_rng(cfgs[k].seed)
-    and reads rows of inputs[group[k]] (else of the training features); each
-    input array is checked once and none is copied per member.  `params` and
-    `grads` are models of views into the stack's (K, P) parameter and
-    gradient buffers, with layers (K, fan_in, fan_out) and (K, fan_out).
-    Each step hands the (K, B, n) batches and (K, B) labels to
-    step(params, members, epoch, x, y, grads), where members[j] is the index
-    of the model at stack position j; the step overwrites every gradient,
-    then the buffer is updated in place.  A step may raise MemberErrors
-    before it changes any state: those members leave the stack and the step
-    runs again on the rest.
+    and reads rows of the training input x (else of the training features),
+    which no member copies.  `params` and `grads` are models of views into
+    the stack's (K, P) parameter and gradient buffers, with layers
+    (K, fan_in, fan_out) and (K, fan_out).  Each step hands the (K, B, n)
+    batches and (K, B) labels to step(params, members, epoch, x, y, grads),
+    where members[j] is the index of the model at stack position j; the step
+    overwrites every gradient, then the buffer is updated in place.  A step
+    may raise MemberErrors before it changes any state: those members leave
+    the stack and the step runs again on the rest.
 
     Each epoch ends per member on 2-d views, as one run would: the loss of
-    logits(params_k, inputs[group[k]], k), which raises TrainingDiverged
-    when it is not finite or exceeds max_loss, and the accuracy of
-    predictor(params_k, k) on `val` (else the training data).  A member
-    whose epoch end raises TrainingDiverged or a ValueError leaves the stack
-    there.  Returns per model (model, history), the model owning its arrays,
-    or the exception that ended its run.
+    logits(params_k, x, k), which raises TrainingDiverged when it is not
+    finite or exceeds max_loss, and the accuracy of predictor(params_k, k)
+    on `val` (else the training data).  A member whose epoch end raises
+    TrainingDiverged or a ValueError leaves the stack there.  Returns per
+    model (model, history), the model owning its arrays, or the exception
+    that ended its run.
     """
     template, cfg, n = models[0], cfgs[0], len(data)
-    checked = [check_matrix(a, cols=template.layers[0].fan_in, name="training input")
-               for a in ([data.features] if inputs is None else inputs)]
-    x = np.stack(checked) if len(checked) > 1 else checked[0][None]
-    group = np.zeros(len(models), dtype=np.int64) if group is None else np.asarray(group)
+    x = check_matrix(data.features if x is None else x, cols=template.layers[0].fan_in,
+                     name="training input")
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     theta = np.stack([parameter_vector(model) for model in models])
     g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
@@ -360,8 +357,7 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
             idx = order[:, start:start + cfg.batch_size]
             while len(members):
                 try:
-                    step(params, members, epoch, x[group[members, None], idx],
-                         data.labels[idx], grads)
+                    step(params, members, epoch, x[idx], data.labels[idx], grads)
                     break
                 except MemberErrors as exc:
                     members, theta, g, m, v, order, idx = _drop(
@@ -373,8 +369,7 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
         for j, k in enumerate(members):
             member = _view_model(template, theta[j])
             try:
-                epoch_loss = _objective(logits(member, x[group[k]], k), data.labels, member,
-                                        cfg.l1)
+                epoch_loss = _objective(logits(member, x, k), data.labels, member, cfg.l1)
                 if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
                     raise TrainingDiverged(epoch)
                 histories[k].train_loss.append(epoch_loss)

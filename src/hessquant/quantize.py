@@ -10,10 +10,11 @@ zero-points.
 Quantization-aware training runs on nn's training loop with a
 straight-through step that fake-quantizes each weight once per step and the
 training inputs once per call.  `qat_train_many` trains a stack of same-shape
-models, each under its own schema and seed, in that one loop; per-member
-weight scales, activation widths and activation ranges are (K, 1, 1) arrays
-that broadcast over the stack, and each member ends bit for bit as
-`qat_train` (a stack of one) would leave it.
+models, each under its own weight and activation widths and seed (the
+input width is shared), in that one loop; per-member weight scales,
+activation widths and activation ranges are (K, 1, 1) arrays that broadcast
+over the stack, and each member ends bit for bit as `qat_train` (a stack of
+one) would leave it.
 
 Lowering produces an IntegerModel whose per-layer rescaling multipliers are
 dyadic rationals (mantissa / 2^shift).  Requantization is then a single
@@ -21,6 +22,11 @@ integer multiply, an additive rounding term of 2^(shift-1), and an arithmetic
 right shift.  Activation scales are snapped to powers of two, and multiplier
 mantissas are kept small enough that acc * mantissa stays below 2^53 at the
 bit widths the tool targets, so requantization runs in the float64 tier.
+Every dyadic comes from one exact rounding rule (a float is itself a dyadic
+rational), and lowering fails loudly with LoweringError rather than degrade:
+on an accumulator too narrow for the schema, on a scale that rounds to zero
+or does not fit its mantissa budget at shift 0, and on a bias whose code
+does not fit the accumulator.
 
 Integer arithmetic is exact at every width, and its representation follows
 from bounds rather than from an option: integers bounded below 2^53 stay in
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -180,49 +187,35 @@ def _canonical_dyadic(mantissa: int, shift: int) -> DyadicScale:
     return DyadicScale(mantissa=mantissa, shift=shift)
 
 
-def to_dyadic(s: float, max_shift: int = MAX_SHIFT,
-              mantissa_bits: int = MAX_MANTISSA_BITS) -> DyadicScale:
-    """Best dyadic approximation of a positive real scale.
-
-    Scans shifts 0..max_shift, rounding the mantissa at each, and keeps the
-    candidate minimizing |s - mantissa/2^shift| subject to the mantissa limit;
-    ties prefer the smaller shift.  The result is canonicalized.
-    """
+def to_dyadic(s: float, mantissa_bits: int = MAX_MANTISSA_BITS) -> DyadicScale:
+    """Nearest dyadic to a positive real scale with a mantissa below
+    2^mantissa_bits and a shift in 0..MAX_SHIFT, rounding half up.  Raises
+    LoweringError when it rounds to zero or does not fit at shift 0."""
     if not (s > 0 and math.isfinite(s)):
         raise ValueError(f"scale must be positive and finite, got {s}")
-    if max_shift > MAX_SHIFT:
-        raise ValueError(f"max_shift cannot exceed {MAX_SHIFT}")
-    limit = (1 << mantissa_bits) - 1
-    best: tuple[float, int, int] | None = None
-    for c in range(max_shift + 1):
-        m = int(round(s * (1 << c)))
-        m = min(m, limit)
-        err = abs(s - m / (1 << c))
-        if best is None or err < best[0]:
-            best = (err, m, c)
-    _, m, c = best
-    return _canonical_dyadic(m, c)
+    return _rescale_dyadic(s, mantissa_bits, f"scale {s:.3g}")
 
 
-def _rescale_dyadic(mantissa: int, shift: int, mantissa_bits: int) -> DyadicScale:
-    """Fit an exact dyadic (possibly out of range) into mantissa/shift budgets."""
-    if shift < 0:
-        mantissa <<= -shift
-        shift = 0
-    drop = 0
-    if mantissa > 0:
-        drop = max(drop, mantissa.bit_length() - mantissa_bits)
-    drop = max(drop, shift - MAX_SHIFT)
+def _rescale_dyadic(value, mantissa_bits: int, name: str) -> DyadicScale:
+    """The nearest dyadic to a positive dyadic value (a float, or a Fraction
+    with a power-of-two denominator, taken exactly) with a mantissa below
+    2^mantissa_bits and a shift in 0..MAX_SHIFT, rounding half up.  Raises
+    LoweringError naming the value when it rounds to zero or does not fit
+    the budget at shift 0."""
+    mantissa, den = value.as_integer_ratio()
+    shift = den.bit_length() - 1
+    drop = max(mantissa.bit_length() - mantissa_bits, shift - MAX_SHIFT, 0)
     if drop > 0:
-        if drop > shift:
-            raise LoweringError("rescaling multiplier cannot be represented")
         mantissa = (mantissa + (1 << (drop - 1))) >> drop
         shift -= drop
         if mantissa.bit_length() > mantissa_bits:  # rounding carried over
             mantissa >>= 1
             shift -= 1
-            if shift < 0:
-                raise LoweringError("rescaling multiplier cannot be represented")
+    if shift < 0:
+        raise LoweringError(f"{name} overflowed: it needs more than {mantissa_bits} "
+                            f"mantissa bits at shift 0")
+    if mantissa == 0:
+        raise LoweringError(f"{name} underflowed: it rounds to zero at shift {MAX_SHIFT}")
     return _canonical_dyadic(mantissa, shift)
 
 
@@ -501,12 +494,12 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
     loop: member k is qat_train(models[k], data, schemas[k], cfgs[k], val),
     bit for bit.
 
-    The members may differ in their schemas and seeds; every other training
-    setting and the layer widths must match (ValueError otherwise).  Inputs
-    are fake-quantized once per distinct input width.  A member whose own
-    run would raise TrainingDiverged or a ValueError leaves the stack at
-    that point, and its slot of the result holds that exception; the others
-    continue unchanged.
+    The members may differ in their weight and activation widths and seeds;
+    the input width, every other training setting and the layer widths must
+    match (ValueError otherwise).  The inputs are fake-quantized once.  A
+    member whose own run would raise TrainingDiverged or a ValueError leaves
+    the stack at that point, and its slot of the result holds that
+    exception; the others continue unchanged.
     """
     if len(data) == 0:
         raise ValueError("empty training set")
@@ -516,6 +509,8 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
     for model, schema in zip(models, schemas):
         if schema.n_layers != model.n_layers:
             raise ValueError(f"schema has {schema.n_layers} layers, model has {model.n_layers}")
+    if len({s.input_bits for s in schemas}) > 1:
+        raise ValueError("stacked runs may not differ in input_bits")
 
     cfg = cfgs[0]
     input_max = float(np.max(np.abs(data.features)))
@@ -541,12 +536,10 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
         return FakeQuantModel(model=params, schema=schemas[k], input_max=input_max,
                               act_max=act_max[:, k].tolist())
 
-    widths = sorted({s.input_bits for s in schemas})
     results = nn._train_loop(models, data, cfgs, step,
                              lambda params, xq, k: predictor(params, k)._logits(xq), predictor,
-                             val=val,
-                             inputs=[_fq_signed(data.features, b, input_max) for b in widths],
-                             group=[widths.index(s.input_bits) for s in schemas])
+                             val=val, x=_fq_signed(data.features, schemas[0].input_bits,
+                                                   input_max))
     batches = -(-len(data) // cfg.batch_size)
     ema_updates = [batches if e < frozen_from else 0 for e in range(cfg.epochs)]
     return [result if isinstance(result, Exception) else
@@ -599,11 +592,18 @@ class IntegerModel:
     clip at zero doubles as ReLU since all multipliers are positive).
     """
     layers: list[IntLayer]
-    input_params: QuantParams
     input_scale: DyadicScale
     output_scale: DyadicScale
     accumulator_bits: int
     schema: QuantSchema
+
+    @property
+    def input_params(self) -> QuantParams:
+        """The symmetric input quantizer: input_scale at schema.input_bits."""
+        bits, scale = self.schema.input_bits, self.input_scale.value
+        beta = scale * (2 ** bits - 1) / 2
+        return QuantParams(scale=scale, zero_point=0, bits=bits, signed=True,
+                           symmetric=True, alpha=-beta, beta=beta)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         logits, _ = int_forward(self, x)
@@ -618,18 +618,6 @@ def _pow2_act_exp(amax: float, bits: int) -> int:
     while 2.0 ** (-e) * qmax < amax:  # guard against log2 rounding
         e -= 1
     return int(min(max(e, -MAX_SHIFT), MAX_SHIFT))
-
-
-def _dyadic_product(a: DyadicScale, b: DyadicScale) -> tuple[int, int]:
-    """Exact mantissa/shift of a*b, unnormalized."""
-    return a.mantissa * b.mantissa, a.shift + b.shift
-
-
-def _pow2_dyadic(exp: int) -> DyadicScale:
-    """2^-exp as a DyadicScale (negative exp becomes a large mantissa)."""
-    if exp >= 0:
-        return DyadicScale(mantissa=1, shift=exp)
-    return DyadicScale(mantissa=1 << (-exp), shift=0)
 
 
 def accumulator_widths(schema: QuantSchema, fan_ins,
@@ -663,68 +651,52 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
     (weight bits + incoming activation bits + ceil(log2 fan_in)) exceeds
     accumulator_bits; pass a wider accumulator for wide schemas.  Also raises
     it when the input or a weight scale, a requantization multiplier or the
-    output scale rounds to mantissa 0, since every logit would then read 0.
+    output scale rounds to mantissa 0, since every logit would then read 0;
+    when one of them needs more than its mantissa budget at shift 0; and
+    when a bias code does not fit the accumulator.
     """
     model, schema = fq.model, fq.schema
 
     in_real = 2 * max(fq.input_max, 1e-12) / (2 ** schema.input_bits - 1)
-    input_scale = to_dyadic(in_real, mantissa_bits=DEFAULT_MULTIPLIER_BITS)
-    if input_scale.mantissa == 0:
-        raise LoweringError(f"input scale {in_real:.3g} rounds to zero at "
-                            f"{schema.input_bits} bits")
-    beta_in = input_scale.value * (2 ** schema.input_bits - 1) / 2
-    input_params = QuantParams(scale=input_scale.value, zero_point=0,
-                               bits=schema.input_bits, signed=True, symmetric=True,
-                               alpha=-beta_in, beta=beta_in)
+    input_scale = _rescale_dyadic(in_real, DEFAULT_MULTIPLIER_BITS,
+                                  f"input scale {in_real:.3g} at {schema.input_bits} bits")
 
     acc_lo, acc_hi = _int_range(accumulator_bits, signed=True)
     required = accumulator_widths(schema, [l.fan_in for l in model.layers],
                                   accumulator_bits)
     layers: list[IntLayer] = []
-    prev_scale = input_scale
-    output_scale = None
+    prev_scale = input_scale.value
     for i, layer in enumerate(model.layers):
         b_w = schema.weight_bits[i]
 
         w_real = calibrate(layer.weights, b_w, symmetric=True).scale
-        w_scale = to_dyadic(w_real, mantissa_bits=DEFAULT_MULTIPLIER_BITS)
-        if w_scale.mantissa == 0:
-            raise LoweringError(f"layer {i}: weight scale {w_real:.3g} rounds to "
-                                f"zero at {b_w} bits")
+        w_scale = _rescale_dyadic(w_real, DEFAULT_MULTIPLIER_BITS,
+                                  f"layer {i}: weight scale {w_real:.3g} at {b_w} bits")
         lo, hi = _int_range(b_w, signed=True)
         q_w = np.clip(np.rint(layer.weights / w_scale.value), lo, hi).astype(np.int64)
 
-        bias_scale = w_scale.value * prev_scale.value
-        q_b = int_codes(min(max(int(round(v / bias_scale)), acc_lo), acc_hi)
-                        for v in layer.bias.tolist())
+        q_b = np.rint(layer.bias / (w_scale.value * prev_scale)).tolist()
+        if not all(acc_lo <= v <= acc_hi for v in q_b):
+            raise LoweringError(f"layer {i}: a bias code does not fit the "
+                                f"{accumulator_bits}-bit accumulator")
 
-        last = i == model.n_layers - 1
         # Mantissa budget that keeps acc * mantissa below 2^53, so that the
         # requantization runs in the float64 tier; it is exact either way.
-        budget = min(DEFAULT_MULTIPLIER_BITS, 52 - (required[i] + 1))
-        if budget < 2:
-            budget = 2
-        if last:
-            m, c = _dyadic_product(w_scale, prev_scale)
-            output_scale = _rescale_dyadic(m, c, budget)
-            if output_scale.mantissa == 0:
-                raise LoweringError(f"layer {i}: output scale underflowed")
-            layers.append(IntLayer(q_weights=q_w, weight_bits=b_w, weight_scale=w_scale,
-                                   q_bias=q_b, act_bits=schema.activation_bits[i],
-                                   requant=None, act_exp=None))
+        budget = max(2, min(DEFAULT_MULTIPLIER_BITS, 52 - (required[i] + 1)))
+        acc_scale = Fraction(w_scale.value) * Fraction(prev_scale)
+        requant = e_a = None
+        if i == model.n_layers - 1:
+            output_scale = _rescale_dyadic(acc_scale, budget, f"layer {i}: output scale")
         else:
-            b_a = schema.activation_bits[i]
-            e_a = _pow2_act_exp(fq.act_max[i], b_a)
-            m, c = _dyadic_product(w_scale, prev_scale)
-            requant = _rescale_dyadic(m, c - e_a, budget)
-            if requant.mantissa == 0:
-                raise LoweringError(f"layer {i}: requantization multiplier underflowed")
-            layers.append(IntLayer(q_weights=q_w, weight_bits=b_w, weight_scale=w_scale,
-                                   q_bias=q_b, act_bits=b_a, requant=requant, act_exp=e_a))
-            prev_scale = _pow2_dyadic(e_a)
-    return IntegerModel(layers=layers, input_params=input_params, input_scale=input_scale,
-                        output_scale=output_scale, accumulator_bits=accumulator_bits,
-                        schema=schema)
+            e_a = _pow2_act_exp(fq.act_max[i], schema.activation_bits[i])
+            prev_scale = 2.0 ** -e_a
+            requant = _rescale_dyadic(acc_scale / Fraction(prev_scale), budget,
+                                      f"layer {i}: requantization multiplier")
+        layers.append(IntLayer(q_weights=q_w, weight_bits=b_w, weight_scale=w_scale,
+                               q_bias=int_codes(q_b), act_bits=schema.activation_bits[i],
+                               requant=requant, act_exp=e_a))
+    return IntegerModel(layers=layers, input_scale=input_scale, output_scale=output_scale,
+                        accumulator_bits=accumulator_bits, schema=schema)
 
 
 def int_forward(im: IntegerModel, x: np.ndarray):
@@ -758,7 +730,7 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
         "version": 1,
         "accumulator_bits": im.accumulator_bits,
         "input": {
-            "bits": im.input_params.bits,
+            "bits": im.schema.input_bits,
             "mantissa": im.input_scale.mantissa,
             "shift": im.input_scale.shift,
         },
@@ -802,19 +774,18 @@ def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> Non
 
 
 def load_integer_model(path: str) -> IntegerModel:
-    """A save_integer_model file.  A malformed one, or one whose layers do not
-    chain or disagree with its schema, raises ValueError, KeyError or
-    TypeError."""
+    """A save_integer_model file.  A malformed one, or one whose input width
+    or layers disagree with its schema or do not chain, raises ValueError,
+    KeyError or TypeError."""
     doc = read_document(path, "hessquant-integer-model")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),
                          input_bits=doc["schema"]["input_bits"])
     acc_bits = doc["accumulator_bits"]
     input_scale = DyadicScale(mantissa=doc["input"]["mantissa"], shift=doc["input"]["shift"])
-    b_in = doc["input"]["bits"]
-    beta_in = input_scale.value * (2 ** b_in - 1) / 2
-    input_params = QuantParams(scale=input_scale.value, zero_point=0, bits=b_in,
-                               signed=True, symmetric=True, alpha=-beta_in, beta=beta_in)
+    if doc["input"]["bits"] != schema.input_bits:
+        raise ValueError(f"{path}: input is {doc['input']['bits']} bits, schema has "
+                         f"{schema.input_bits}")
     layers = []
     for entry in doc["layers"]:
         layers.append(IntLayer(
@@ -827,6 +798,6 @@ def load_integer_model(path: str) -> IntegerModel:
             act_exp=entry["act_exp"],
         ))
     _check_layers(layers, schema, path)
-    return IntegerModel(layers=layers, input_params=input_params, input_scale=input_scale,
+    return IntegerModel(layers=layers, input_scale=input_scale,
                         output_scale=DyadicScale(**doc["output_scale"]),
                         accumulator_bits=acc_bits, schema=schema)

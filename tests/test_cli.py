@@ -211,6 +211,12 @@ def truncated_intmodel(out):
     return json.dumps(doc)
 
 
+def intmodel_with_other_input_bits(out):
+    doc = read_json(out, "intmodel.json")
+    doc["input"]["bits"] = doc["schema"]["input_bits"] - 1
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -225,13 +231,14 @@ def truncated_intmodel(out):
      '"budget": 1}', ()),
     ("export-ir", "intmodel.json", '{"format": "hessquant-integer-model", "schema": []}', ()),
     ("export-ir", "intmodel.json", truncated_intmodel, ()),
+    ("export-ir", "intmodel.json", intmodel_with_other_input_bits, ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
         "traces", "allocation", "allocation-bits-40", "intmodel", "intmodel-two-of-three",
-        "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "intmodel-input-bits", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -449,6 +456,38 @@ def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
     model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
     nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
     assert cli.main(["quantize", "--config", config]) == 2
+
+
+def _huge_layer1_weights(model):
+    model.layers[1].weights *= 1e10
+
+
+def _huge_layer0_biases(model):
+    model.layers[0].bias[:] = 1e4
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_huge_layer1_weights, "layer 1: weight scale"),
+    (_huge_layer0_biases, "layer 0: a bias code does not fit the 32-bit accumulator"),
+], ids=["weight-scale-past-its-mantissa-budget", "bias-code-past-the-accumulator"])
+def test_exit_2_when_a_scale_or_a_bias_does_not_fit(tmp_path, pipeline, capsys,
+                                                    tamper, message):
+    # 8-bit weights: a weight scale near 1e8 needs more than the 24-bit
+    # mantissa budget at shift 0, and a bias of 1e4 at the scale of 8-bit
+    # weights times 16-bit inputs is a code past 2^31
+    _, _, out = pipeline
+    config, alt_out = write_config(
+        tmp_path, quantize={"source": "schema", "accumulator_bits": 32},
+        schema={"weight_bits": [8, 8, 8], "activation_bits": [8, 8, 8], "input_bits": 16},
+        qat={"epochs": 1})
+    copy_artifacts(out, alt_out, ("dataset.csv",))
+    model, mean, std = nn.load_model(os.path.join(out, "model.json"))
+    tamper(model)
+    nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
+    capsys.readouterr()
+    assert cli.main(["quantize", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "intmodel.json"))
 
 
 def test_exit_2_when_the_output_scale_underflows(tmp_path, capsys):

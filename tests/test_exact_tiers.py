@@ -167,13 +167,6 @@ def test_integer_input_outside_its_declared_width_is_rejected():
 
 # --- the 2^53 boundaries ----------------------------------------------------------
 
-def _scale_params(bits: int) -> tuple[qz.DyadicScale, qz.QuantParams]:
-    scale = qz.DyadicScale(mantissa=1, shift=31)
-    beta = scale.value * (2 ** bits - 1) / 2
-    return scale, qz.QuantParams(scale=scale.value, zero_point=0, bits=bits,
-                                 signed=True, symmetric=True, alpha=-beta, beta=beta)
-
-
 def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
     return qz.IntLayer(q_weights=np.array(w, dtype=np.int64), weight_bits=32,
                        weight_scale=qz.DyadicScale(1, 0), q_bias=qz.int_codes(b),
@@ -182,10 +175,9 @@ def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
 
 
 def _model(layers) -> qz.IntegerModel:
-    in_scale, params = _scale_params(32)
     n = len(layers)
     return qz.IntegerModel(
-        layers=layers, input_params=params, input_scale=in_scale,
+        layers=layers, input_scale=qz.DyadicScale(mantissa=1, shift=31),
         output_scale=qz.DyadicScale(1, 31), accumulator_bits=96,
         schema=qz.QuantSchema(weight_bits=(32,) * n, activation_bits=(32,) * n,
                               input_bits=32))

@@ -140,11 +140,10 @@ def test_custom_coeffs_change_the_estimate():
     assert dsp_heavy.dsps > 0
 
 
-def test_explicit_sparsities_override_arch(tmp_path):
+def test_arch_sparsities_lower_the_estimate():
     schema = qz.QuantSchema.coupled((4, 4, 4, 4), input_bits=8)
-    a = arch(input_bits=8, sparsities=[0.0] * 4)
-    dense = hwest.estimate(a, schema)
-    sparse = hwest.estimate(a, schema, sparsities=[0.9] * 4)
+    dense = hwest.estimate(arch(input_bits=8, sparsities=[0.0] * 4), schema)
+    sparse = hwest.estimate(arch(input_bits=8, sparsities=[0.9] * 4), schema)
     assert sparse.luts < dense.luts
 
 

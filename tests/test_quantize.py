@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,11 +87,15 @@ def test_to_dyadic_matches_brute_force_search():
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.uniform(1e-6, 1.0, 40),
                              rng.uniform(1.0, 300.0, 10),
-                             [0.5, 0.25, 1.0, 3.0]])
+                             [0.5, 0.25, 1.0, 3.0, 255.49, 255.5]])
     for x in values:
-        got = qz.to_dyadic(float(x), mantissa_bits=8, max_shift=16)
+        if x >= 255.5:  # rounds to 256 at shift 0: no 8-bit mantissa fits
+            with pytest.raises(qz.LoweringError, match="overflowed"):
+                qz.to_dyadic(float(x), mantissa_bits=8)
+            continue
+        got = qz.to_dyadic(float(x), mantissa_bits=8)
         best = None
-        for shift in range(17):
+        for shift in range(32):
             m = round(x * (1 << shift))
             for cand in {max(0, min(c, 255)) for c in (m - 1, m, m + 1)}:
                 err = abs(x - cand / (1 << shift))
@@ -97,6 +103,43 @@ def test_to_dyadic_matches_brute_force_search():
                 if best is None or key < best[0]:
                     best = (key, cand, shift)
         assert abs(got.value - x) <= best[0][0] + 1e-15
+
+
+def _nearest_dyadic(s: Fraction, bits: int) -> Fraction:
+    """The m / 2^shift nearest to s over every shift 0..31 and mantissa
+    1..2^bits - 1, by brute force; an exact tie goes to the larger."""
+    best = None
+    for shift in range(32):
+        lo = math.floor(s * 2**shift)
+        for m in (lo, lo + 1):
+            if 0 < m < 2**bits:
+                v = Fraction(m, 2**shift)
+                if best is None or (abs(v - s), -v) < best[0]:
+                    best = ((abs(v - s), -v), v)
+    return best[1]
+
+
+@pytest.mark.parametrize("bits", range(2, 32))
+def test_to_dyadic_is_the_nearest_dyadic_or_raises(bits):
+    # log-uniform scales from below 2^-32, which rounds to zero at shift 31,
+    # to past 2^bits, which no mantissa reaches at shift 0; plus exact ties
+    # at both ends and in between
+    rng = np.random.default_rng(bits)
+    top = 2**bits
+    values = [2.0**e for e in rng.uniform(-36.0, bits + 2.0, 80)]
+    values += [2.0**-32, np.nextafter(2.0**-32, 0.0), 3 * 2.0**-32, top - 1.5,
+               top - 0.5, np.nextafter(top - 0.5, 0.0)]
+    for s in map(float, values):
+        exact = Fraction(s)
+        if math.floor(exact + Fraction(1, 2)) >= top:
+            with pytest.raises(qz.LoweringError, match="overflowed"):
+                qz.to_dyadic(s, mantissa_bits=bits)
+        elif math.floor(exact * 2**31 + Fraction(1, 2)) == 0:
+            with pytest.raises(qz.LoweringError, match="underflowed"):
+                qz.to_dyadic(s, mantissa_bits=bits)
+        else:
+            got = qz.to_dyadic(s, mantissa_bits=bits)
+            assert Fraction(got.value) == _nearest_dyadic(exact, bits)
 
 
 def test_to_dyadic_is_exact_for_representable_values():
@@ -234,9 +277,6 @@ def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
     # and the first layer's biases do not fit int64 at all
     rng = random.Random(5)
     scale = qz.DyadicScale(mantissa=1, shift=31)
-    beta = scale.value * (2**32 - 1) / 2
-    params = qz.QuantParams(scale=scale.value, zero_point=0, bits=32, signed=True,
-                            symmetric=True, alpha=-beta, beta=beta)
 
     def layer(fan_in, fan_out, bias_bits, requant):
         w = [[rng.randint(-2**31, 2**31 - 1) for _ in range(fan_out)]
@@ -250,7 +290,7 @@ def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
     im = qz.IntegerModel(
         layers=[layer(6, 5, 66, qz.DyadicScale(mantissa=3, shift=31)),
                 layer(5, 3, 40, None)],
-        input_params=params, input_scale=scale, output_scale=scale,
+        input_scale=scale, output_scale=scale,
         accumulator_bits=96,
         schema=qz.QuantSchema(weight_bits=(32, 32), activation_bits=(32, 32),
                               input_bits=32))
@@ -474,6 +514,29 @@ def test_lower_rejects_input_scale_that_rounds_to_zero(qat_setup):
     fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(32, 3), tiny)
     with pytest.raises(qz.LoweringError, match="input scale"):
         qz.lower(fq, accumulator_bits=96)
+
+
+def test_lower_rejects_a_weight_scale_past_its_mantissa_budget(qat_setup):
+    # weights near 1e10 need a scale near 6.7e7 at 8 bits, past the 24-bit
+    # mantissa budget even at shift 0; it must not saturate at 2^24 - 1
+    _, tr, _ = qat_setup
+    model = nn.mlp([16, 8, 5], seed=0)
+    model.layers[1].weights *= 1e10
+    fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(8, 2), tr)
+    with pytest.raises(qz.LoweringError, match="layer 1: weight scale .* overflowed"):
+        qz.lower(fq)
+
+
+def test_lower_rejects_a_bias_code_past_the_accumulator(qat_setup):
+    # a bias of 1e4 at the scale of 8-bit weights times 16-bit inputs is a
+    # code far past 2^31; it must not be clipped to the 32-bit accumulator
+    _, tr, _ = qat_setup
+    model = nn.mlp([16, 8, 5], seed=0)
+    model.layers[0].bias[:] = 1e4
+    fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(8, 2, input_bits=16), tr)
+    with pytest.raises(qz.LoweringError,
+                       match="layer 0: a bias code does not fit the 32-bit accumulator"):
+        qz.lower(fq, accumulator_bits=32)
 
 
 @pytest.fixture(scope="module")

@@ -525,13 +525,13 @@ def test_activation_fake_quant_equals_the_clip_form(bits):
 # --- stacked training -------------------------------------------------------------
 
 STACK_SCHEMAS = [QuantSchema.coupled((4, 6, 3), input_bits=8),
-                 QuantSchema.coupled((8, 8, 8), input_bits=12),
+                 QuantSchema.coupled((8, 8, 8), input_bits=8),
                  QuantSchema((2, 5, 7), (6, 3, 9), input_bits=8)]
 
 
 @pytest.mark.parametrize("with_val", [True, False])
 def test_stacked_qat_equals_each_reference_run(splits, pretrained, with_val):
-    # three members with their own seeds and schemas over two input widths
+    # three members with their own seeds and weight and activation widths
     tr, va = splits
     val = va if with_val else None
     cfgs = [TrainConfig(epochs=5, batch_size=64, learning_rate=5e-4, l1=1e-4, seed=s)
@@ -610,13 +610,17 @@ def test_stacked_float_training_equals_each_reference_run(splits):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 3), ("batch_size", 32), ("learning_rate", 2e-3), ("l1", 1e-4),
-    ("optimizer", "sgd"), ("beta1", 0.8), ("beta2", 0.99), ("adam_eps", 1e-7)])
+    ("optimizer", "sgd"), ("beta1", 0.8), ("beta2", 0.99), ("adam_eps", 1e-7),
+    ("input_bits", 8)])
 def test_stacked_qat_refuses_members_that_differ_in_a_shared_setting(splits, field, value):
     tr, _ = splits
     cfgs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
-    setattr(cfgs[1], field, value)
-    models = [nn.mlp([16, 8, 5], seed=s) for s in (0, 1)]
     schemas = [QuantSchema.coupled((4, 4))] * 2
+    if field == "input_bits":
+        schemas[1] = QuantSchema.coupled((4, 4), input_bits=value)
+    else:
+        setattr(cfgs[1], field, value)
+    models = [nn.mlp([16, 8, 5], seed=s) for s in (0, 1)]
     with pytest.raises(ValueError, match=field):
         qz.qat_train_many(models, tr, schemas, cfgs)
 
