@@ -8,8 +8,10 @@ Requant node maps one integer tensor x to clip((x*m + 2^(c-1)) >> c, qmin,
 qmax) exactly, with attributes mantissa m, shift c, bits and signed.  The
 interpreter, the package's only one (`quantize.int_forward` evaluates the
 exported graph), runs integer tensors exactly and everything else in
-float64.  An integer tensor is held in float64 while its bound is below
-2^53, in int64 below 2^63 and as Python-int objects past that.
+float64.  `infer_shapes` gives every integer tensor a worst-case width, and
+that width is the interpreter's one static bound: a tensor is held in
+float64 while (1 << width) - 1 is below 2^53; past that the kernel picks
+int64 or Python-int objects from the values it sees.
 
 The exported form of an IntegerModel is Quant(input), then per hidden layer
 Quant(weights) -> MatMul -> Add(bias) -> Requant, whose unsigned clip is the
@@ -31,7 +33,7 @@ import numpy as np
 
 from .quantize import (_FLOAT_EXACT, MAX_BITS, MIN_BITS, DyadicScale, IntegerModel,
                        _exact_matmul, _in_tier, _int_range, _matmul_bound, int_codes,
-                       int_to_float, max_abs, requantize)
+                       int_to_float, max_abs, requantize, sum_of_products_bits)
 
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant", "Requant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
@@ -92,10 +94,6 @@ class IRGraph:
         for n in self.nodes:
             counts[n.kind] = counts.get(n.kind, 0) + 1
         return counts
-
-
-def _ceil_log2(n: int) -> int:
-    return max(1, n - 1).bit_length() if n > 1 else 0
 
 
 def _array_kind(a: np.ndarray) -> str:
@@ -226,13 +224,14 @@ def _requant_params(node: IRNode) -> tuple[DyadicScale, int, int]:
 def infer_shapes(g: IRGraph) -> IRGraph:
     """Annotate every tensor with a concrete shape and element kind.
 
-    Integer widths are conservative worst-case bounds (matmul adds operand
-    widths plus the accumulation depth, add/mul widen accordingly); the
-    interpreter uses them to pick exact arithmetic, so over-estimating is
-    safe and under-estimating is not.  The one exception is an integer
-    MatMul whose inner dimension is dynamic on both operands: it counts as
-    one term per sum, and `validate` rejects it.  Raises IRError naming the
-    offending node on any contradiction.
+    Integer widths are worst-case bounds (`quantize.sum_of_products_bits`
+    for MatMul, one more bit for Add, the operands' sum for Mul) and the
+    only static bounds `evaluate` picks exact arithmetic by, so
+    over-estimating is safe and under-estimating is not.  An undeclared
+    initializer is typed by its values.  Raises IRError naming the offending
+    node or tensor on any contradiction, including a declared initializer
+    shape its array does not have and an integer MatMul whose inner
+    dimension is dynamic on both operands, which leaves its width unbounded.
     """
     info: dict[str, TensorInfo] = {}
     for name in g.inputs:
@@ -240,7 +239,10 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             raise IRError(f"graph input {name} has no declared tensor info")
         info[name] = g.tensors[name]
     for name, arr in g.initializers.items():
-        info[name] = g.tensors.get(name, _initializer_info(arr))
+        info[name] = g.tensors[name] if name in g.tensors else _initializer_info(arr)
+        if info[name].shape != np.shape(arr):
+            raise IRError(f"initializer {name} has shape {np.shape(arr)}, "
+                          f"declared {info[name].shape}")
 
     def need(node: IRNode, name: str) -> TensorInfo:
         if name not in info:
@@ -273,8 +275,12 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             shape = (a.shape[0], b.shape[1])
             if a.kind == "int" and b.kind == "int":
                 inner = a.shape[1] if a.shape[1] != -1 else b.shape[0]
+                if inner == -1:
+                    raise IRError(f"node {node.output}: integer MatMul has a dynamic "
+                                  "inner dimension on both operands, so its "
+                                  "accumulator width is unbounded")
                 out = TensorInfo(shape=shape, kind="int",
-                                 bits=a.bits + b.bits + _ceil_log2(max(inner, 1)),
+                                 bits=sum_of_products_bits(a.bits, b.bits, inner),
                                  signed=a.signed or b.signed)
             else:
                 out = TensorInfo(shape=shape, kind="real")
@@ -416,25 +422,24 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     The package's one integer interpreter (`quantize.int_forward` runs the
     exported graph here).  Integer tensors use exact integer arithmetic,
     held in the narrowest form their bound allows: integers float64 holds
-    exactly (below 2^53), int64, or Python-int objects.  Quant and Requant
-    nodes and integer nodes whose bound is below 2^53 produce float64-held
-    integers; the bound follows from the declared widths of inputs,
-    initializers and Constant values, the Quant and Requant widths and the
-    actual matmul inner dimensions.  Past 2^53, integer MatMul runs the
-    kernel behind `quantize.int_matmul`, Add and Mul an exact add/mul and
-    Requant `quantize.requantize`, by the observed bound.  Softmax and scale
-    multiplications run in float64.
+    exactly (below 2^53), int64, or Python-int objects.  An integer tensor's
+    static bound is (1 << width) - 1 for its `infer_shapes` width, so a
+    graph that inference rejects does not run.  Quant and Requant nodes and
+    integer nodes whose bound is below 2^53 produce float64-held integers.
+    Past 2^53, integer MatMul runs the kernel behind `quantize.int_matmul`,
+    Add and Mul an exact add/mul and Requant `quantize.requantize`, by the
+    observed values.  Softmax and scale multiplications run in float64.
 
-    Integer graph inputs and initializers are checked against their declared
-    widths before use.  Evaluation runs in place: an elementwise node writes
+    Graph inputs are checked against their declared shapes, and integer
+    inputs and initializers against their declared widths, before use.
+    Evaluation runs in place: an elementwise node writes
     into an operand this call allocated that no later node reads, and each
     tensor leaves the environment after its last consumer.  Graph inputs,
     initializers and Constant values are never written.  Returns the
     declared outputs by name; integer outputs come back as int64, or as
     Python-int objects where they do not fit.
     """
-    typed = infer_shapes(g)
-    info = typed.tensors
+    info = infer_shapes(g).tensors
     env: dict[str, np.ndarray] = {}
     for name in g.inputs:
         if name not in inputs:
@@ -447,10 +452,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             _check_width(f"input {name}", x, t)
             if t.bits <= 53:
                 x = x.astype(np.float64)
-        decl = t.shape
-        if len(x.shape) != len(decl) or any(
-                d != -1 and d != s for d, s in zip(decl, x.shape)):
-            raise EvalError(f"input {name} has shape {x.shape}, declared {decl}")
+        if x.ndim != len(t.shape) or any(d not in (-1, s) for d, s in zip(t.shape, x.shape)):
+            raise EvalError(f"input {name} has shape {x.shape}, declared {t.shape}")
         env[name] = x
     for extra in set(inputs) - set(g.inputs):
         raise EvalError(f"unknown input {extra}")
@@ -462,13 +465,6 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     keep = set(g.outputs)
     last_use = {n: idx for idx, node in enumerate(g.nodes) for n in node.inputs}
     owned: set[str] = set()   # tensors this call allocated
-    # magnitude bounds of computed integer tensors, from the declared and
-    # Quant widths and the actual inner dimensions (inference assumes one)
-    bounds: dict[str, int] = {}
-
-    def bound_of(name: str) -> int:
-        # the largest magnitude the inferred width can hold, unless computed
-        return bounds[name] if name in bounds else (1 << info[name].bits) - 1
 
     for idx, node in enumerate(g.nodes):
         vals = [env[n] for n in node.inputs]
@@ -476,14 +472,13 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         spare = tuple(env[n] for n in node.inputs
                       if n in owned and last_use[n] == idx and n not in keep)
         out_info = info[node.output]
+        bound = (1 << out_info.bits) - 1 if out_info.kind == "int" else None
         if node.kind == "Quant":
             out = _quant_eval(vals[0], _as_scalar(vals[1]), int(_as_scalar(vals[2])),
                               node.attrs, any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
             a, b = vals
             if out_info.kind == "int":
-                bound = bounds[node.output] = \
-                    a.shape[-1] * bound_of(node.inputs[0]) * bound_of(node.inputs[1])
                 out = _exact_matmul(a, b, bound if bound < _FLOAT_EXACT
                                     else _matmul_bound(a, b))
             else:
@@ -491,16 +486,12 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         elif node.kind in ("Add", "Mul"):
             ufunc = np.add if node.kind == "Add" else np.multiply
             if out_info.kind == "int":
-                wa, wb = (bound_of(n) for n in node.inputs)
-                bound = bounds[node.output] = wa + wb if node.kind == "Add" else wa * wb
                 out = _int_arith(ufunc, *vals, bound if bound < _FLOAT_EXACT else None,
                                  spare)
             else:
                 out = _into(ufunc, *(_real(v) for v in vals), spare)
         elif node.kind == "Relu":
             a = vals[0]
-            if out_info.kind == "int":
-                bounds[node.output] = bound_of(node.inputs[0])
             out = np.maximum(a, 0, out=a if spare else None)
         elif node.kind == "Softmax":
             z = _real(vals[0])
@@ -512,7 +503,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             z /= z.sum(axis=-1, keepdims=True)
             out = z
         elif node.kind == "Requant":
-            out = _requant_eval(vals[0], *_requant_params(node), bound_of(node.inputs[0]),
+            out = _requant_eval(vals[0], *_requant_params(node),
+                                (1 << info[node.inputs[0]].bits) - 1,
                                 any(v is vals[0] for v in spare))
         elif node.kind == "Constant":
             out = node.attrs["value"]
@@ -688,9 +680,9 @@ def validate(g: IRGraph) -> list[str]:
     colliding names, use-before-definition, unproduced outputs, cycles, and
     shape/kind contradictions.  Quant nodes additionally require a positive
     scale and zero-valued zero point (all graphs produced here are lowered),
-    a Requant node an integer input and attributes that form a DyadicScale
-    and a width in MIN_BITS..MAX_BITS, and an integer MatMul a static inner
-    dimension on one operand, or its accumulator width has no bound.
+    and every check of `infer_shapes` applies: among them a Requant node's
+    integer input and attributes, and an integer MatMul's static inner
+    dimension on at least one operand.
     """
     diags: list[str] = []
     defined = set(g.inputs) | set(g.initializers)
@@ -748,16 +740,9 @@ def validate(g: IRGraph) -> list[str]:
 
     if not diags:
         try:
-            info = infer_shapes(g).tensors
+            infer_shapes(g)
         except IRError as exc:
             return [str(exc)]
-        for node in g.nodes:
-            if node.kind == "MatMul":
-                a, b = (info[name] for name in node.inputs)
-                if a.kind == b.kind == "int" and a.shape[1] == b.shape[0] == -1:
-                    diags.append(f"node {node.output}: integer MatMul has a dynamic "
-                                 "inner dimension on both operands, so its "
-                                 "accumulator width is unbounded")
     return diags
 
 

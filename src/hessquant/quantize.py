@@ -620,15 +620,22 @@ def _pow2_act_exp(amax: float, bits: int) -> int:
     return int(min(max(e, -MAX_SHIFT), MAX_SHIFT))
 
 
+def sum_of_products_bits(a_bits: int, b_bits: int, n: int) -> int:
+    """Width of a sum of n products of a_bits- and b_bits-wide integers:
+    a_bits + b_bits + ceil(log2 n), the last term exact as (n - 1).bit_length()."""
+    return a_bits + b_bits + (n - 1).bit_length()
+
+
 def accumulator_widths(schema: QuantSchema, fan_ins,
                        accumulator_bits: int | None = None) -> list[int]:
-    """Worst-case accumulator width of each layer: weight bits + incoming
-    activation bits + ceil(log2 max(fan_in, 2)).  Raises LoweringError when
+    """Worst-case accumulator width of each layer: sum_of_products_bits of its
+    weight bits, incoming activation bits and fan-in, the width
+    `ir.infer_shapes` gives its MatMul.  Raises LoweringError when
     accumulator_bits is given and a layer needs more."""
     widths = []
     for i, n in enumerate(fan_ins):
         b_w, b_in = schema.weight_bits[i], schema.input_act_bits(i)
-        need = b_w + b_in + math.ceil(math.log2(max(n, 2)))
+        need = sum_of_products_bits(b_w, b_in, n)
         if accumulator_bits is not None and accumulator_bits < need:
             raise LoweringError(
                 f"layer {i}: accumulator needs {need} bits "
@@ -647,13 +654,12 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
     the final layer stores the plain dequantization scale.  Biases quantize
     to accumulator precision at weight_scale * in_scale.
 
-    Raises LoweringError when a layer's worst-case accumulator width
-    (weight bits + incoming activation bits + ceil(log2 fan_in)) exceeds
-    accumulator_bits; pass a wider accumulator for wide schemas.  Also raises
-    it when the input or a weight scale, a requantization multiplier or the
-    output scale rounds to mantissa 0, since every logit would then read 0;
-    when one of them needs more than its mantissa budget at shift 0; and
-    when a bias code does not fit the accumulator.
+    Raises LoweringError when a layer's `accumulator_widths` exceeds
+    accumulator_bits; pass a wider accumulator for wide schemas.  Also
+    raises it when the input or a weight scale, a requantization multiplier
+    or the output scale rounds to mantissa 0, since every logit would then
+    read 0; when one of them needs more than its mantissa budget at shift 0;
+    and when a bias code does not fit the accumulator.
     """
     model, schema = fq.model, fq.schema
 
@@ -773,31 +779,39 @@ def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> Non
             raise ValueError(f"{path}: layer {i} widths differ from the schema's")
 
 
+def _stored_scale(doc: dict, path: str, name: str) -> DyadicScale:
+    """A stored {mantissa, shift}; ValueError at mantissa 0, which lower never writes."""
+    if doc["mantissa"] == 0:
+        raise ValueError(f"{path}: {name} has mantissa 0")
+    return DyadicScale(mantissa=doc["mantissa"], shift=doc["shift"])
+
+
 def load_integer_model(path: str) -> IntegerModel:
-    """A save_integer_model file.  A malformed one, or one whose input width
-    or layers disagree with its schema or do not chain, raises ValueError,
-    KeyError or TypeError."""
+    """A save_integer_model file.  A malformed one, one with a scale of
+    mantissa 0, or one whose input width or layers disagree with its schema
+    or do not chain, raises ValueError, KeyError or TypeError."""
     doc = read_document(path, "hessquant-integer-model")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),
                          input_bits=doc["schema"]["input_bits"])
     acc_bits = doc["accumulator_bits"]
-    input_scale = DyadicScale(mantissa=doc["input"]["mantissa"], shift=doc["input"]["shift"])
+    input_scale = _stored_scale(doc["input"], path, "input scale")
     if doc["input"]["bits"] != schema.input_bits:
         raise ValueError(f"{path}: input is {doc['input']['bits']} bits, schema has "
                          f"{schema.input_bits}")
     layers = []
-    for entry in doc["layers"]:
+    for i, entry in enumerate(doc["layers"]):
         layers.append(IntLayer(
             q_weights=np.array(entry["q_weights"], dtype=np.int64),
             weight_bits=entry["weight_bits"],
-            weight_scale=DyadicScale(**entry["weight_scale"]),
+            weight_scale=_stored_scale(entry["weight_scale"], path, f"layer {i} weight scale"),
             q_bias=int_codes(entry["q_bias"]),
             act_bits=entry["act_bits"],
-            requant=None if entry["requant"] is None else DyadicScale(**entry["requant"]),
+            requant=None if entry["requant"] is None else
+                _stored_scale(entry["requant"], path, f"layer {i} requant"),
             act_exp=entry["act_exp"],
         ))
     _check_layers(layers, schema, path)
     return IntegerModel(layers=layers, input_scale=input_scale,
-                        output_scale=DyadicScale(**doc["output_scale"]),
+                        output_scale=_stored_scale(doc["output_scale"], path, "output scale"),
                         accumulator_bits=acc_bits, schema=schema)

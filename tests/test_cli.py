@@ -217,6 +217,18 @@ def intmodel_with_other_input_bits(out):
     return json.dumps(doc)
 
 
+def intmodel_with_a_zero_scale(where):
+    """An intmodel.json whose scale at where (a path of keys) is 0 / 2^0."""
+    def tamper(out):
+        doc = read_json(out, "intmodel.json")
+        node = doc
+        for key in where:
+            node = node[key]
+        node.update(mantissa=0, shift=0)
+        return json.dumps(doc)
+    return tamper
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -232,13 +244,20 @@ def intmodel_with_other_input_bits(out):
     ("export-ir", "intmodel.json", '{"format": "hessquant-integer-model", "schema": []}', ()),
     ("export-ir", "intmodel.json", truncated_intmodel, ()),
     ("export-ir", "intmodel.json", intmodel_with_other_input_bits, ()),
+    ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("input",)), ()),
+    ("export-ir", "intmodel.json",
+     intmodel_with_a_zero_scale(("layers", 1, "weight_scale")), ()),
+    ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("layers", 0, "requant")), ()),
+    ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("output_scale",)), ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
         "traces", "allocation", "allocation-bits-40", "intmodel", "intmodel-two-of-three",
-        "intmodel-input-bits", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "intmodel-input-bits", "intmodel-zero-scale-input", "intmodel-zero-scale-weight",
+        "intmodel-zero-scale-requant", "intmodel-zero-scale-output", "graph", "sweep",
+        "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline

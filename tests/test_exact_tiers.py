@@ -1,13 +1,12 @@
 """Exact integer inference across its float64 / int64 / Python-int forms.
 
-The interpreter keeps integers below 2^53 in float64 arrays and runs in
-place; `int_forward` evaluates the exported graph.  These tests pin that the
-in-place paths never write into arrays the caller owns, that integer results
-leave as int64 or Python ints, and that results equal a Python-int replay on
-both sides of each 2^53 boundary.
+The interpreter keeps integers whose inferred width is bounded below 2^53 in
+float64 arrays and runs in place; `int_forward` evaluates the exported graph.
+These tests pin that the in-place paths never write into arrays the caller
+owns, that integer results leave as int64 or Python ints, that results equal
+a Python-int replay on both sides of each 2^53 boundary, and that
+`accumulator_widths` is the width the graph gives each layer's MatMul.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -260,24 +259,94 @@ def test_lowered_models_agree_with_the_python_int_replay(bits, small_data, train
     schema = qz.QuantSchema.homogeneous(bits, trained_model.n_layers, input_bits=bits)
     cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=5e-4, seed=0)
     fq = qz.qat_train(trained_model, train_ds, schema, cfg, val=val_ds)
-    acc_bits = max(2 * bits + math.ceil(math.log2(max(l.fan_in, 2)))
-                   for l in trained_model.layers)
+    acc_bits = max(qz.accumulator_widths(schema, [l.fan_in for l in trained_model.layers]))
     im = qz.lower(fq, accumulator_bits=acc_bits)
     _check_against_reference(im, val_ds.features[:64])
 
 
 def test_bounds_follow_the_actual_inner_dimension():
-    # both inner dimensions are dynamic, so inference assumes one term per
-    # sum and calls the 26-bit products 52 bits wide; the sums of 4096 terms
-    # are near 2^62 and the Add after them must still be exact
-    g = ir.IRGraph(
-        nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {}),
-               ir.IRNode("Add", ("c", "one"), "d", {})],
-        inputs=["a", "b"], outputs=["d"],
-        tensors={"a": ir.TensorInfo((-1, -1), "int", bits=26, signed=True),
-                 "b": ir.TensorInfo((-1, 1), "int", bits=26, signed=True)},
-        initializers={"one": np.array([1], dtype=np.int64)})
-    assert ir.infer_shapes(g).tensors["c"].bits == 52
+    # a static inner dimension of 4096 types the products of 26-bit codes as
+    # 26 + 26 + 12 = 64 bits, past 2^53: the MatMul picks its form from the
+    # observed values, its sums are near 2^62 and the Add after them must
+    # still be exact
+    def graph(a_shape):
+        return ir.IRGraph(
+            nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {}),
+                   ir.IRNode("Add", ("c", "one"), "d", {})],
+            inputs=["a", "b"], outputs=["d"],
+            tensors={"a": ir.TensorInfo(a_shape, "int", bits=26, signed=True),
+                     "b": ir.TensorInfo((-1, 1), "int", bits=26, signed=True)},
+            initializers={"one": np.array([1], dtype=np.int64)})
+
     n, v = 4096, (1 << 25) - 1
+    g = graph((-1, n))
+    assert ir.infer_shapes(g).tensors["c"].bits == 64
     out = ir.evaluate(g, {"a": np.full((1, n), v), "b": np.full((n, 1), v)})
     assert out["d"].tolist() == [[n * v * v + 1]]
+    # with both inner dimensions dynamic the width has no bound, so neither
+    # inference nor the interpreter accepts the graph
+    g = graph((-1, -1))
+    for check in (ir.infer_shapes, lambda g: ir.evaluate(
+            g, {"a": np.full((1, n), v), "b": np.full((n, 1), v)})):
+        with pytest.raises(ir.IRError, match="node c: integer MatMul has a dynamic inner"):
+            check(g)
+
+
+@pytest.mark.parametrize("width, form", [(53, np.float64), (54, np.int64)])
+def test_matmul_tier_follows_the_inferred_width(width, form, monkeypatch):
+    # two-term sums of unsigned 26-bit and (width - 27)-bit extreme codes; at
+    # 54 bits the sum, 2^54 - 2^28 - 2^27 + 2, is not a float64
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {})],
+        inputs=["a", "b"], outputs=["c"],
+        tensors={"a": ir.TensorInfo((-1, 2), "int", bits=26, signed=False),
+                 "b": ir.TensorInfo((2, 1), "int", bits=width - 27, signed=False)},
+        initializers={})
+    assert ir.infer_shapes(g).tensors["c"].bits == width
+    forms = []
+    kernel = ir._exact_matmul
+    monkeypatch.setattr(ir, "_exact_matmul",
+                        lambda a, b, bound: forms.append(kernel(a, b, bound)) or forms[-1])
+    amax, bmax = (1 << 26) - 1, (1 << (width - 27)) - 1
+    out = ir.evaluate(g, {"a": np.full((1, 2), amax), "b": np.full((2, 1), bmax)})
+    assert out["c"].tolist() == [[2 * amax * bmax]]
+    assert [f.dtype for f in forms] == [form]
+
+
+def _extreme_model(bits: int, sizes: list[int]) -> qz.FakeQuantModel:
+    """A two-layer fake-quant model whose scales all lower to about 2^0 or
+    2^-k: inputs up to 2^(bits-1), weights of +-2^(bits-1) into a hidden
+    range of (2^bits - 1) * 2^k that the largest sums fill, out of it
+    weights of +-2^(bits-1-k), and biases of up to 2^(bits-1) codes."""
+    rng = np.random.default_rng(bits)
+    k = min(bits - 2 + (sizes[0] - 1).bit_length(), 16)
+    half = 2.0 ** (bits - 1)
+    layers = []
+    for n, m, mag in ((sizes[0], sizes[1], half), (sizes[1], sizes[2], half / 2.0 ** k)):
+        layers.append(nn.DenseLayer(
+            weights=rng.choice([-mag, mag], size=(n, m)),
+            bias=rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=m).astype(np.float64)))
+    return qz.FakeQuantModel(model=nn.MLPModel(layers=layers),
+                             schema=qz.QuantSchema.homogeneous(bits, 2),
+                             input_max=half, act_max=[(2.0 ** bits - 1) * 2.0 ** k])
+
+
+@pytest.mark.parametrize("sizes", [[1, 1, 3], [16, 64, 5]], ids=["fan-in-1", "fan-in-16-64"])
+@pytest.mark.parametrize("bits", range(2, 33))
+def test_accumulator_widths_are_the_graph_widths_and_lower_exactly(bits, sizes):
+    fq = _extreme_model(bits, sizes)
+    widths = qz.accumulator_widths(fq.schema, sizes[:-1])
+    im = qz.lower(fq, accumulator_bits=max(widths))
+    g = ir.export_graph(im)
+    assert widths == [g.tensors[f"acc{i}"].bits for i in range(len(widths))]
+    with pytest.raises(qz.LoweringError, match="accumulator needs"):
+        qz.lower(fq, accumulator_bits=max(widths) - 1)
+    # inputs past the range clip to the extreme codes: all at qmax, all at
+    # qmin, the first weight column's signs and their negation; then random
+    half = fq.input_max
+    sign = np.sign(fq.model.layers[0].weights[:, 0])
+    rng = np.random.default_rng(bits + 100)
+    x = np.vstack([np.full(sizes[0], 2 * half), np.full(sizes[0], -2 * half),
+                   2 * half * sign, -2 * half * sign,
+                   rng.uniform(-half, half, size=(4, sizes[0]))])
+    _check_against_reference(im, x)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -488,8 +489,9 @@ def test_validate_reports_unproduced_graph_output():
 
 
 def test_validate_reports_an_integer_matmul_with_no_static_inner_dimension():
-    # inference counts one term per sum, so 8-bit codes give a 16-bit type
-    # that 1,000-term sums overflow; a static dimension on either side is fine
+    # with both inner dimensions dynamic nothing bounds the sums' width, so
+    # inference rejects the graph and validate reports it; a static
+    # dimension on either side is fine
     def matmul(x_shape):
         return ir.IRGraph(
             nodes=[ir.IRNode("MatMul", ("x", "w"), "acc", {})],
@@ -498,15 +500,29 @@ def test_validate_reports_an_integer_matmul_with_no_static_inner_dimension():
                      "w": ir.TensorInfo((-1, 4), "int", bits=8, signed=True)},
             initializers={})
 
-    g = matmul((-1, -1))
-    assert ir.infer_shapes(g).tensors["acc"].bits == 16
-    acc = ir.evaluate(g, {"x": np.full((1, 1000), -128), "w": np.full((1000, 4), -128)})["acc"]
-    assert acc.tolist() == [[1000 * 128 * 128] * 4]
-    assert int(acc.max()).bit_length() + 1 == 25
-    diags = ir.validate(g)
+    diags = ir.validate(matmul((-1, -1)))
     assert len(diags) == 1
     assert diags[0].startswith("node acc: integer MatMul has a dynamic inner dimension")
-    assert ir.validate(matmul((-1, 1000))) == []
+    g = matmul((-1, 1000))
+    assert ir.validate(g) == []
+    assert ir.infer_shapes(g).tensors["acc"].bits == 8 + 8 + 10
+    acc = ir.evaluate(g, {"x": np.full((1, 1000), -128), "w": np.full((1000, 4), -128)})["acc"]
+    assert acc.tolist() == [[1000 * 128 * 128] * 4]
+
+
+def test_an_initializer_unlike_its_declared_shape_is_rejected():
+    # widths count the declared inner dimension of 4, which 5-term sums
+    # would exceed
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("MatMul", ("x", "w"), "acc", {})],
+        inputs=["x"], outputs=["acc"],
+        tensors={"x": ir.TensorInfo((-1, -1), "int", bits=8, signed=True),
+                 "w": ir.TensorInfo((4, 1), "int", bits=8, signed=True)},
+        initializers={"w": np.full((5, 1), -128, dtype=np.int64)})
+    message = "initializer w has shape (5, 1), declared (4, 1)"
+    assert ir.validate(g) == [message]
+    with pytest.raises(ir.IRError, match=re.escape(message)):
+        ir.evaluate(g, {"x": np.full((1, 5), -128)})
 
 
 # --- serialization ---------------------------------------------------------------
