@@ -47,6 +47,10 @@ class DataError(Exception):
     pass
 
 
+class Diverged(Exception):
+    """QAT that drove a weight range past the finite floats."""
+
+
 DEFAULT_CONFIG = {
     "out": "out",
     "data": {"source": "synthetic", "n": 6000, "seed": 0, "separation": 1.5,
@@ -341,7 +345,10 @@ def cmd_quantize(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
     ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, val_ds = _standardized_splits(cfg, ds, mean=mean, std=std)
     qcfg = _train_config(cfg, "qat")
-    fq = quantize.qat_train(model, train_ds, schema, qcfg, val=val_ds)
+    try:
+        fq = quantize.qat_train(model, train_ds, schema, qcfg, val=val_ds)
+    except ValueError as exc:  # model, schema and data passed their checks above
+        raise Diverged(str(exc)) from None
     try:
         im = quantize.lower(fq, accumulator_bits=accumulator_bits)
     except quantize.LoweringError as exc:
@@ -386,11 +393,6 @@ def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     stages.append(("fold_constants", g))
     g = ir.merge_scales_relu(g)
     stages.append(("merge_scales_relu", g))
-    diags = ir.validate(g)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_IR, []
     out_path = os.path.join(out_dir, "graph_opt.json")
     ir.save_graph(g, out_path)
     report_path = os.path.join(out_dir, "opt_report.json")
@@ -596,7 +598,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except nn.TrainingDiverged as exc:
+    except (nn.TrainingDiverged, Diverged) as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except ir.IRError as exc:

@@ -13,6 +13,10 @@ that width is the interpreter's one static bound: a tensor is held in
 float64 while (1 << width) - 1 is below 2^53; past that the kernel picks
 int64 or Python-int objects from the values it sees.
 
+`infer_shapes` is also the one structural and attribute check; `validate`
+reports its first error, or else breaches of the lowered-graph rules that
+inference does not know (Quant scales positive and finite, zero points 0).
+
 The exported form of an IntegerModel is Quant(input), then per hidden layer
 Quant(weights) -> MatMul -> Add(bias) -> Requant, whose unsigned clip is the
 ReLU, and Mul(output scale) -> Softmax after the last layer.  Graphs in the
@@ -27,6 +31,7 @@ field-by-field description.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +43,7 @@ from .quantize import (_FLOAT_EXACT, MAX_BITS, MIN_BITS, DyadicScale, IntegerMod
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant", "Requant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
 _ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Relu": 1,
-          "Softmax": 1, "Constant": 0, "Requant": 1, "Bipolar": 1, "Trunc": 3}
+          "Softmax": 1, "Constant": 0, "Requant": 1}
 
 
 class IRError(ValueError):
@@ -202,41 +207,75 @@ def _broadcast(s1, s2, node: IRNode):
     return tuple(longer[:len(longer) - len(out)]) + tuple(reversed(out))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _code_range(node: IRNode, *keys: str) -> tuple[int, int]:
+    """(qmin, qmax) of the codes a Quant or Requant node emits; IRError naming
+    the node when bits, signed or one of keys is missing, or bits is not an
+    integer in MIN_BITS..MAX_BITS or signed not a boolean."""
+    where = f"node {node.output}: {node.kind}"
+    for key in (*keys, "bits", "signed"):
+        if key not in node.attrs:
+            raise IRError(f"{where} missing attribute {key}")
+    bits, signed = node.attrs["bits"], node.attrs["signed"]
+    if not _is_int(bits) or not isinstance(signed, (bool, np.bool_)):
+        raise IRError(f"{where} bits must be an integer and signed a boolean")
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise IRError(f"{where} width {bits} outside {MIN_BITS}..{MAX_BITS}")
+    return _int_range(int(bits), bool(signed))
+
+
+def _quant_params(node: IRNode) -> tuple[int, int, str]:
+    """(qmin, qmax, rounding mode) of a Quant node; IRError naming the node
+    for a malformed attribute.  narrow (default false) drops the most
+    negative signed code; rounding is half_even (default) or half_up."""
+    qmin, qmax = _code_range(node)
+    narrow = node.attrs.get("narrow", False)
+    mode = node.attrs.get("rounding", "half_even")
+    if not isinstance(narrow, (bool, np.bool_)):
+        raise IRError(f"node {node.output}: Quant narrow must be a boolean")
+    if mode not in ("half_even", "half_up"):
+        raise IRError(f"node {node.output}: Quant unknown rounding mode {mode!r}")
+    return qmin + bool(narrow and qmin < 0), qmax, mode
+
+
 def _requant_params(node: IRNode) -> tuple[DyadicScale, int, int]:
     """(scale, qmin, qmax) of a Requant node; IRError naming the node when
     its attributes are missing or do not form a DyadicScale and a width."""
-    where, keys = f"node {node.output}: Requant", ("mantissa", "shift", "bits", "signed")
-    for key in keys:
-        if key not in node.attrs:
-            raise IRError(f"{where} missing attribute {key}")
-    m, c, bits, signed = (node.attrs[k] for k in keys)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in (m, c, bits)) or not isinstance(signed, (bool, np.bool_)):
-        raise IRError(f"{where} mantissa, shift and bits must be integers and signed a boolean")
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise IRError(f"{where} width {bits} outside {MIN_BITS}..{MAX_BITS}")
+    qrange = _code_range(node, "mantissa", "shift")
+    m, c = node.attrs["mantissa"], node.attrs["shift"]
+    if not (_is_int(m) and _is_int(c)):
+        raise IRError(f"node {node.output}: Requant mantissa and shift must be integers")
     try:
-        return (DyadicScale(mantissa=int(m), shift=int(c)), *_int_range(int(bits), bool(signed)))
+        return (DyadicScale(mantissa=int(m), shift=int(c)), *qrange)
     except ValueError as exc:
-        raise IRError(f"{where} scale {m}/2^{c}: {exc}") from None
+        raise IRError(f"node {node.output}: Requant scale {m}/2^{c}: {exc}") from None
 
 
 def infer_shapes(g: IRGraph) -> IRGraph:
     """Annotate every tensor with a concrete shape and element kind.
 
-    Integer widths are worst-case bounds (`quantize.sum_of_products_bits`
-    for MatMul, one more bit for Add, the operands' sum for Mul) and the
-    only static bounds `evaluate` picks exact arithmetic by, so
-    over-estimating is safe and under-estimating is not.  An undeclared
-    initializer is typed by its values.  Raises IRError naming the offending
-    node or tensor on any contradiction, including a declared initializer
-    shape its array does not have and an integer MatMul whose inner
-    dimension is dynamic on both operands, which leaves its width unbounded.
+    The one structural and attribute check of a graph.  Integer widths are
+    worst-case bounds (`quantize.sum_of_products_bits` for MatMul, one more
+    bit for Add, the operands' sum for Mul) and the only static bounds
+    `evaluate` picks exact arithmetic by, so over-estimating is safe and
+    under-estimating is not.  An undeclared initializer is typed by its
+    values.  Raises IRError naming the node or tensor at the first fault:
+    an unsupported or unknown operator or a wrong input count; a name both
+    a graph input and an initializer, defined twice, undefined, defined by
+    a later node (a cycle when it closes one) or an unproduced output; an
+    initializer unlike its declared shape; a missing or malformed Quant or
+    Requant attribute (widths lie in MIN_BITS..MAX_BITS); an integer MatMul
+    whose inner dimension is dynamic on both operands, leaving it unbounded.
     """
     info: dict[str, TensorInfo] = {}
     for name in g.inputs:
         if name not in g.tensors:
             raise IRError(f"graph input {name} has no declared tensor info")
+        if name in g.initializers:
+            raise IRError(f"name {name} is both a graph input and an initializer")
         info[name] = g.tensors[name]
     for name, arr in g.initializers.items():
         info[name] = g.tensors[name] if name in g.tensors else _initializer_info(arr)
@@ -245,9 +284,13 @@ def infer_shapes(g: IRGraph) -> IRGraph:
                           f"declared {info[name].shape}")
 
     def need(node: IRNode, name: str) -> TensorInfo:
-        if name not in info:
+        if name in info:
+            return info[name]
+        if all(n.output != name for n in g.nodes):
             raise IRError(f"node {node.output}: undefined input {name}")
-        return info[name]
+        cycle = _find_cycle(g)
+        raise IRError("cycle: " + " -> ".join(cycle) if cycle else f"node {node.output}: "
+                      f"input {name} is defined later (nodes are not topologically ordered)")
 
     for node in g.nodes:
         if node.kind in PARSED_UNSUPPORTED:
@@ -262,8 +305,8 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             if scale.shape not in ((), (1,)) or zp.shape not in ((), (1,)):
                 raise IRError(f"node {node.output}: Quant scale and zero point "
                               "must be scalars")
-            out = TensorInfo(shape=data.shape, kind="int",
-                             bits=int(node.attrs["bits"]),
+            _quant_params(node)
+            out = TensorInfo(shape=data.shape, kind="int", bits=int(node.attrs["bits"]),
                              signed=bool(node.attrs["signed"]))
         elif node.kind == "MatMul":
             a, b = (need(node, n) for n in node.inputs)
@@ -295,11 +338,9 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             else:
                 out = TensorInfo(shape=shape, kind="real")
         elif node.kind == "Relu":
-            a = need(node, node.inputs[0])
-            out = a
+            out = need(node, node.inputs[0])
         elif node.kind == "Softmax":
-            a = need(node, node.inputs[0])
-            out = TensorInfo(shape=a.shape, kind="real")
+            out = TensorInfo(shape=need(node, node.inputs[0]).shape, kind="real")
         elif node.kind == "Requant":
             a = need(node, node.inputs[0])
             if a.kind != "int":
@@ -353,14 +394,11 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
     return ufunc(a, b)
 
 
-def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict,
+def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int, mode: str,
                 spare: bool) -> np.ndarray:
-    """Quant codes of x, in float64 up to 53 bits and int64 past that; x is
-    overwritten when spare is set and it is already float64."""
-    bits = int(attrs["bits"])
-    qmin, qmax = _int_range(bits, bool(attrs["signed"]))
-    if attrs.get("narrow", False) and attrs["signed"]:
-        qmin += 1
+    """Quant codes of x in float64 (widths stop at MAX_BITS, well inside its
+    exact integers); x is overwritten when spare is set and it is already
+    float64."""
     t = _real(x)
     if t is x and not spare:
         t = t / scale
@@ -368,16 +406,13 @@ def _quant_eval(x: np.ndarray, scale: float, zp: int, attrs: dict,
         t /= scale
     if zp:
         t -= zp
-    mode = attrs.get("rounding", "half_even")
     if mode == "half_even":
         np.rint(t, out=t)
-    elif mode == "half_up":
+    else:  # half_up
         t += 0.5
         np.floor(t, out=t)
-    else:
-        raise EvalError(f"unknown rounding mode {mode!r}")
     np.clip(t, qmin, qmax, out=t)
-    return t if bits <= 53 else t.astype(np.int64)
+    return t
 
 
 def _requant_eval(x: np.ndarray, scale: DyadicScale, qmin: int, qmax: int,
@@ -402,13 +437,6 @@ def _requant_eval(x: np.ndarray, scale: DyadicScale, qmin: int, qmax: int,
     return _in_tier(t, max(-qmin, qmax))
 
 
-def _as_scalar(a) -> float:
-    arr = np.asarray(a)
-    if arr.size != 1:
-        raise EvalError("expected a scalar tensor")
-    return arr.reshape(()).item()
-
-
 def _check_width(name: str, a: np.ndarray, info: TensorInfo) -> None:
     lo, hi = _int_range(info.bits, info.signed)
     if a.size and (int(a.min()) < lo or int(a.max()) > hi):
@@ -423,9 +451,11 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     exported graph here).  Integer tensors use exact integer arithmetic,
     held in the narrowest form their bound allows: integers float64 holds
     exactly (below 2^53), int64, or Python-int objects.  An integer tensor's
-    static bound is (1 << width) - 1 for its `infer_shapes` width, so a
-    graph that inference rejects does not run.  Quant and Requant nodes and
-    integer nodes whose bound is below 2^53 produce float64-held integers.
+    static bound is (1 << width) - 1 for its `infer_shapes` width, and a
+    graph that inference rejects, a malformed Quant or Requant attribute
+    included, does not run (IRError).  Quant and Requant nodes, whose widths
+    stop at 32 bits, and integer nodes whose bound is below 2^53 produce
+    float64-held integers.
     Past 2^53, integer MatMul runs the kernel behind `quantize.int_matmul`,
     Add and Mul an exact add/mul and Requant `quantize.requantize`, by the
     observed values.  Softmax and scale multiplications run in float64.
@@ -474,8 +504,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         out_info = info[node.output]
         bound = (1 << out_info.bits) - 1 if out_info.kind == "int" else None
         if node.kind == "Quant":
-            out = _quant_eval(vals[0], _as_scalar(vals[1]), int(_as_scalar(vals[2])),
-                              node.attrs, any(v is vals[0] for v in spare))
+            out = _quant_eval(vals[0], vals[1].item(), int(vals[2].item()),
+                              *_quant_params(node), any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
             a, b = vals
             if out_info.kind == "int":
@@ -506,10 +536,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             out = _requant_eval(vals[0], *_requant_params(node),
                                 (1 << info[node.inputs[0]].bits) - 1,
                                 any(v is vals[0] for v in spare))
-        elif node.kind == "Constant":
+        else:  # Constant
             out = node.attrs["value"]
-        else:
-            raise EvalError(f"node {node.output}: unsupported operator {node.kind}")
         env[node.output] = out
         if node.kind != "Constant":
             owned.add(node.output)
@@ -674,108 +702,51 @@ def merge_scales_relu(g: IRGraph) -> IRGraph:
 
 
 def validate(g: IRGraph) -> list[str]:
-    """Structural diagnostics; an empty list means the graph is well formed.
+    """Diagnostics of a lowered graph; an empty list means it is well formed.
 
-    Reports unsupported and unknown operators, arity violations, duplicate or
-    colliding names, use-before-definition, unproduced outputs, cycles, and
-    shape/kind contradictions.  Quant nodes additionally require a positive
-    scale and zero-valued zero point (all graphs produced here are lowered),
-    and every check of `infer_shapes` applies: among them a Requant node's
-    integer input and attributes, and an integer MatMul's static inner
-    dimension on at least one operand.
+    The first `infer_shapes` error, if any, is the one diagnostic: every
+    structural and attribute check lives there.  A graph that infers is
+    then held to the rules of a lowered graph, which inference does not
+    know: a Quant scale given as a constant must be positive and finite,
+    and a constant zero point must be zero.
     """
+    try:
+        infer_shapes(g)
+    except IRError as exc:
+        return [str(exc)]
+    consts = {n.output: n.attrs["value"] for n in g.nodes if n.kind == "Constant"}
     diags: list[str] = []
-    defined = set(g.inputs) | set(g.initializers)
-    for name in set(g.inputs) & set(g.initializers):
-        diags.append(f"name {name} is both a graph input and an initializer")
-
-    produced: dict[str, int] = {}
-    for idx, node in enumerate(g.nodes):
-        label = f"node {node.output or idx}"
-        if node.kind in PARSED_UNSUPPORTED:
-            diags.append(f"{label}: unsupported operator {node.kind}")
-        elif node.kind not in NODE_KINDS:
-            diags.append(f"{label}: unknown operator {node.kind}")
-        elif len(node.inputs) != _ARITY[node.kind]:
-            diags.append(f"{label}: {node.kind} takes {_ARITY[node.kind]} "
-                         f"inputs, got {len(node.inputs)}")
-        if node.output in produced or node.output in defined:
-            diags.append(f"{label}: output name {node.output} already defined")
-        produced[node.output] = idx
-
-    all_names = defined | set(produced)
-    for idx, node in enumerate(g.nodes):
-        for name in node.inputs:
-            if name not in all_names:
-                diags.append(f"node {node.output}: dangling tensor {name}")
-
-    cycle = _find_cycle(g, produced)
-    if cycle:
-        diags.append("cycle: " + " -> ".join(cycle))
-    else:
-        for idx, node in enumerate(g.nodes):
-            for name in node.inputs:
-                if name in produced and produced[name] >= idx:
-                    diags.append(f"node {node.output}: input {name} is defined later "
-                                 "(nodes are not topologically ordered)")
-
-    for name in g.outputs:
-        if name not in all_names:
-            diags.append(f"declared output {name} is never produced")
-
     for node in g.nodes:
-        if node.kind == "Quant" and len(node.inputs) == 3:
-            for attr in ("bits", "signed"):
-                if attr not in node.attrs:
-                    diags.append(f"node {node.output}: Quant missing attribute {attr}")
-            scale = g.initializers.get(node.inputs[1])
-            if scale is not None and np.asarray(scale).size == 1 \
-                    and float(np.asarray(scale).reshape(()).item()) <= 0:
-                diags.append(f"node {node.output}: Quant scale must be positive")
-            zp = g.initializers.get(node.inputs[2])
-            if zp is not None and np.asarray(zp).size == 1 \
-                    and int(np.asarray(zp).reshape(()).item()) != 0:
-                diags.append(f"node {node.output}: nonzero zero point on a "
-                             "lowered graph")
-
-    if not diags:
-        try:
-            infer_shapes(g)
-        except IRError as exc:
-            return [str(exc)]
+        if node.kind != "Quant":
+            continue
+        scale, zp = (_scalar_const(g, name, consts) for name in node.inputs[1:])
+        if scale is not None and not 0 < scale < math.inf:
+            diags.append(f"node {node.output}: Quant scale must be positive and finite")
+        if zp is not None and zp != 0:
+            diags.append(f"node {node.output}: nonzero zero point on a lowered graph")
     return diags
 
 
-def _find_cycle(g: IRGraph, produced: dict[str, int]) -> list[str] | None:
+def _find_cycle(g: IRGraph) -> list[str] | None:
+    """Output names around a cycle of g's nodes, the first one repeated at
+    the end; None when the nodes have no cycle."""
     base = set(g.inputs) | set(g.initializers)
-    color: dict[int, int] = {}
-    trail: list[int] = []
+    produced = {n.output: i for i, n in enumerate(g.nodes) if n.output not in base}
+    done: set[int] = set()
 
-    def visit(i: int) -> list[str] | None:
-        color[i] = 1
-        trail.append(i)
+    def visit(i: int, trail: list[int]) -> list[str] | None:
+        if i in trail:
+            return [g.nodes[t].output for t in trail[trail.index(i):]] + [g.nodes[i].output]
+        if i in done:
+            return None
         for name in g.nodes[i].inputs:
-            if name in base or name not in produced:
-                continue
-            j = produced[name]
-            if color.get(j, 0) == 1:
-                start = trail.index(j)
-                names = [g.nodes[t].output for t in trail[start:]]
-                return names + [g.nodes[j].output]
-            if color.get(j, 0) == 0:
-                found = visit(j)
-                if found:
-                    return found
-        trail.pop()
-        color[i] = 2
-        return None
-
-    for i in range(len(g.nodes)):
-        if color.get(i, 0) == 0:
-            found = visit(i)
+            found = name in produced and visit(produced[name], trail + [i])
             if found:
                 return found
-    return None
+        done.add(i)
+        return None
+
+    return next(filter(None, (visit(i, []) for i in range(len(g.nodes)))), None)
 
 
 # ---------------------------------------------------------------------------

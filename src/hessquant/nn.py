@@ -131,15 +131,21 @@ def mlp(sizes: list[int], seed: int = 0) -> MLPModel:
     return MLPModel(layers=layers)
 
 
+def check_finite(x, name: str) -> np.ndarray:
+    """x as a float64 array; ValueError naming it when an entry is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite values")
+    return x
+
+
 def check_matrix(x: np.ndarray, cols: int | None = None, name: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got shape {x.shape}")
     if cols is not None and x.shape[1] != cols:
         raise ShapeError(f"{name} must have {cols} columns, got {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return x
+    return check_finite(x, name)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -451,18 +457,19 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 
 
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
-    """A save_model checkpoint.  A malformed one, or one whose `activations`
-    are not the fixed list, raises ValueError, KeyError or TypeError."""
+    """A save_model checkpoint.  A malformed one, one whose `activations`
+    are not the fixed list, or one with a parameter or standardization
+    statistic that is not finite raises ValueError, KeyError or TypeError."""
     doc = read_document(path, "hessquant-model")
     skeleton = mlp(doc["sizes"], seed=0)
     want = _activation_names(skeleton.n_layers)
     if doc["activations"] != want:
         raise ValueError(f"{path}: activations must be {want}, got {doc['activations']}")
-    model = replace_parameters(skeleton, np.array(doc["params"], dtype=np.float64))
+    model = replace_parameters(skeleton, check_finite(doc["params"], "params"))
     stats = doc.get("standardization")
     if stats is None:
         return model, None, None
-    mean, std = np.array(stats["mean"]), np.array(stats["std"])
+    mean, std = (check_finite(stats[k], f"standardization {k}") for k in ("mean", "std"))
     if mean.shape != (model.layers[0].fan_in,) or std.shape != mean.shape:
         raise ValueError(f"{path}: standardization does not match the input width")
     return model, mean, std

@@ -211,6 +211,18 @@ def truncated_intmodel(out):
     return json.dumps(doc)
 
 
+def model_with_a_nan(where):
+    """A model.json whose first entry of where (a path of keys) is NaN."""
+    def tamper(out):
+        doc = read_json(out, "model.json")
+        node = doc
+        for key in where:
+            node = node[key]
+        node[0] = float("nan")
+        return json.dumps(doc)
+    return tamper
+
+
 def intmodel_with_other_input_bits(out):
     doc = read_json(out, "intmodel.json")
     doc["input"]["bits"] = doc["schema"]["input_bits"] - 1
@@ -234,6 +246,9 @@ def intmodel_with_a_zero_scale(where):
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
     ("trace", "model.json", "[]", ()),
     ("trace", "model.json", MODEL_WITH_THREE_MEANS, ("dataset.csv",)),
+    ("trace", "model.json", model_with_a_nan(("params",)), ("dataset.csv",)),
+    ("allocate", "model.json", model_with_a_nan(("standardization", "std")),
+     ("traces.json",)),
     ("allocate", "traces.json", '{"format": "hessquant-traces"}', ("model.json",)),
     ("quantize", "allocation.json",
      '{"format": "hessquant-allocation", "weight_bits": 4}', ("model.json",)),
@@ -254,10 +269,10 @@ def intmodel_with_a_zero_scale(where):
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
-        "traces", "allocation", "allocation-bits-40", "intmodel", "intmodel-two-of-three",
-        "intmodel-input-bits", "intmodel-zero-scale-input", "intmodel-zero-scale-weight",
-        "intmodel-zero-scale-requant", "intmodel-zero-scale-output", "graph", "sweep",
-        "dataset-at-trace", "dataset-at-run-ir"])
+        "model-nan", "model-nan-std", "traces", "allocation", "allocation-bits-40",
+        "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
+        "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
+        "intmodel-zero-scale-output", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -283,13 +298,19 @@ def test_exit_3_on_a_model_with_another_activation(tmp_path, pipeline, capsys, c
     assert "activations must be ['relu', 'relu', 'softmax']" in capsys.readouterr().err
 
 
-def test_exit_4_on_divergence(tmp_path):
-    config, _ = write_config(tmp_path,
-                             train={"learning_rate": 1e9, "optimizer": "sgd",
-                                    "epochs": 3})
-    assert cli.main(["gen-data", "--config", config]) == 0
+@pytest.mark.parametrize("command, section, learning_rate",
+                         [("train", "train", 1e9), ("quantize", "qat", 1e300)],
+                         ids=["train", "quantize"])
+def test_exit_4_on_divergence(tmp_path, pipeline, capsys, command, section, learning_rate):
+    # at 1e300 QAT's weight ranges leave the finite floats before its loss does
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, **{section: {
+        "learning_rate": learning_rate, "optimizer": "sgd", "epochs": 3}})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "allocation.json"))
+    capsys.readouterr()
     with np.errstate(all="ignore"):
-        assert cli.main(["train", "--config", config]) == 4
+        assert run(command, config) == 4
+    assert "training diverged: " in capsys.readouterr().err
 
 
 def test_exit_5_on_infeasible_budget_still_writes_solution(tmp_path, pipeline):
@@ -409,41 +430,65 @@ def test_exit_6_on_a_matmul_without_a_static_inner_dimension(tmp_path, pipeline,
     assert "node logits: integer MatMul" in capsys.readouterr().err
 
 
-def _drop_shift(node):
+def _drop_shift(node, inits):
     del node["attrs"]["shift"]
 
 
-def _even_mantissa(node):
+def _even_mantissa(node, inits):
     node["attrs"]["mantissa"] = 2 * node["attrs"]["mantissa"]
 
 
-def _wide_codes(node):
+def _wide_codes(node, inits):
     node["attrs"]["bits"] = 40
 
 
-def _real_input(node):
+def _real_input(node, inits):
     node["inputs"] = ["x"]
 
 
+def _set_attrs(**attrs):
+    return lambda node, inits: node["attrs"].update(attrs)
+
+
+def _drop_bits(node, inits):
+    del node["attrs"]["bits"]
+
+
+def _nan_scale(node, inits):
+    inits[node["inputs"][1]]["data"] = [float("nan")]
+
+
 @pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
-@pytest.mark.parametrize("tamper, message", [
-    (_drop_shift, "missing attribute shift"),
-    (_even_mantissa, "odd"),
-    (_wide_codes, "width 40"),
-    (_real_input, "needs an integer input"),
-], ids=["missing-attribute", "scale", "width", "real-input"])
-def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, tamper,
+@pytest.mark.parametrize("node, tamper, message", [
+    ("h1", _drop_shift, "missing attribute shift"),
+    ("h1", _even_mantissa, "odd"),
+    ("h1", _wide_codes, "width 40"),
+    ("h1", _real_input, "needs an integer input"),
+    ("h0", _drop_bits, "missing attribute bits"),
+    ("h0", _set_attrs(bits="abc"), "bits must be an integer"),
+    ("h0", _set_attrs(bits=1), "width 1 outside"),
+    ("h0", _set_attrs(bits=33), "width 33 outside"),
+    ("h0", _set_attrs(bits=70), "width 70 outside"),
+    ("h0", _set_attrs(signed=0), "signed a boolean"),
+    ("h0", _set_attrs(rounding="weird"), "unknown rounding mode 'weird'"),
+    ("h0", _nan_scale, "scale must be positive and finite"),
+], ids=["missing-attribute", "scale", "width", "real-input", "quant-missing-bits",
+        "quant-bits-abc", "quant-bits-1", "quant-bits-33", "quant-bits-70",
+        "quant-signed", "quant-rounding", "quant-nan-scale"])
+def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, node, tamper,
                                        message):
+    # h1 is the first Requant node, h0 the input Quant
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
     doc = read_json(out, "graph.json")
-    tamper(next(n for n in doc["nodes"] if n["kind"] == "Requant"))
+    target = next(n for n in doc["nodes"] if n["output"] == node)
+    tamper(target, doc["initializers"])
     Path(alt_out, "graph.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(command, config) == 6
     err = capsys.readouterr().err
-    assert "node h1: Requant" in err and message in err
+    assert f"node {node}: {target['kind']}" in err and message in err
 
 
 def test_exit_2_on_lowering_error(tmp_path, pipeline, capsys, monkeypatch):

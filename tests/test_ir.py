@@ -227,22 +227,49 @@ def test_requant_node_is_exact_at_every_input_width(width):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("attrs, kind, message", [
-    ({"mantissa": 3, "bits": 8, "signed": False}, "int", "missing attribute shift"),
-    ({"mantissa": 4, "shift": 3, "bits": 8, "signed": False}, "int", "odd"),
-    ({"mantissa": 3, "shift": 32, "bits": 8, "signed": False}, "int", "shift must be"),
-    ({"mantissa": -3, "shift": 3, "bits": 8, "signed": False}, "int", "non-negative"),
-    ({"mantissa": 3, "shift": 3, "bits": 1, "signed": False}, "int", "width 1"),
-    ({"mantissa": 3, "shift": 3, "bits": 33, "signed": False}, "int", "width 33"),
-    ({"mantissa": 3, "shift": 3.0, "bits": 8, "signed": False}, "int", "integers"),
-    ({"mantissa": 3, "shift": 3, "bits": 8, "signed": 0}, "int", "boolean"),
-    ({"mantissa": 3, "shift": 3, "bits": 8, "signed": False}, "real", "integer input"),
+def quant_graph(attrs, kind="real"):
+    return ir.IRGraph(
+        nodes=[ir.IRNode("Quant", ("a", "s", "z"), "q", attrs)],
+        inputs=["a"], outputs=["q"],
+        tensors={"a": ir.TensorInfo((-1,), kind, bits=8, signed=True)
+                 if kind == "int" else ir.TensorInfo((-1,), "real")},
+        initializers={"s": np.array(1.0), "z": np.array(0)})
+
+
+QUANT = {"bits": 8, "signed": True, "narrow": False, "rounding": "half_even"}
+
+
+@pytest.mark.parametrize("node, attrs, kind, message", [
+    ("Requant", {"mantissa": 3, "bits": 8, "signed": False}, "int", "missing attribute shift"),
+    ("Requant", {"mantissa": 4, "shift": 3, "bits": 8, "signed": False}, "int", "odd"),
+    ("Requant", {"mantissa": 3, "shift": 32, "bits": 8, "signed": False}, "int",
+     "shift must be"),
+    ("Requant", {"mantissa": -3, "shift": 3, "bits": 8, "signed": False}, "int",
+     "non-negative"),
+    ("Requant", {"mantissa": 3, "shift": 3, "bits": 1, "signed": False}, "int", "width 1"),
+    ("Requant", {"mantissa": 3, "shift": 3, "bits": 33, "signed": False}, "int", "width 33"),
+    ("Requant", {"mantissa": 3, "shift": 3.0, "bits": 8, "signed": False}, "int", "integers"),
+    ("Requant", {"mantissa": 3, "shift": 3, "bits": 8, "signed": 0}, "int", "boolean"),
+    ("Requant", {"mantissa": 3, "shift": 3, "bits": 8, "signed": False}, "real",
+     "integer input"),
+    ("Quant", {k: v for k, v in QUANT.items() if k != "bits"}, "real",
+     "missing attribute bits"),
+    ("Quant", dict(QUANT, bits="abc"), "real", "bits must be an integer"),
+    ("Quant", dict(QUANT, bits=1), "int", "width 1 outside"),
+    ("Quant", dict(QUANT, bits=33), "real", "width 33 outside"),
+    ("Quant", dict(QUANT, bits=70), "real", "width 70 outside"),
+    ("Quant", dict(QUANT, signed=0), "real", "boolean"),
+    ("Quant", dict(QUANT, narrow="yes"), "real", "narrow must be a boolean"),
+    ("Quant", dict(QUANT, rounding="weird"), "real", "unknown rounding mode 'weird'"),
 ], ids=["missing", "even-mantissa", "shift", "negative", "narrow", "wide",
-        "float-shift", "signed", "real-input"])
-def test_malformed_requant_is_a_diagnostic_not_a_crash(attrs, kind, message):
-    g = requant_graph(attrs, kind=kind)
+        "float-shift", "signed", "real-input", "quant-missing-bits", "quant-bits-abc",
+        "quant-bits-1", "quant-bits-33", "quant-bits-70", "quant-signed",
+        "quant-narrow-flag", "quant-rounding"])
+def test_malformed_requant_is_a_diagnostic_not_a_crash(node, attrs, kind, message):
+    # a Quant node's width and signedness pass the same check as a Requant's
+    g = requant_graph(attrs, kind=kind) if node == "Requant" else quant_graph(attrs, kind)
     diags = ir.validate(g)
-    assert len(diags) == 1 and "node q: Requant" in diags[0] and message in diags[0]
+    assert len(diags) == 1 and f"node q: {node}" in diags[0] and message in diags[0]
     with pytest.raises(ir.IRError, match=message):
         ir.evaluate(g, {"a": np.array([1, 2])})
 
@@ -474,6 +501,9 @@ def test_validate_reports_bad_quant_attrs():
                  "q": ir.TensorInfo((-1,), "int", bits=8, signed=True)},
         initializers={"s": np.array([-2.0]), "z": np.array([0.0])})
     assert any("scale" in d.lower() for d in ir.validate(g))
+    for scale in (np.nan, np.inf):
+        g.initializers["s"] = np.array([scale])
+        assert ir.validate(g) == ["node q: Quant scale must be positive and finite"]
 
 
 def test_validate_reports_arity_mismatch():
