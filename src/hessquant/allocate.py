@@ -101,8 +101,7 @@ def model_bops(arch: ArchSpec, schema: QuantSchema) -> float:
 def perturbation(w: np.ndarray, bits: int) -> float:
     """Squared Frobenius norm of the symmetric quantization error of w at b bits."""
     w = np.asarray(w, dtype=np.float64)
-    params = quantize.calibrate(w, bits, symmetric=True)
-    d = quantize.fake_quant(w, params) - w
+    d = quantize._fq_weight(w, bits) - w
     return float(np.sum(d * d))
 
 

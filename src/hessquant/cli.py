@@ -3,7 +3,8 @@
 Every subcommand reads an optional JSON config file, applies flag overrides,
 writes its artifacts atomically under the output directory, and finishes by
 writing manifest-<command>.json recording the fully resolved config, library
-versions, and the SHA-256 of everything consumed and produced.  Outputs
+versions, and the SHA-256 of everything consumed and produced; a run that
+writes no artifact leaves the previous manifest in place.  Outputs
 contain no timestamps, so rerunning a command with the same config (or from
 its manifest's embedded config) reproduces byte-identical artifacts.
 
@@ -67,7 +68,7 @@ DEFAULT_CONFIG = {
     "quantize": {"source": "allocation", "accumulator_bits": 32},
     "sweep": {"sample": 10, "epochs": 5, "batch_size": 64,
               "learning_rate": 1e-3, "l1": 0.0, "seed": 0, "optimizer": "adam",
-              "jobs": 1, "candidates": [4, 5, 6, 7, 8]},
+              "candidates": [4, 5, 6, 7, 8]},
     "run_ir": {"graph": "graph.json", "batch": 1024},
     "estimate": {"source": "allocation", "coeffs": None},
 }
@@ -106,14 +107,14 @@ def _load_config(path: str | None) -> dict:
 
 def _consume(path: str, inputs: dict, hint: str, load):
     """load(path) for a file the command reads, with its SHA-256 recorded in
-    `inputs`.  A missing file, or one whose load raises ValueError, KeyError
-    or TypeError, is a data error."""
+    `inputs`.  A missing file, or one whose load raises ValueError, KeyError,
+    TypeError or OverflowError, is a data error."""
     if not os.path.exists(path):
         raise DataError(f"missing artifact {path} ({hint})")
     inputs[path] = sha256_file(path)
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed artifact {path}: {exc}") from None
 
 
@@ -550,9 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "allocate":
             p.add_argument("--budget", type=float, default=None,
                            help="BOPs budget override")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=None,
-                           help="accepted and ignored; configs run serially")
     return parser
 
 
@@ -584,13 +582,12 @@ def main(argv=None) -> int:
             cfg[section][key] = args.seed
         if getattr(args, "budget", None) is not None:
             cfg["allocation"]["budget"] = args.budget
-        if getattr(args, "jobs", None) is not None:
-            cfg["sweep"]["jobs"] = args.jobs
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
         inputs: dict = {}
         code, artifacts = COMMANDS[args.command](cfg, out_dir, inputs)
-        _write_manifest(args.command, cfg, out_dir, artifacts, inputs)
+        if artifacts:  # a run that wrote nothing leaves the last manifest alone
+            _write_manifest(args.command, cfg, out_dir, artifacts, inputs)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

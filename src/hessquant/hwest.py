@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .allocate import ArchSpec
 from .ioutil import read_document
@@ -119,14 +119,8 @@ def estimate(arch: ArchSpec, schema: QuantSchema,
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
     doc = read_document(path, "hessquant-coeffs")
-    return EstimatorCoeffs(
-        dsp_threshold=int(doc["dsp_threshold"]),
-        lut_per_bit_product=float(doc["lut_per_bit_product"]),
-        lut_per_acc_bit=float(doc["lut_per_acc_bit"]),
-        ff_per_acc_bit=float(doc["ff_per_acc_bit"]),
-        softmax_lut=float(doc["softmax_lut"]),
-        softmax_ff=float(doc["softmax_ff"]),
-    )
+    return EstimatorCoeffs(**{f.name: (int if f.name == "dsp_threshold" else float)(doc[f.name])
+                              for f in fields(EstimatorCoeffs)})
 
 
 def estimate_json(est: ResourceEstimate) -> dict:
@@ -136,12 +130,7 @@ def estimate_json(est: ResourceEstimate) -> dict:
         "dsps": est.dsps,
         "overhead_luts": est.overhead_luts,
         "overhead_ffs": est.overhead_ffs,
-        "layers": [{
-            "layer": l.layer, "weight_bits": l.weight_bits,
-            "act_bits_in": l.act_bits_in, "acc_bits": l.acc_bits,
-            "multipliers": l.multipliers, "dsps": l.dsps, "luts": l.luts,
-            "ffs": l.ffs,
-        } for l in est.layers],
+        "layers": [asdict(l) for l in est.layers],
     }
 
 

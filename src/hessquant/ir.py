@@ -109,11 +109,7 @@ def _int_bits_of_array(a: np.ndarray) -> tuple[int, bool]:
     """Smallest (width, signed) covering an integer array's actual values."""
     if a.size == 0:
         return 2, True
-    if a.dtype == object:
-        lo = int(min(int(v) for v in a.ravel()))
-        hi = int(max(int(v) for v in a.ravel()))
-    else:
-        lo, hi = int(a.min()), int(a.max())
+    lo, hi = int(a.min()), int(a.max())
     signed = lo < 0
     if signed:
         width = max((-lo - 1).bit_length() + 1, hi.bit_length() + 1, 2)
@@ -144,7 +140,7 @@ def export_graph(im: IntegerModel) -> IRGraph:
     n_in = im.layers[0].q_weights.shape[0]
     declared["x"] = TensorInfo(shape=(-1, n_in), kind="real")
     inits["zero"] = np.array(0, dtype=np.int64)
-    inits["in_scale"] = np.array(im.input_scale.value, dtype=np.float64)
+    inits["in_scale"] = np.array(im.input_scale, dtype=np.float64)
 
     nodes.append(IRNode("Quant", ("x", "in_scale", "zero"), "h0", {
         "bits": im.schema.input_bits, "signed": True, "narrow": False,
@@ -154,9 +150,9 @@ def export_graph(im: IntegerModel) -> IRGraph:
     last = len(im.layers) - 1
     for i, layer in enumerate(im.layers):
         w_name, b_name = f"w{i}", f"b{i}"
-        inits[w_name] = layer.q_weights.astype(np.float64) * layer.weight_scale.value
+        inits[w_name] = layer.q_weights * layer.weight_scale
         inits[b_name] = layer.q_bias
-        inits[f"w{i}_scale"] = np.array(layer.weight_scale.value, dtype=np.float64)
+        inits[f"w{i}_scale"] = np.array(layer.weight_scale, dtype=np.float64)
         nodes.append(IRNode("Quant", (w_name, f"w{i}_scale", "zero"), f"qw{i}", {
             "bits": layer.weight_bits, "signed": True, "narrow": False,
             "rounding": "half_even"}))
@@ -168,7 +164,7 @@ def export_graph(im: IntegerModel) -> IRGraph:
                 "mantissa": layer.requant.mantissa, "shift": layer.requant.shift,
                 "bits": layer.act_bits, "signed": False}))
         else:
-            inits["out_scale"] = np.array(im.output_scale.value, dtype=np.float64)
+            inits["out_scale"] = np.array(im.output_scale, dtype=np.float64)
             nodes.append(IRNode("Mul", (f"accb{i}", "out_scale"), "logits"))
             nodes.append(IRNode("Softmax", ("logits",), "probabilities"))
 
@@ -504,7 +500,10 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         out_info = info[node.output]
         bound = (1 << out_info.bits) - 1 if out_info.kind == "int" else None
         if node.kind == "Quant":
-            out = _quant_eval(vals[0], vals[1].item(), int(vals[2].item()),
+            zp = vals[2].item()
+            if isinstance(zp, float) and not zp.is_integer():
+                raise EvalError(f"node {node.output}: Quant zero point {zp} is not an integer")
+            out = _quant_eval(vals[0], vals[1].item(), int(zp),
                               *_quant_params(node), any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
             a, b = vals
@@ -834,10 +833,9 @@ def parse(text: str) -> IRGraph:
         for key in ("kind", "inputs", "output"):
             if key not in nd:
                 raise ParseError(f"{where}: missing field {key!r}")
-        if not isinstance(nd["kind"], str):
-            raise ParseError(f"{where}: kind must be a string")
-        if not isinstance(nd["output"], str):
-            raise ParseError(f"{where}: output must be a string")
+        for key in ("kind", "output"):
+            if not isinstance(nd[key], str):
+                raise ParseError(f"{where}: {key} must be a string")
         if (not isinstance(nd["inputs"], list)
                 or not all(isinstance(s, str) for s in nd["inputs"])):
             raise ParseError(f"{where}: inputs must be a list of strings")

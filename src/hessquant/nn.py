@@ -28,6 +28,12 @@ import numpy as np
 from .data import Dataset
 from .ioutil import read_document, write_json_atomic
 
+# Adam's moment decay rates and the epsilon of its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class ShapeError(ValueError):
     pass
 
@@ -93,9 +99,6 @@ class TrainConfig:
     l1: float = 0.0
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
@@ -280,17 +283,17 @@ def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: i
     if cfg.optimizer == "sgd":
         theta -= cfg.learning_rate * g
         return
-    s = np.multiply(1 - cfg.beta1, g)
-    m *= cfg.beta1
+    s = np.multiply(1 - ADAM_BETA1, g)
+    m *= ADAM_BETA1
     m += s
-    np.multiply(1 - cfg.beta2, g, out=s)
+    np.multiply(1 - ADAM_BETA2, g, out=s)
     s *= g
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     v += s
-    denom = np.divide(v, 1 - cfg.beta2 ** t)
+    denom = np.divide(v, 1 - ADAM_BETA2 ** t)
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
-    np.divide(m, 1 - cfg.beta1 ** t, out=s)
+    denom += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=s)
     np.multiply(cfg.learning_rate, s, out=s)
     s /= denom
     theta -= s

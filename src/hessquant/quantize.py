@@ -16,17 +16,17 @@ activation widths and activation ranges are (K, 1, 1) arrays that broadcast
 over the stack, and each member ends bit for bit as `qat_train` (a stack of
 one) would leave it.
 
-Lowering produces an IntegerModel whose per-layer rescaling multipliers are
-dyadic rationals (mantissa / 2^shift).  Requantization is then a single
-integer multiply, an additive rounding term of 2^(shift-1), and an arithmetic
-right shift.  Activation scales are snapped to powers of two, and multiplier
-mantissas are kept small enough that acc * mantissa stays below 2^53 at the
-bit widths the tool targets, so requantization runs in the float64 tier.
-Every dyadic comes from one exact rounding rule (a float is itself a dyadic
-rational), and lowering fails loudly with LoweringError rather than degrade:
-on an accumulator too narrow for the schema, on a scale that rounds to zero
-or does not fit its mantissa budget at shift 0, and on a bias whose code
-does not fit the accumulator.
+Lowering keeps QAT's own input and weight scales and weight codes, so the
+deployed weights are bit for bit the fake-quantized ones.  Only where the
+integer pipeline multiplies, in each layer's requantization, is a scale a
+dyadic rational (mantissa / 2^shift): an integer multiply, an additive
+rounding term of 2^(shift-1) and an arithmetic right shift.  Activation
+scales snap to powers of two, so the output scale follows exactly.  The one
+exact rounding rule keeps each multiplier's mantissa small enough that
+requantization runs in the float64 tier, and lowering fails loudly with
+LoweringError rather than degrade: on an accumulator too narrow for the
+schema, a multiplier that rounds to zero or does not fit its mantissa budget
+at shift 0, and a bias whose code does not fit the accumulator.
 
 Integer arithmetic is exact at every width, and its representation follows
 from bounds rather than from an option: integers bounded below 2^53 stay in
@@ -122,9 +122,8 @@ def calibrate(values: np.ndarray, bits: int, symmetric: bool = True) -> QuantPar
         beta = float(np.max(np.abs(values)))
         if beta == 0.0:
             beta = 1.0
-        params = QuantParams(scale=2 * beta / levels, zero_point=0, bits=bits,
-                             signed=True, symmetric=True, alpha=-beta, beta=beta)
-        return params
+        return QuantParams(scale=2 * beta / levels, zero_point=0, bits=bits,
+                           signed=True, symmetric=True, alpha=-beta, beta=beta)
     lo = min(0.0, float(values.min()))
     hi = max(0.0, float(values.max()))
     if hi == lo:
@@ -180,13 +179,6 @@ class DyadicScale:
         return self.mantissa / (1 << self.shift)
 
 
-def _canonical_dyadic(mantissa: int, shift: int) -> DyadicScale:
-    while mantissa != 0 and mantissa % 2 == 0 and shift > 0:
-        mantissa //= 2
-        shift -= 1
-    return DyadicScale(mantissa=mantissa, shift=shift)
-
-
 def to_dyadic(s: float, mantissa_bits: int = MAX_MANTISSA_BITS) -> DyadicScale:
     """Nearest dyadic to a positive real scale with a mantissa below
     2^mantissa_bits and a shift in 0..MAX_SHIFT, rounding half up.  Raises
@@ -216,7 +208,8 @@ def _rescale_dyadic(value, mantissa_bits: int, name: str) -> DyadicScale:
                             f"mantissa bits at shift 0")
     if mantissa == 0:
         raise LoweringError(f"{name} underflowed: it rounds to zero at shift {MAX_SHIFT}")
-    return _canonical_dyadic(mantissa, shift)
+    mantissa, den = Fraction(mantissa, 1 << shift).as_integer_ratio()  # canonical
+    return DyadicScale(mantissa=mantissa, shift=den.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +375,17 @@ class FakeQuantModel:
                           self.schema.activation_bits, self.act_max, xq)
 
 
-def _fq_weight(w: np.ndarray, bits) -> np.ndarray:
-    """Symmetric per-tensor fake-quant of a weight matrix, bitwise equal to
-    fake_quant(w, calibrate(w, bits, symmetric=True)) without QuantParams;
-    for a (K, fan_in, fan_out) stack, of each member k at width bits[k].
+def _weight_codes(w: np.ndarray, bits):
+    """Float64-held codes and scale of the one symmetric per-tensor weight
+    quantizer, which QAT and lowering share: codes * scale is bitwise
+    fake_quant(w, calibrate(w, bits, symmetric=True)).  For a (K, fan_in,
+    fan_out) stack, member k is at width bits[k] and the scale is (K, 1, 1).
 
-    The scales are Python floats, computed as calibrate computes them.
-    |w| / scale stays below 2^(bits-1), so only the upper clip can bind, and
-    adding 0.0 turns rint's -0.0 into the +0.0 of the int64 round trip.  A
-    scale that is not positive and finite raises calibrate's ValueError, and
-    in a stack nn.MemberErrors with that error for each such member.
+    The scales are computed as calibrate computes them.  |w| / scale stays
+    below 2^(bits-1), so only the upper clip can bind, and adding 0.0 turns
+    rint's -0.0 into the +0.0 of the int64 round trip.  A scale that is not
+    positive and finite raises calibrate's ValueError, and in a stack
+    nn.MemberErrors with that error for each such member.
     """
     stacked = w.ndim == 3
     betas = np.abs(w).max(axis=(-2, -1)).tolist() if stacked else [float(np.max(np.abs(w)))]
@@ -412,6 +406,12 @@ def _fq_weight(w: np.ndarray, bits) -> np.ndarray:
     np.rint(q, out=q)
     np.minimum(q, top, out=q)
     q += 0.0
+    return q, scale
+
+
+def _fq_weight(w: np.ndarray, bits) -> np.ndarray:
+    """Fake-quant of a weight matrix (or stack): `_weight_codes` times its scale."""
+    q, scale = _weight_codes(w, bits)
     q *= scale
     return q
 
@@ -435,8 +435,13 @@ def _fq_unsigned(a: np.ndarray, bits, amax) -> np.ndarray:
     return a
 
 
+def _input_scale(bits: int, xmax: float) -> float:
+    """The real scale of the symmetric input quantizer onto [-xmax, xmax]."""
+    return 2 * max(xmax, 1e-12) / (2 ** bits - 1)
+
+
 def _fq_signed(x: np.ndarray, bits: int, xmax: float) -> np.ndarray:
-    scale = 2 * max(xmax, 1e-12) / (2 ** bits - 1)
+    scale = _input_scale(bits, xmax)
     lo, hi = _int_range(bits, signed=True)
     return np.clip(np.rint(x / scale), lo, hi) * scale
 
@@ -575,7 +580,7 @@ def calibrate_fake_quant(model: MLPModel, schema: QuantSchema, calib: Dataset) -
 class IntLayer:
     q_weights: np.ndarray          # int64 codes, shape (fan_in, fan_out)
     weight_bits: int
-    weight_scale: DyadicScale
+    weight_scale: float            # QAT's real weight scale
     q_bias: np.ndarray             # accumulator codes: int64, objects past int64
     act_bits: int                  # output activation width (unused on the last layer)
     requant: DyadicScale | None    # None on the last layer
@@ -592,15 +597,23 @@ class IntegerModel:
     clip at zero doubles as ReLU since all multipliers are positive).
     """
     layers: list[IntLayer]
-    input_scale: DyadicScale
-    output_scale: DyadicScale
+    input_scale: float             # QAT's real input scale
     accumulator_bits: int
     schema: QuantSchema
 
     @property
+    def output_scale(self) -> float:
+        """The last weight scale times the scale of the activations entering
+        it: exactly, as that is 2^-act_exp of the layer before, except in a
+        one-layer model, where it is the input scale."""
+        incoming = (self.input_scale if len(self.layers) == 1
+                    else 2.0 ** -self.layers[-2].act_exp)
+        return self.layers[-1].weight_scale * incoming
+
+    @property
     def input_params(self) -> QuantParams:
         """The symmetric input quantizer: input_scale at schema.input_bits."""
-        bits, scale = self.schema.input_bits, self.input_scale.value
+        bits, scale = self.schema.input_bits, self.input_scale
         beta = scale * (2 ** bits - 1) / 2
         return QuantParams(scale=scale, zero_point=0, bits=bits, signed=True,
                            symmetric=True, alpha=-beta, beta=beta)
@@ -648,60 +661,46 @@ def accumulator_widths(schema: QuantSchema, fan_ins,
 def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
     """Turn a fake-quantized model into an integer-only one.
 
-    Weight and input scales become dyadic rationals; activation scales snap
-    to powers of two (widening the range, never shrinking it).  Each hidden
-    layer stores the dyadic multiplier weight_scale * in_scale / act_scale;
-    the final layer stores the plain dequantization scale.  Biases quantize
-    to accumulator precision at weight_scale * in_scale.
+    The input and weight scales and weight codes are QAT's own, so the
+    deployed weights are bit for bit the fake-quantized ones.  Activation
+    scales snap to powers of two (widening the range, never shrinking it).
+    Each hidden layer stores the dyadic multiplier weight_scale * in_scale /
+    act_scale, the one rounded scale.  Biases quantize to accumulator
+    precision at weight_scale * in_scale.
 
     Raises LoweringError when a layer's `accumulator_widths` exceeds
-    accumulator_bits; pass a wider accumulator for wide schemas.  Also
-    raises it when the input or a weight scale, a requantization multiplier
-    or the output scale rounds to mantissa 0, since every logit would then
-    read 0; when one of them needs more than its mantissa budget at shift 0;
-    and when a bias code does not fit the accumulator.
+    accumulator_bits (pass a wider accumulator for wide schemas), when a
+    multiplier rounds to 0 at shift 31 or needs more than its mantissa
+    budget at shift 0, and when a bias code does not fit the accumulator.
     """
     model, schema = fq.model, fq.schema
-
-    in_real = 2 * max(fq.input_max, 1e-12) / (2 ** schema.input_bits - 1)
-    input_scale = _rescale_dyadic(in_real, DEFAULT_MULTIPLIER_BITS,
-                                  f"input scale {in_real:.3g} at {schema.input_bits} bits")
-
+    input_scale = _input_scale(schema.input_bits, fq.input_max)
     acc_lo, acc_hi = _int_range(accumulator_bits, signed=True)
     required = accumulator_widths(schema, [l.fan_in for l in model.layers],
                                   accumulator_bits)
     layers: list[IntLayer] = []
-    prev_scale = input_scale.value
+    prev_scale = input_scale
     for i, layer in enumerate(model.layers):
-        b_w = schema.weight_bits[i]
-
-        w_real = calibrate(layer.weights, b_w, symmetric=True).scale
-        w_scale = _rescale_dyadic(w_real, DEFAULT_MULTIPLIER_BITS,
-                                  f"layer {i}: weight scale {w_real:.3g} at {b_w} bits")
-        lo, hi = _int_range(b_w, signed=True)
-        q_w = np.clip(np.rint(layer.weights / w_scale.value), lo, hi).astype(np.int64)
-
-        q_b = np.rint(layer.bias / (w_scale.value * prev_scale)).tolist()
+        q_w, w_scale = _weight_codes(layer.weights, schema.weight_bits[i])
+        q_b = np.rint(layer.bias / (w_scale * prev_scale)).tolist()
         if not all(acc_lo <= v <= acc_hi for v in q_b):
             raise LoweringError(f"layer {i}: a bias code does not fit the "
                                 f"{accumulator_bits}-bit accumulator")
-
-        # Mantissa budget that keeps acc * mantissa below 2^53, so that the
-        # requantization runs in the float64 tier; it is exact either way.
-        budget = max(2, min(DEFAULT_MULTIPLIER_BITS, 52 - (required[i] + 1)))
-        acc_scale = Fraction(w_scale.value) * Fraction(prev_scale)
         requant = e_a = None
-        if i == model.n_layers - 1:
-            output_scale = _rescale_dyadic(acc_scale, budget, f"layer {i}: output scale")
-        else:
+        if i < model.n_layers - 1:
             e_a = _pow2_act_exp(fq.act_max[i], schema.activation_bits[i])
-            prev_scale = 2.0 ** -e_a
-            requant = _rescale_dyadic(acc_scale / Fraction(prev_scale), budget,
+            # Mantissa budget that keeps acc * mantissa below 2^53, so that the
+            # requantization runs in the float64 tier; it is exact either way.
+            budget = max(2, min(DEFAULT_MULTIPLIER_BITS, 52 - (required[i] + 1)))
+            multiplier = Fraction(w_scale) * Fraction(prev_scale) * Fraction(2) ** e_a
+            requant = _rescale_dyadic(multiplier, budget,
                                       f"layer {i}: requantization multiplier")
-        layers.append(IntLayer(q_weights=q_w, weight_bits=b_w, weight_scale=w_scale,
+            prev_scale = 2.0 ** -e_a
+        layers.append(IntLayer(q_weights=q_w.astype(np.int64),
+                               weight_bits=schema.weight_bits[i], weight_scale=w_scale,
                                q_bias=int_codes(q_b), act_bits=schema.activation_bits[i],
                                requant=requant, act_exp=e_a))
-    return IntegerModel(layers=layers, input_scale=input_scale, output_scale=output_scale,
+    return IntegerModel(layers=layers, input_scale=input_scale,
                         accumulator_bits=accumulator_bits, schema=schema)
 
 
@@ -730,17 +729,21 @@ def int_forward(im: IntegerModel, x: np.ndarray):
 # Integer model serialization
 
 
+def _scale_doc(scale: float) -> dict:
+    """{mantissa, shift} of a scale, its exact as_integer_ratio(): a
+    requantization multiplier's canonical form, for a real scale a shift
+    that may pass 31 and a mantissa of up to 53 bits."""
+    mantissa, den = scale.as_integer_ratio()
+    return {"mantissa": mantissa, "shift": den.bit_length() - 1}
+
+
 def save_integer_model(im: IntegerModel, path: str) -> None:
     doc = {
         "format": "hessquant-integer-model",
         "version": 1,
         "accumulator_bits": im.accumulator_bits,
-        "input": {
-            "bits": im.schema.input_bits,
-            "mantissa": im.input_scale.mantissa,
-            "shift": im.input_scale.shift,
-        },
-        "output_scale": {"mantissa": im.output_scale.mantissa, "shift": im.output_scale.shift},
+        "input": {"bits": im.schema.input_bits, **_scale_doc(im.input_scale)},
+        "output_scale": _scale_doc(im.output_scale),
         "schema": {
             "weight_bits": list(im.schema.weight_bits),
             "activation_bits": list(im.schema.activation_bits),
@@ -750,9 +753,8 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
             {
                 "weight_bits": l.weight_bits,
                 "act_bits": l.act_bits,
-                "weight_scale": {"mantissa": l.weight_scale.mantissa, "shift": l.weight_scale.shift},
-                "requant": None if l.requant is None else
-                    {"mantissa": l.requant.mantissa, "shift": l.requant.shift},
+                "weight_scale": _scale_doc(l.weight_scale),
+                "requant": None if l.requant is None else _scale_doc(l.requant.value),
                 "act_exp": l.act_exp,
                 "q_weights": [[int(v) for v in row] for row in l.q_weights],
                 "q_bias": [int(v) for v in l.q_bias],
@@ -779,39 +781,50 @@ def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> Non
             raise ValueError(f"{path}: layer {i} widths differ from the schema's")
 
 
-def _stored_scale(doc: dict, path: str, name: str) -> DyadicScale:
-    """A stored {mantissa, shift}; ValueError at mantissa 0, which lower never writes."""
-    if doc["mantissa"] == 0:
-        raise ValueError(f"{path}: {name} has mantissa 0")
-    return DyadicScale(mantissa=doc["mantissa"], shift=doc["shift"])
+def _stored_scale(doc: dict, path: str, name: str, dyadic: bool = False):
+    """A stored {mantissa, shift} as a DyadicScale, or else as the float it
+    must equal exactly: ValueError unless both are integers, the mantissa
+    positive and the shift in 0..1074 (a float's smallest exponent), or for
+    a float unless it is one; OverflowError past the largest float."""
+    m, c = doc["mantissa"], doc["shift"]
+    if not (type(m) is int and type(c) is int and m > 0 and 0 <= c <= 1074):
+        raise ValueError(f"{path}: {name} {m!r} / 2^{c!r} is not a positive dyadic")
+    if dyadic:
+        return DyadicScale(mantissa=m, shift=c)
+    scale = m / (1 << c)
+    if Fraction(scale) != Fraction(m, 1 << c):
+        raise ValueError(f"{path}: {name} {m} / 2^{c} is not exactly a float")
+    return scale
 
 
 def load_integer_model(path: str) -> IntegerModel:
-    """A save_integer_model file.  A malformed one, one with a scale of
-    mantissa 0, or one whose input width or layers disagree with its schema
-    or do not chain, raises ValueError, KeyError or TypeError."""
+    """A save_integer_model file.  A malformed one, one with a scale that is
+    not positive (or, but for a requantization multiplier, not exactly a
+    float), one whose output scale differs from the one its scales derive,
+    or one whose input width or layers disagree with its schema or do not
+    chain, raises ValueError, KeyError, TypeError or OverflowError."""
     doc = read_document(path, "hessquant-integer-model")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),
                          input_bits=doc["schema"]["input_bits"])
-    acc_bits = doc["accumulator_bits"]
-    input_scale = _stored_scale(doc["input"], path, "input scale")
     if doc["input"]["bits"] != schema.input_bits:
         raise ValueError(f"{path}: input is {doc['input']['bits']} bits, schema has "
                          f"{schema.input_bits}")
-    layers = []
-    for i, entry in enumerate(doc["layers"]):
-        layers.append(IntLayer(
-            q_weights=np.array(entry["q_weights"], dtype=np.int64),
-            weight_bits=entry["weight_bits"],
-            weight_scale=_stored_scale(entry["weight_scale"], path, f"layer {i} weight scale"),
-            q_bias=int_codes(entry["q_bias"]),
-            act_bits=entry["act_bits"],
-            requant=None if entry["requant"] is None else
-                _stored_scale(entry["requant"], path, f"layer {i} requant"),
-            act_exp=entry["act_exp"],
-        ))
+    layers = [IntLayer(
+        q_weights=np.array(entry["q_weights"], dtype=np.int64),
+        weight_bits=entry["weight_bits"],
+        weight_scale=_stored_scale(entry["weight_scale"], path, f"layer {i} weight scale"),
+        q_bias=int_codes(entry["q_bias"]),
+        act_bits=entry["act_bits"],
+        requant=None if entry["requant"] is None else
+            _stored_scale(entry["requant"], path, f"layer {i} requant", dyadic=True),
+        act_exp=entry["act_exp"],
+    ) for i, entry in enumerate(doc["layers"])]
     _check_layers(layers, schema, path)
-    return IntegerModel(layers=layers, input_scale=input_scale,
-                        output_scale=_stored_scale(doc["output_scale"], path, "output scale"),
-                        accumulator_bits=acc_bits, schema=schema)
+    im = IntegerModel(layers=layers, accumulator_bits=doc["accumulator_bits"], schema=schema,
+                      input_scale=_stored_scale(doc["input"], path, "input scale"))
+    stored = _stored_scale(doc["output_scale"], path, "output scale")
+    if stored != im.output_scale:
+        raise ValueError(f"{path}: output scale {stored!r} differs from the "
+                         f"{im.output_scale!r} its scales derive")
+    return im

@@ -241,6 +241,13 @@ def intmodel_with_a_zero_scale(where):
     return tamper
 
 
+def intmodel_with_another_output_scale(out):
+    """An intmodel.json whose stored output scale is half the derived one."""
+    doc = read_json(out, "intmodel.json")
+    doc["output_scale"]["shift"] += 1
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -264,6 +271,7 @@ def intmodel_with_a_zero_scale(where):
      intmodel_with_a_zero_scale(("layers", 1, "weight_scale")), ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("layers", 0, "requant")), ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("output_scale",)), ()),
+    ("export-ir", "intmodel.json", intmodel_with_another_output_scale, ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
@@ -272,7 +280,7 @@ def intmodel_with_a_zero_scale(where):
         "model-nan", "model-nan-std", "traces", "allocation", "allocation-bits-40",
         "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
-        "intmodel-zero-scale-output", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -321,6 +329,22 @@ def test_exit_5_on_infeasible_budget_still_writes_solution(tmp_path, pipeline):
     doc = read_json(alt_out, "allocation.json")
     assert doc["feasible"] is False
     assert doc["bops"] > 10
+    assert "allocation.json" in read_json(alt_out, "manifest-allocate.json")["artifacts"]
+
+
+def test_a_failed_run_ir_leaves_the_last_manifest_alone(tmp_path, pipeline):
+    # exit 6 writes no artifact, so the manifest of the run whose outputs are
+    # still in out/ must stay as it was
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "graph.json"))
+    assert run("run-ir", config) == 0
+    before = Path(alt_out, "manifest-run-ir.json").read_bytes()
+    doc = read_json(alt_out, "graph.json")
+    next(n for n in doc["nodes"] if n["output"] == "h0")["attrs"]["bits"] = 70
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
+    assert run("run-ir", config) == 6
+    assert Path(alt_out, "manifest-run-ir.json").read_bytes() == before
 
 
 @pytest.mark.parametrize("allocation, flags", [
@@ -507,8 +531,10 @@ def test_exit_2_on_lowering_error(tmp_path, pipeline, capsys, monkeypatch):
     assert "layer 0: accumulator needs" in capsys.readouterr().err
 
 
-def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
-    # a 32-bit layer whose weights stay below 0.5 needs a scale under 2^-32
+def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline, capsys):
+    # 32-bit layer-0 weights shrunk a thousandfold: its activation range
+    # needs a scale under 2^-31, the clamp of activation exponents, so its
+    # multiplier w_scale * in_scale / 2^-31 needs a shift past 31
     _, _, out = pipeline
     config, alt_out = write_config(
         tmp_path, quantize={"source": "schema", "accumulator_bits": 96},
@@ -517,28 +543,63 @@ def test_exit_2_when_a_scale_rounds_to_zero(tmp_path, pipeline):
         qat={"epochs": 1})
     copy_artifacts(out, alt_out, ("dataset.csv",))
     model, mean, std = nn.load_model(os.path.join(out, "model.json"))
-    model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
+    model.layers[0].weights *= 1e-3
     nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
+    capsys.readouterr()
     assert cli.main(["quantize", "--config", config]) == 2
+    assert ("layer 0: requantization multiplier underflowed"
+            in capsys.readouterr().err)
 
 
 def _huge_layer1_weights(model):
     model.layers[1].weights *= 1e10
 
 
+def _small_layer1_weights(model):
+    model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
+
+
+@pytest.mark.parametrize("tamper, bits, accumulator_bits", [
+    (None, 24, 80), (_small_layer1_weights, 32, 96), (_huge_layer1_weights, 8, 32),
+], ids=["output-below-2^-31", "weights-below-2^-31", "weights-past-2^24"])
+def test_quantize_lowers_scales_past_the_old_dyadic_range(tmp_path, pipeline, tamper, bits,
+                                                          accumulator_bits):
+    # a 24-bit output scale, a 32-bit layer whose weights stay below 0.5 and
+    # 8-bit weights near 1e10 all need real scales that no 24-bit mantissa at
+    # a shift in 0..31 holds; the chain runs on with them
+    _, _, out = pipeline
+    config, alt_out = write_config(
+        tmp_path, quantize={"source": "schema", "accumulator_bits": accumulator_bits},
+        schema={"weight_bits": [bits] * 3, "activation_bits": [bits] * 3,
+                "input_bits": 16},
+        qat={"epochs": 1})
+    copy_artifacts(out, alt_out, ("dataset.csv",))
+    model, mean, std = nn.load_model(os.path.join(out, "model.json"))
+    if tamper is not None:
+        tamper(model)
+    nn.save_model(model, os.path.join(alt_out, "model.json"), mean, std)
+    for cmd in ("quantize", "export-ir", "run-ir"):
+        assert cli.main([cmd, "--config", config]) == 0, cmd
+
+
 def _huge_layer0_biases(model):
     model.layers[0].bias[:] = 1e4
 
 
+def _vast_layer1_weights(model):
+    model.layers[1].weights *= 1e21
+
+
 @pytest.mark.parametrize("tamper, message", [
-    (_huge_layer1_weights, "layer 1: weight scale"),
+    (_vast_layer1_weights, "layer 1: requantization multiplier overflowed"),
     (_huge_layer0_biases, "layer 0: a bias code does not fit the 32-bit accumulator"),
-], ids=["weight-scale-past-its-mantissa-budget", "bias-code-past-the-accumulator"])
+], ids=["multiplier-past-its-budget", "bias-code-past-the-accumulator"])
 def test_exit_2_when_a_scale_or_a_bias_does_not_fit(tmp_path, pipeline, capsys,
                                                     tamper, message):
-    # 8-bit weights: a weight scale near 1e8 needs more than the 24-bit
-    # mantissa budget at shift 0, and a bias of 1e4 at the scale of 8-bit
-    # weights times 16-bit inputs is a code past 2^31
+    # 8-bit weights near 1e21 outgrow the widest activation scale, 2^31, so
+    # layer 1's multiplier needs more than its 24-bit mantissa budget at
+    # shift 0; a bias of 1e4 at the scale of 8-bit weights times 16-bit
+    # inputs is a code past 2^31
     _, _, out = pipeline
     config, alt_out = write_config(
         tmp_path, quantize={"source": "schema", "accumulator_bits": 32},
@@ -552,23 +613,6 @@ def test_exit_2_when_a_scale_or_a_bias_does_not_fit(tmp_path, pipeline, capsys,
     assert cli.main(["quantize", "--config", config]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(os.path.join(alt_out, "intmodel.json"))
-
-
-def test_exit_2_when_the_output_scale_underflows(tmp_path, capsys):
-    # the default model at 32 bits: every weight and input scale is nonzero,
-    # but the output scale needs a shift past 31 and its mantissa rounds to 0
-    cfg = {"out": str(tmp_path / "out"),
-           "schema": {"weight_bits": [32] * 4, "activation_bits": [32] * 4,
-                      "input_bits": 32},
-           "quantize": {"source": "schema", "accumulator_bits": 96}}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    for cmd in ("gen-data", "train"):
-        assert run(cmd, str(path)) == 0, cmd
-    capsys.readouterr()
-    assert run("quantize", str(path)) == 2
-    assert "output scale underflowed" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out" / "intmodel.json")
 
 
 def test_estimate_falls_back_to_the_schema_section(tmp_path):

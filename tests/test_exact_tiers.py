@@ -66,7 +66,7 @@ def _with_code_output(g: ir.IRGraph, n_layers: int) -> ir.IRGraph:
 
 def _check_against_reference(im: qz.IntegerModel, x: np.ndarray) -> None:
     want = _py_forward(im, x)
-    scale = im.output_scale.value
+    scale = im.output_scale
     want_logits = [[float(v) * scale for v in row] for row in want]
     logits, codes = qz.int_forward(im, x)
     assert codes.dtype in (np.int64, object)
@@ -168,7 +168,7 @@ def test_integer_input_outside_its_declared_width_is_rejected():
 
 def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
     return qz.IntLayer(q_weights=np.array(w, dtype=np.int64), weight_bits=32,
-                       weight_scale=qz.DyadicScale(1, 0), q_bias=qz.int_codes(b),
+                       weight_scale=1.0, q_bias=qz.int_codes(b),
                        act_bits=act_bits, requant=requant,
                        act_exp=None if requant is None else 0)
 
@@ -176,8 +176,7 @@ def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
 def _model(layers) -> qz.IntegerModel:
     n = len(layers)
     return qz.IntegerModel(
-        layers=layers, input_scale=qz.DyadicScale(mantissa=1, shift=31),
-        output_scale=qz.DyadicScale(1, 31), accumulator_bits=96,
+        layers=layers, input_scale=2.0 ** -31, accumulator_bits=96,
         schema=qz.QuantSchema(weight_bits=(32,) * n, activation_bits=(32,) * n,
                               input_bits=32))
 

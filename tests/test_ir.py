@@ -95,7 +95,7 @@ def test_weight_initializers_are_dequantized_floats(graph, int_model):
     im, _ = int_model
     w0 = graph.initializers["w0"]
     assert w0.dtype == np.float64
-    scale = im.layers[0].weight_scale.value
+    scale = im.layers[0].weight_scale
     # snapping back onto the integer grid recovers the stored codes
     assert np.array_equal(np.rint(w0 / scale).astype(np.int64),
                           im.layers[0].q_weights)
@@ -272,6 +272,16 @@ def test_malformed_requant_is_a_diagnostic_not_a_crash(node, attrs, kind, messag
     assert len(diags) == 1 and f"node q: {node}" in diags[0] and message in diags[0]
     with pytest.raises(ir.IRError, match=message):
         ir.evaluate(g, {"a": np.array([1, 2])})
+
+
+@pytest.mark.parametrize("zero_point", [0.5, float("nan")], ids=["half", "nan"])
+def test_a_fractional_or_nan_zero_point_is_an_eval_error(zero_point):
+    # validate flags any nonzero constant zero point, but evaluate does not
+    # run it: a zero point it cannot use must not be truncated or crash
+    g = quant_graph(QUANT)
+    g.initializers["z"] = np.array(zero_point)
+    with pytest.raises(ir.EvalError, match="node q: Quant zero point"):
+        ir.evaluate(g, {"a": np.array([1.0, 2.0])})
 
 
 # --- constant folding -----------------------------------------------------------

@@ -276,7 +276,7 @@ def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
     # 32-bit weights and activations: every accumulator bound is past 2^62,
     # and the first layer's biases do not fit int64 at all
     rng = random.Random(5)
-    scale = qz.DyadicScale(mantissa=1, shift=31)
+    scale = 2.0 ** -31
 
     def layer(fan_in, fan_out, bias_bits, requant):
         w = [[rng.randint(-2**31, 2**31 - 1) for _ in range(fan_out)]
@@ -290,8 +290,7 @@ def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
     im = qz.IntegerModel(
         layers=[layer(6, 5, 66, qz.DyadicScale(mantissa=3, shift=31)),
                 layer(5, 3, 40, None)],
-        input_scale=scale, output_scale=scale,
-        accumulator_bits=96,
+        input_scale=scale, accumulator_bits=96,
         schema=qz.QuantSchema(weight_bits=(32, 32), activation_bits=(32, 32),
                               input_bits=32))
     assert im.layers[0].q_bias.dtype == object
@@ -301,7 +300,8 @@ def test_int_forward_is_exact_past_int64_on_a_hand_built_model():
     assert codes.dtype == object
     want = _py_int_forward(im, x)
     assert codes.tolist() == want
-    assert logits.tolist() == [[float(v) * scale.value for v in row] for row in want]
+    assert im.output_scale == scale
+    assert logits.tolist() == [[float(v) * scale for v in row] for row in want]
 
 
 # --- schemas -----------------------------------------------------------------
@@ -414,7 +414,7 @@ def lowered(qat_setup):
 def test_lower_produces_dyadic_scales_and_int_weights(lowered):
     fq, im, _ = lowered
     assert im.accumulator_bits == 32
-    assert im.input_scale.value > 0
+    assert im.input_scale > 0
     for i, layer in enumerate(im.layers):
         assert layer.q_weights.dtype == np.int64
         lo, hi = -2 ** (layer.weight_bits - 1), 2 ** (layer.weight_bits - 1) - 1
@@ -473,58 +473,119 @@ def test_lower_rejects_too_narrow_accumulator(qat_setup):
 
 
 def test_lower_wide_accumulator_uses_object_arrays(qat_setup):
+    # 32-bit codes into a 96-bit accumulator: layer 0's products pass int64,
+    # so they run on Python ints; before the output scale was derived
+    # exactly, it underflowed from 19 bits
     model, tr, va = qat_setup
     cfg = nn.TrainConfig(epochs=2, batch_size=64, seed=0)
-    fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(24, 3, input_bits=24),
-                      cfg, val=va)
-    # the output scale w_scale * 2^-e_a needs more than 31 shift bits at 24
-    # bits, so its mantissa rounds to 0 and every logit would read 0
-    with pytest.raises(qz.LoweringError, match="layer 2: output scale underflowed"):
-        qz.lower(fq, accumulator_bits=72)
+    fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(32, 3), cfg, val=va)
+    im = qz.lower(fq, accumulator_bits=96)
+    x = va.features[:32].copy()
+    x[0] = np.sign(fq.model.layers[0].weights[:, 0]) * fq.input_max  # extreme codes
+    logits, codes = qz.int_forward(im, x)
+    assert codes.tolist() == _py_int_forward(im, x)
+    assert logits.tolist() == [[float(v) * im.output_scale for v in row]
+                               for row in codes.tolist()]
+    g = ir.export_graph(im)
+    g.outputs = ["acc0"]
+    assert ir.evaluate(g, {"x": x})["acc0"].dtype == object
 
 
-def test_lower_at_18_bits_keeps_a_nonzero_output_scale(qat_setup):
-    # the widest homogeneous schema whose output scale survives on this model:
-    # a 1-bit mantissa is coarse, but a positive scale leaves every argmax alone
-    model, tr, va = qat_setup
-    cfg = nn.TrainConfig(epochs=2, batch_size=64, seed=0)
-    fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(18, 3, input_bits=18),
-                      cfg, val=va)
-    im = qz.lower(fq, accumulator_bits=64)
-    assert im.output_scale == qz.DyadicScale(1, 31)
-    logits, _ = qz.int_forward(im, va.features)
-    assert np.mean(logits.argmax(axis=1) == va.labels) == nn.accuracy(fq, va)
+def _assert_lowered_as_trained(fq: qz.FakeQuantModel, im: qz.IntegerModel) -> None:
+    """The deployed weights are bit for bit the fake-quantized ones, and the
+    input scale is the one the fake-quant path quantizes inputs with."""
+    for layer, low, bits in zip(fq.model.layers, im.layers, fq.schema.weight_bits):
+        deployed = low.q_weights * low.weight_scale
+        assert deployed.tobytes() == qz._fq_weight(layer.weights, bits).tobytes()
+    assert im.input_scale == 2 * fq.input_max / (2 ** fq.schema.input_bits - 1)
 
 
-def test_lower_rejects_weight_scale_that_rounds_to_zero(qat_setup):
-    # at 32 bits a weight range below 0.5 needs a scale under 2^-32, which no
-    # 31-bit shift reaches; the mantissa would round to 0
-    model, tr, _ = qat_setup
-    small = model.copy()
-    small.layers[1].weights *= 0.25 / np.max(np.abs(small.layers[1].weights))
-    fq = qz.calibrate_fake_quant(small, qz.QuantSchema.homogeneous(32, 3), tr)
-    with pytest.raises(qz.LoweringError, match="layer 1: weight scale"):
-        qz.lower(fq, accumulator_bits=96)
+def _shrink_layer1_weights(model, tr):
+    # at 32 bits a weight range of 0.25 needs a scale under 2^-32
+    model.layers[1].weights *= 0.25 / np.max(np.abs(model.layers[1].weights))
+    return model, tr, qz.QuantSchema.homogeneous(32, 3), 96
 
 
-def test_lower_rejects_input_scale_that_rounds_to_zero(qat_setup):
-    model, tr, _ = qat_setup
+def _shrink_inputs(model, tr):
+    # at 31 bits an input range of 0.25 needs a scale under 2^-32
     tiny = data.Dataset(features=tr.features * (0.25 / np.max(np.abs(tr.features))),
                         labels=tr.labels)
+    return model, tiny, qz.QuantSchema.homogeneous(31, 3), 96
+
+
+def _grow_layer1_weights(model, tr):
+    # weights near 1e10 need a scale near 6.7e7 at 8 bits, past 2^24
+    model = nn.mlp([16, 8, 5], seed=0)
+    model.layers[1].weights *= 1e10
+    return model, tr, qz.QuantSchema.homogeneous(8, 2), 32
+
+
+@pytest.mark.parametrize("tamper", [_shrink_layer1_weights, _shrink_inputs,
+                                    _grow_layer1_weights],
+                         ids=["weights-below-2^-31", "inputs-below-2^-31", "weights-past-2^24"])
+def test_lower_keeps_scales_past_the_old_dyadic_range(qat_setup, tamper):
+    # input and weight scales stay real, so these lower with QAT's own scales
+    model, tr, _ = qat_setup
+    model, calib, schema, acc_bits = tamper(model.copy(), tr)
+    fq = qz.calibrate_fake_quant(model, schema, calib)
+    im = qz.lower(fq, accumulator_bits=acc_bits)
+    _assert_lowered_as_trained(fq, im)
+    logits, codes = qz.int_forward(im, calib.features[:64])
+    assert codes.tolist() == _py_int_forward(im, calib.features[:64])
+    assert np.all(np.isfinite(logits))
+
+
+def test_lower_rejects_a_multiplier_that_rounds_to_zero(qat_setup):
+    # at 32 bits inputs within 0.25 have a scale near 2^-33, and layer 0's
+    # multiplier w_scale * in_scale / act_scale lies below 2^-32
+    model, tr, _ = qat_setup
+    model, tiny, _, _ = _shrink_inputs(model, tr)
     fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(32, 3), tiny)
-    with pytest.raises(qz.LoweringError, match="input scale"):
+    with pytest.raises(qz.LoweringError,
+                       match="layer 0: requantization multiplier underflowed"):
         qz.lower(fq, accumulator_bits=96)
 
 
-def test_lower_rejects_a_weight_scale_past_its_mantissa_budget(qat_setup):
-    # weights near 1e10 need a scale near 6.7e7 at 8 bits, past the 24-bit
-    # mantissa budget even at shift 0; it must not saturate at 2^24 - 1
-    _, tr, _ = qat_setup
-    model = nn.mlp([16, 8, 5], seed=0)
-    model.layers[1].weights *= 1e10
-    fq = qz.calibrate_fake_quant(model, qz.QuantSchema.homogeneous(8, 2), tr)
-    with pytest.raises(qz.LoweringError, match="layer 1: weight scale .* overflowed"):
-        qz.lower(fq)
+@pytest.mark.parametrize("bits", [2, 8, 16, 24])
+def test_lowering_deploys_qats_own_weights_and_input_scale(qat_setup, bits):
+    model, tr, _ = qat_setup
+    schema = qz.QuantSchema.homogeneous(bits, model.n_layers)
+    fq = qz.qat_train(model, tr, schema, nn.TrainConfig(epochs=1, seed=0))
+    widths = qz.accumulator_widths(schema, [l.fan_in for l in model.layers])
+    _assert_lowered_as_trained(fq, qz.lower(fq, accumulator_bits=max(32, *widths)))
+
+
+@pytest.fixture(scope="module")
+def default_like():
+    """A float model of the default architecture on default-like data."""
+    ds = data.standardize(data.generate_synthetic(2000, seed=0))
+    tr, va = data.split(ds, 0.2, 0)
+    cfg = nn.TrainConfig(epochs=5, l1=1e-4, seed=0)
+    model, _ = nn.train(nn.mlp([16, 64, 32, 32, 5], seed=0), tr, cfg)
+    return model, tr, va
+
+
+@pytest.mark.parametrize("bits", range(2, 33))
+def test_lowering_holds_at_every_width(default_like, bits):
+    # post-training calibration at a homogeneous width, inputs included, and
+    # the narrowest accumulator of at least 32 bits: only a requantization
+    # multiplier may fail, and only at 32 bits (the output scale used to
+    # underflow from 19 bits)
+    model, tr, va = default_like
+    schema = qz.QuantSchema.homogeneous(bits, model.n_layers)
+    calib = data.Dataset(features=tr.features[:1024], labels=tr.labels[:1024])
+    fq = qz.calibrate_fake_quant(model, schema, calib)
+    widths = qz.accumulator_widths(schema, [l.fan_in for l in model.layers])
+    try:
+        im = qz.lower(fq, accumulator_bits=max(32, *widths))
+    except qz.LoweringError as exc:
+        assert bits == 32 and "requantization multiplier" in str(exc)
+        return
+    scale = im.output_scale
+    last, before = im.layers[-1], im.layers[-2]
+    assert Fraction(scale) == Fraction(last.weight_scale) * Fraction(2) ** -before.act_exp
+    logits, codes = qz.int_forward(im, va.features[:256])
+    assert logits.tolist() == [[float(v) * scale for v in row] for row in codes.tolist()]
 
 
 def test_lower_rejects_a_bias_code_past_the_accumulator(qat_setup):
@@ -568,7 +629,7 @@ def test_wide_int_forward_matches_ir_evaluate_bit_for_bit(wide_lowered):
     im, va = wide_lowered
     logits, codes = qz.int_forward(im, va.features)
     assert logits.tobytes() == (codes.astype(np.float64)
-                                * im.output_scale.value).tobytes()
+                                * im.output_scale).tobytes()
     g = ir.export_graph(im)
     for graph in (g, ir.merge_scales_relu(ir.fold_constants(g))):
         got = ir.evaluate(graph, {"x": va.features})["logits"]
@@ -597,6 +658,28 @@ def test_integer_model_file_rejects_tampered_scales(tmp_path, lowered):
     doc["layers"][0]["weight_scale"]["mantissa"] = -3
     path.write_text(json.dumps(doc))
     with pytest.raises((ValueError, qz.LoweringError)):
+        qz.load_integer_model(str(path))
+
+
+def test_integer_model_file_holds_each_real_scale_exactly(tmp_path, wide_lowered):
+    # a 16-bit model's scales have shifts past 31 and mantissas past 32 bits;
+    # each is stored as its float's exact ratio, and a ratio that is not a
+    # float does not load
+    im, _ = wide_lowered
+    path = tmp_path / "im.json"
+    qz.save_integer_model(im, str(path))
+    doc = json.loads(path.read_text())
+    scales = [(doc["input"], im.input_scale), (doc["output_scale"], im.output_scale)]
+    scales += [(d["weight_scale"], l.weight_scale) for d, l in zip(doc["layers"], im.layers)]
+    for stored, scale in scales:
+        assert Fraction(stored["mantissa"], 1 << stored["shift"]) == Fraction(scale)
+    assert max(stored["shift"] for stored, _ in scales) > 31
+    back = qz.load_integer_model(str(path))
+    assert back.input_scale == im.input_scale and back.output_scale == im.output_scale
+    assert [l.weight_scale for l in back.layers] == [l.weight_scale for l in im.layers]
+    doc["layers"][1]["weight_scale"] = {"mantissa": (1 << 53) + 1, "shift": 80}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="layer 1 weight scale .* is not exactly a float"):
         qz.load_integer_model(str(path))
 
 

@@ -112,11 +112,11 @@ def ref_loss(model: MLPModel, batch: Dataset, l1: float = 0.0) -> float:
 def ref_adam_step(theta, g, state, cfg: TrainConfig):
     m, v, t = state
     t += 1
-    m = cfg.beta1 * m + (1 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    m = nn.ADAM_BETA1 * m + (1 - nn.ADAM_BETA1) * g
+    v = nn.ADAM_BETA2 * v + (1 - nn.ADAM_BETA2) * g * g
+    mhat = m / (1 - nn.ADAM_BETA1 ** t)
+    vhat = v / (1 - nn.ADAM_BETA2 ** t)
+    theta = theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + nn.ADAM_EPS)
     return theta, (m, v, t)
 
 
@@ -260,11 +260,11 @@ def ref_fq_loss(fq: RefFakeQuantModel, batch: Dataset, l1: float) -> float:
 def ref_adam(theta, g, state, cfg: TrainConfig):
     m, v, t = state
     t += 1
-    m = cfg.beta1 * m + (1 - cfg.beta1) * g
-    v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-    mhat = m / (1 - cfg.beta1 ** t)
-    vhat = v / (1 - cfg.beta2 ** t)
-    return theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps), (m, v, t)
+    m = nn.ADAM_BETA1 * m + (1 - nn.ADAM_BETA1) * g
+    v = nn.ADAM_BETA2 * v + (1 - nn.ADAM_BETA2) * g * g
+    mhat = m / (1 - nn.ADAM_BETA1 ** t)
+    vhat = v / (1 - nn.ADAM_BETA2 ** t)
+    return theta - cfg.learning_rate * mhat / (np.sqrt(vhat) + nn.ADAM_EPS), (m, v, t)
 
 
 def ref_qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: TrainConfig,
@@ -610,8 +610,7 @@ def test_stacked_float_training_equals_each_reference_run(splits):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 3), ("batch_size", 32), ("learning_rate", 2e-3), ("l1", 1e-4),
-    ("optimizer", "sgd"), ("beta1", 0.8), ("beta2", 0.99), ("adam_eps", 1e-7),
-    ("input_bits", 8)])
+    ("optimizer", "sgd"), ("input_bits", 8)])
 def test_stacked_qat_refuses_members_that_differ_in_a_shared_setting(splits, field, value):
     tr, _ = splits
     cfgs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
