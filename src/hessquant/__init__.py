@@ -22,7 +22,7 @@ from .nn import MLPModel, TrainConfig, TrainingDiverged, accuracy, mlp, train
 # quantize() function here would shadow the hessquant.quantize module itself.
 from .quantize import (DyadicScale, IntegerModel, LoweringError, QuantParams,
                        QuantSchema, calibrate, dequantize, fake_quant,
-                       int_forward, lower, qat_train, requantize, to_dyadic)
+                       int_forward, lower, qat_train, to_dyadic)
 from . import quantize  # noqa: E402  (restore the module binding)
 
 __all__ = [
@@ -38,5 +38,5 @@ __all__ = [
     "MLPModel", "TrainConfig", "TrainingDiverged", "accuracy", "mlp", "train",
     "DyadicScale", "IntegerModel", "LoweringError", "QuantParams",
     "QuantSchema", "calibrate", "dequantize", "fake_quant", "int_forward",
-    "lower", "qat_train", "quantize", "requantize", "to_dyadic",
+    "lower", "qat_train", "quantize", "to_dyadic",
 ]  # "quantize" here names the submodule

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .allocate import ArchSpec
@@ -31,6 +32,9 @@ class EstimatorCoeffs:
     softmax_ff: float = 150.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.dsp_threshold < 2:
             raise ValueError("dsp_threshold must be >= 2")
         for name in ("lut_per_bit_product", "lut_per_acc_bit", "ff_per_acc_bit",

@@ -9,9 +9,10 @@ qmax) exactly, with attributes mantissa m, shift c, bits and signed.  The
 interpreter, the package's only one (`quantize.int_forward` evaluates the
 exported graph), runs integer tensors exactly and everything else in
 float64.  `infer_shapes` gives every integer tensor a worst-case width, and
-that width is the interpreter's one static bound: a tensor is held in
-float64 while (1 << width) - 1 is below 2^53; past that the kernel picks
-int64 or Python-int objects from the values it sees.
+that width alone picks the tensor's form: with the bound (1 << width) - 1,
+float64 below 2^53, int64 below 2^63 and Python-int objects past that.  A
+Requant node picks the form it multiplies in the same way from its static
+bound * mantissa + 2^(shift-1).
 
 `infer_shapes` is also the one structural and attribute check; `validate`
 reports its first error, or else breaches of the lowered-graph rules that
@@ -33,17 +34,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .quantize import (_FLOAT_EXACT, MAX_BITS, MIN_BITS, DyadicScale, IntegerModel,
-                       _exact_matmul, _in_tier, _int_range, _matmul_bound, int_codes,
-                       int_to_float, max_abs, requantize, sum_of_products_bits)
+from .quantize import (MAX_BITS, MIN_BITS, DyadicScale, IntegerModel, _int_range,
+                       int_codes, sum_of_products_bits)
 
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant", "Requant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
 _ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Relu": 1,
           "Softmax": 1, "Constant": 0, "Requant": 1}
+_FLOAT_EXACT = 1 << 53     # every integer below this is a float64
+_INT64_LIMIT = 1 << 63
 
 
 class IRError(ValueError):
@@ -364,20 +367,18 @@ def infer_shapes(g: IRGraph) -> IRGraph:
 
 def _real(a: np.ndarray) -> np.ndarray:
     """A tensor as float64: float64 arrays as they are, integers converted."""
-    return a if a.dtype == np.float64 else int_to_float(a)
+    return a if a.dtype == np.float64 else a.astype(np.float64)
 
 
-def _int_arith(ufunc, a: np.ndarray, b: np.ndarray, bound: int | None,
-               spare: tuple) -> np.ndarray:
-    """Exact elementwise a + b or a * b (ufunc np.add or np.multiply) of
-    integer arrays, in the form _in_tier picks for bound >= |result|.  With
-    bound None it is observed: max|a| + max|b|, or max|a| * max|b|.  An
-    operand listed in spare that keeps its form and has the result's shape
-    receives the result in place."""
-    if bound is None:
-        ma, mb = max_abs(a), max_abs(b)
-        bound = ma + mb if ufunc is np.add else ma * mb
-    return _into(ufunc, _in_tier(a, bound), _in_tier(b, bound), spare)
+def _in_tier(a: np.ndarray, bound: int) -> np.ndarray:
+    """a's integer values, all at most bound in magnitude, in the exact form
+    for that bound: float64 below 2^53, int64 below 2^63 and Python-int
+    objects past that.  Returns a itself if it has that form."""
+    if bound < _FLOAT_EXACT:
+        return _real(a)
+    if bound < _INT64_LIMIT:
+        return a.astype(np.int64, copy=False)
+    return a if a.dtype == object else a.astype(np.int64, copy=False).astype(object)
 
 
 def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
@@ -413,24 +414,30 @@ def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int, mode
 
 def _requant_eval(x: np.ndarray, scale: DyadicScale, qmin: int, qmax: int,
                   bound: int, spare: bool) -> np.ndarray:
-    """clip((x*m + 2^(c-1)) >> c, qmin, qmax) of integers x with |x| <= bound.
+    """clip((x*m + 2^(c-1)) >> c, qmin, qmax) of integers x with |x| <= bound,
+    in the form `_in_tier` gives the static bound*m + 2^(c-1).
 
-    While bound*m + 2^(c-1) < 2^53 it runs in float64 as x * (m/2^c) + 1/2
-    and a floor, every step exact; past that `quantize.requantize` runs it in
-    int64 or Python ints.  The codes come back in float64; x is overwritten
-    when spare is set and it is already float64."""
-    half = (1 << (scale.shift - 1)) if scale.shift else 0
-    if bound * scale.mantissa + half < _FLOAT_EXACT:
-        t = _in_tier(x, bound)
-        t = t * scale.value if t is x and not spare else np.multiply(t, scale.value, out=t)
+    In float64 it runs as x * (m/2^c) + 1/2 and a floor, every step exact.
+    The codes come back in float64, as their widths stop at MAX_BITS; x is
+    overwritten when spare is set and it is already float64."""
+    m, c = scale.mantissa, scale.shift
+    half = (1 << (c - 1)) if c else 0
+    t = _in_tier(x, bound * m + half)
+    if t.dtype == np.float64:
+        t = np.multiply(t, scale.value, out=None if t is x and not spare else t)
         if half:
             t += 0.5
         np.floor(t, out=t)
     else:
-        t = requantize(x.astype(np.int64) if x.dtype == np.float64 else x, scale)
+        t = (t * m + half) >> c
     np.maximum(t, qmin, out=t)
     np.minimum(t, qmax, out=t)
-    return _in_tier(t, max(-qmin, qmax))
+    return _real(t)
+
+
+def _bound(info: TensorInfo) -> int:
+    """The static bound on an integer tensor's magnitude, from its width."""
+    return (1 << info.bits) - 1
 
 
 def _check_width(name: str, a: np.ndarray, info: TensorInfo) -> None:
@@ -444,17 +451,15 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     """Reference interpretation of the graph on the given inputs.
 
     The package's one integer interpreter (`quantize.int_forward` runs the
-    exported graph here).  Integer tensors use exact integer arithmetic,
-    held in the narrowest form their bound allows: integers float64 holds
-    exactly (below 2^53), int64, or Python-int objects.  An integer tensor's
-    static bound is (1 << width) - 1 for its `infer_shapes` width, and a
+    exported graph here).  Integer tensors use exact integer arithmetic in
+    the form `_in_tier` gives the static bound (1 << width) - 1 of their
+    `infer_shapes` width, whatever values they hold: float64 below 2^53,
+    int64 below 2^63 and Python-int objects past that.  A MatMul, Add or
+    Mul computes in its output's form, which bounds every partial sum, and
+    a Requant in the form of its static bound * mantissa + 2^(shift-1).  A
     graph that inference rejects, a malformed Quant or Requant attribute
-    included, does not run (IRError).  Quant and Requant nodes, whose widths
-    stop at 32 bits, and integer nodes whose bound is below 2^53 produce
-    float64-held integers.
-    Past 2^53, integer MatMul runs the kernel behind `quantize.int_matmul`,
-    Add and Mul an exact add/mul and Requant `quantize.requantize`, by the
-    observed values.  Softmax and scale multiplications run in float64.
+    included, does not run (IRError).  Softmax and scale multiplications run
+    in float64.
 
     Graph inputs are checked against their declared shapes, and integer
     inputs and initializers against their declared widths, before use.
@@ -462,8 +467,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     into an operand this call allocated that no later node reads, and each
     tensor leaves the environment after its last consumer.  Graph inputs,
     initializers and Constant values are never written.  Returns the
-    declared outputs by name; integer outputs come back as int64, or as
-    Python-int objects where they do not fit.
+    declared outputs by name; integer outputs come back as int64 up to 63
+    bits of width and as Python-int objects past that.
     """
     info = infer_shapes(g).tensors
     env: dict[str, np.ndarray] = {}
@@ -474,10 +479,9 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         if t.kind == "real":
             x = np.asarray(inputs[name], dtype=np.float64)
         else:
-            x = np.asarray(inputs[name], dtype=object if t.bits > 62 else np.int64)
-            _check_width(f"input {name}", x, t)
-            if t.bits <= 53:
-                x = x.astype(np.float64)
+            x = np.asarray(inputs[name])
+            _check_width(f"input {name}", x, t)  # before a cast could wrap or overflow
+            x = _in_tier(x.astype(object if t.bits > 62 else np.int64, copy=False), _bound(t))
         if x.ndim != len(t.shape) or any(d not in (-1, s) for d, s in zip(t.shape, x.shape)):
             raise EvalError(f"input {name} has shape {x.shape}, declared {t.shape}")
         env[name] = x
@@ -486,6 +490,7 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     for name, arr in g.initializers.items():
         if info[name].kind == "int":
             _check_width(f"initializer {name}", arr, info[name])
+            arr = _in_tier(arr, _bound(info[name]))
         env[name] = arr
 
     keep = set(g.outputs)
@@ -498,7 +503,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         spare = tuple(env[n] for n in node.inputs
                       if n in owned and last_use[n] == idx and n not in keep)
         out_info = info[node.output]
-        bound = (1 << out_info.bits) - 1 if out_info.kind == "int" else None
+        # the form every operand is computed in: the output's own
+        held = partial(_in_tier, bound=_bound(out_info)) if out_info.kind == "int" else _real
         if node.kind == "Quant":
             zp = vals[2].item()
             if isinstance(zp, float) and not zp.is_integer():
@@ -506,19 +512,10 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             out = _quant_eval(vals[0], vals[1].item(), int(zp),
                               *_quant_params(node), any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
-            a, b = vals
-            if out_info.kind == "int":
-                out = _exact_matmul(a, b, bound if bound < _FLOAT_EXACT
-                                    else _matmul_bound(a, b))
-            else:
-                out = _real(a) @ _real(b)
+            out = held(vals[0]) @ held(vals[1])
         elif node.kind in ("Add", "Mul"):
             ufunc = np.add if node.kind == "Add" else np.multiply
-            if out_info.kind == "int":
-                out = _int_arith(ufunc, *vals, bound if bound < _FLOAT_EXACT else None,
-                                 spare)
-            else:
-                out = _into(ufunc, *(_real(v) for v in vals), spare)
+            out = _into(ufunc, *map(held, vals), spare)
         elif node.kind == "Relu":
             a = vals[0]
             out = np.maximum(a, 0, out=a if spare else None)
@@ -532,20 +529,18 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             z /= z.sum(axis=-1, keepdims=True)
             out = z
         elif node.kind == "Requant":
-            out = _requant_eval(vals[0], *_requant_params(node),
-                                (1 << info[node.inputs[0]].bits) - 1,
+            out = _requant_eval(vals[0], *_requant_params(node), _bound(info[node.inputs[0]]),
                                 any(v is vals[0] for v in spare))
         else:  # Constant
-            out = node.attrs["value"]
+            out = held(node.attrs["value"])
         env[node.output] = out
         if node.kind != "Constant":
             owned.add(node.output)
         for n in (*node.inputs, node.output):
             if last_use.get(n, -1) <= idx and n not in keep:
                 env.pop(n, None)
-    return {name: env[name].astype(np.int64)
-            if info[name].kind == "int" and env[name].dtype == np.float64 else env[name]
-            for name in g.outputs}
+    return {name: _in_tier(env[name], max(_bound(info[name]), _FLOAT_EXACT))
+            if info[name].kind == "int" else env[name] for name in g.outputs}
 
 
 # ---------------------------------------------------------------------------

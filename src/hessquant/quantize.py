@@ -23,19 +23,16 @@ dyadic rational (mantissa / 2^shift): an integer multiply, an additive
 rounding term of 2^(shift-1) and an arithmetic right shift.  Activation
 scales snap to powers of two, so the output scale follows exactly.  The one
 exact rounding rule keeps each multiplier's mantissa small enough that
-requantization runs in the float64 tier, and lowering fails loudly with
-LoweringError rather than degrade: on an accumulator too narrow for the
-schema, a multiplier that rounds to zero or does not fit its mantissa budget
-at shift 0, and a bias whose code does not fit the accumulator.
+requantization runs in the interpreter's float64 tier, and lowering fails
+loudly with LoweringError rather than degrade: on an accumulator too narrow
+for the schema, a multiplier that rounds to zero or does not fit its
+mantissa budget at shift 0, and a bias whose code does not fit the
+accumulator.
 
-Integer arithmetic is exact at every width, and its representation follows
-from bounds rather than from an option: integers bounded below 2^53 stay in
-float64 arrays, which hold them exactly, below 2^63 in int64, and past that
-in Python-int object arrays.  `int_forward` evaluates the exported graph, so
-`ir.evaluate` is the one integer interpreter; this module keeps its kernels.
-`int_matmul` returns int64 below 2^62 and Python ints above, and
-`requantize` stays in int64 while max|acc| * mantissa + 2^(shift-1) fits.
-Bias codes are int64 whenever every value fits.
+`int_forward` runs the exported graph through `ir.evaluate`, the one integer
+interpreter, which holds each integer tensor in the exact form its inferred
+width gives.  Stored codes are int64, or Python-int objects where a bias
+code does not fit (`int_codes`).
 """
 
 from __future__ import annotations
@@ -213,94 +210,16 @@ def _rescale_dyadic(value, mantissa_bits: int, name: str) -> DyadicScale:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer kernels
-
-_INT64_LIMIT = 1 << 63
-_FLOAT_EXACT = 1 << 53     # every integer below this is a float64
-_INT64_SAFE = 1 << 62      # int_matmul keeps its int64 results below this
-
-
-def max_abs(a: np.ndarray) -> int:
-    """max |a| of an integer array (float64-held, int64 or Python-int objects)
-    as an int."""
-    if a.size == 0:
-        return 0
-    return max(-int(a.min()), int(a.max()))
-
-
-def int_to_float(a: np.ndarray) -> np.ndarray:
-    """float64 copy of an integer array; Python ints convert one by one."""
-    if a.dtype == object:
-        return np.array([float(v) for v in a.ravel()]).reshape(a.shape)
-    return a.astype(np.float64)
+# Stored integer codes
 
 
 def int_codes(values) -> np.ndarray:
     """Integer codes as int64 when every value fits, else Python-int objects."""
     vals = [int(v) for v in values]
-    fits = all(-_INT64_LIMIT <= v < _INT64_LIMIT for v in vals)
-    return np.array(vals, dtype=np.int64 if fits else object)
-
-
-def _in_tier(a: np.ndarray, bound: int) -> np.ndarray:
-    """a's integer values, all at most bound in magnitude, in the narrowest
-    exact form for that bound: float64 below 2^53, int64 below 2^63 and
-    Python-int objects past that.  Returns a itself if it has that form."""
-    if bound < _FLOAT_EXACT:
-        return a if a.dtype == np.float64 else int_to_float(a)
-    if bound < _INT64_LIMIT:
-        return a.astype(np.int64, copy=False)
-    return a if a.dtype == object else a.astype(np.int64, copy=False).astype(object)
-
-
-def _matmul_bound(a: np.ndarray, b: np.ndarray) -> int:
-    """n * max|a| * max|b|, which bounds every partial sum of a @ b."""
-    return a.shape[-1] * max(max_abs(a), 1) * max(max_abs(b), 1)
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Exact integer a @ b given bound >= n * max|a| * max|b|: a float64 BLAS
-    product below 2^53 (every partial sum is then an integer float64 holds),
-    an int64 product below 2^62 and a Python-int dot product above."""
-    if bound < _FLOAT_EXACT:
-        return _in_tier(a, bound) @ _in_tier(b, bound)
-    if bound < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return np.dot(_in_tier(a, _INT64_LIMIT), _in_tier(b, _INT64_LIMIT))
-
-
-def requantize(acc, scale: DyadicScale):
-    """Multiply-and-shift requantization of integer accumulator values.
-
-    Computes (acc * mantissa + 2^(shift-1)) >> shift with an arithmetic right
-    shift; the additive term makes it round-half-up for non-negative inputs.
-    Works elementwise on integer arrays and on plain ints.  Fixed-width
-    arrays run in int64 while max|acc| * mantissa + 2^(shift-1) fits it and
-    are promoted to Python ints otherwise, so the result never wraps.
-    """
-    m, c = scale.mantissa, scale.shift
-    half = (1 << (c - 1)) if c else 0
-    if isinstance(acc, np.integer):
-        acc = int(acc)
-    elif isinstance(acc, np.ndarray) and acc.dtype != object:
-        fits = max_abs(acc) * m + half < _INT64_LIMIT
-        acc = acc.astype(np.int64, copy=False) if fits else acc.astype(object)
-    return (acc * m + half) >> c
-
-
-def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of 2-d arrays a @ b, by the bound n*max|a|*max|b|.
-
-    - below 2^53 every partial sum is an integer a float64 holds exactly, so a
-      float64 BLAS product cast back to int64 is exact;
-    - below 2^62 an int64 product;
-    - above that a Python-int dot product (object result).
-
-    int64 results are below 2^62 in magnitude, so adding one more int64 value
-    of that size cannot wrap.
-    """
-    prod = _exact_matmul(a, b, _matmul_bound(a, b))
-    return prod.astype(np.int64) if prod.dtype == np.float64 else prod
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +630,9 @@ def int_forward(im: IntegerModel, x: np.ndarray):
     accumulator as an output: the input is quantized once, every layer runs
     matmul, bias add and multiply-shift requantization on exact integers
     (the clip at zero realizes ReLU), and the final accumulator is
-    dequantized by the output scale.  The codes come back as int64, or as
-    Python ints where they do not fit.
+    dequantized by the output scale.  The codes come back as int64 while
+    the last accumulator's inferred width is at most 63 bits, and as Python
+    ints past that.
     """
     from . import ir
 
@@ -766,10 +686,18 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
 
 
 def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> None:
-    """Raise ValueError unless the layers chain and match the schema's widths."""
+    """Raise ValueError unless the layers chain and match the schema's
+    widths, and every hidden layer, but not the last, has a requantization
+    multiplier and an integer act_exp."""
     if len(layers) != schema.n_layers:
         raise ValueError(f"{path}: {len(layers)} layers, schema has {schema.n_layers}")
     for i, layer in enumerate(layers):
+        if i < len(layers) - 1:
+            if layer.requant is None or type(layer.act_exp) is not int:
+                raise ValueError(f"{path}: hidden layer {i} needs a requant and an "
+                                 f"integer act_exp")
+        elif (layer.requant, layer.act_exp) != (None, None):
+            raise ValueError(f"{path}: the last layer {i} has a requant or act_exp")
         w = layer.q_weights
         if w.ndim != 2 or (i > 0 and w.shape[0] != layers[i - 1].q_weights.shape[1]):
             raise ValueError(f"{path}: layer {i} weights of shape {w.shape} do not chain")
@@ -801,8 +729,10 @@ def load_integer_model(path: str) -> IntegerModel:
     """A save_integer_model file.  A malformed one, one with a scale that is
     not positive (or, but for a requantization multiplier, not exactly a
     float), one whose output scale differs from the one its scales derive,
-    or one whose input width or layers disagree with its schema or do not
-    chain, raises ValueError, KeyError, TypeError or OverflowError."""
+    one whose input width or layers disagree with its schema or do not
+    chain, or one with a hidden layer lacking a requant or an integer
+    act_exp or a last layer having either, raises ValueError, KeyError,
+    TypeError or OverflowError."""
     doc = read_document(path, "hessquant-integer-model")
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hessquant import data, nn
+from hessquant import data, ir, nn
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,19 @@ def trained_model(small_data):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def tier_forms(monkeypatch):
+    """{bound: set of dtypes} of every exact form ir.evaluate holds integers
+    in during the test, recorded from ir._in_tier."""
+    forms: dict = {}
+    convert = ir._in_tier
+
+    def spy(a, bound):
+        out = convert(a, bound)
+        forms.setdefault(bound, set()).add(out.dtype)
+        return out
+
+    monkeypatch.setattr(ir, "_in_tier", spy)
+    return forms

@@ -241,6 +241,15 @@ def intmodel_with_a_zero_scale(where):
     return tamper
 
 
+def intmodel_with_layer_entry(layer, key, value):
+    """An intmodel.json whose layer entry key is value."""
+    def tamper(out):
+        doc = read_json(out, "intmodel.json")
+        doc["layers"][layer][key] = value
+        return json.dumps(doc)
+    return tamper
+
+
 def intmodel_with_another_output_scale(out):
     """An intmodel.json whose stored output scale is half the derived one."""
     doc = read_json(out, "intmodel.json")
@@ -272,6 +281,10 @@ def intmodel_with_another_output_scale(out):
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("layers", 0, "requant")), ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("output_scale",)), ()),
     ("export-ir", "intmodel.json", intmodel_with_another_output_scale, ()),
+    ("export-ir", "intmodel.json", intmodel_with_layer_entry(0, "requant", None), ()),
+    ("export-ir", "intmodel.json", intmodel_with_layer_entry(0, "act_exp", None), ()),
+    ("export-ir", "intmodel.json",
+     intmodel_with_layer_entry(-1, "requant", {"mantissa": 3, "shift": 2}), ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
@@ -280,7 +293,8 @@ def intmodel_with_another_output_scale(out):
         "model-nan", "model-nan-std", "traces", "allocation", "allocation-bits-40",
         "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
-        "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "intmodel-hidden-without-requant",
+        "intmodel-hidden-without-act-exp", "intmodel-last-with-requant", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -675,16 +689,21 @@ def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
 def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, capsys,
                                                                       command):
     coeffs = tmp_path / "coeffs.json"
-    coeffs.write_text(json.dumps({
-        "format": "hessquant-coeffs", "dsp_threshold": [1], "lut_per_bit_product": 1.0,
-        "lut_per_acc_bit": 1.0, "ff_per_acc_bit": 1.0, "softmax_lut": 1.0,
-        "softmax_ff": 1.0}))
     config, out = write_config(tmp_path, estimate={"source": "schema", "coeffs": str(coeffs)},
                                schema={"weight_bits": [4, 6, 8]})
     os.makedirs(out)
     Path(out, "sweep.csv").write_text(allocate.sweep_csv([allocate.SweepRecord(
         config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
         bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)]))
-    capsys.readouterr()
-    assert run(command, config) == 2
-    assert "bad coefficients file" in capsys.readouterr().err
+    # a list, and values JSON reads as infinite (1e400) or not a number
+    for key, value in [("dsp_threshold", "[1]"), ("lut_per_bit_product", "1e400"),
+                       ("dsp_threshold", "1e400"), ("lut_per_bit_product", "NaN"),
+                       ("dsp_threshold", "NaN")]:
+        doc = {"dsp_threshold": "12", "lut_per_bit_product": "1.0", "lut_per_acc_bit": "1.0",
+               "ff_per_acc_bit": "1.0", "softmax_lut": "1.0", "softmax_ff": "1.0",
+               key: value}
+        coeffs.write_text('{"format": "hessquant-coeffs", '
+                          + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+        capsys.readouterr()
+        assert run(command, config) == 2, (key, value)
+        assert "bad coefficients file" in capsys.readouterr().err

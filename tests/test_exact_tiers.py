@@ -1,11 +1,13 @@
 """Exact integer inference across its float64 / int64 / Python-int forms.
 
-The interpreter keeps integers whose inferred width is bounded below 2^53 in
-float64 arrays and runs in place; `int_forward` evaluates the exported graph.
-These tests pin that the in-place paths never write into arrays the caller
-owns, that integer results leave as int64 or Python ints, that results equal
-a Python-int replay on both sides of each 2^53 boundary, and that
-`accumulator_widths` is the width the graph gives each layer's MatMul.
+The interpreter holds each integer tensor in the form its inferred width
+gives (float64 below 2^53, int64 below 2^63, Python ints past that) and runs
+in place; `int_forward` evaluates the exported graph.  These tests pin that
+the in-place paths never write into arrays the caller owns, that integer
+results leave as int64 or Python ints, that the form follows the width and
+not the values, that results equal a Python-int replay where values sit on
+either side of 2^53, and that `accumulator_widths` is the width the graph
+gives each layer's MatMul.
 """
 
 import numpy as np
@@ -162,9 +164,22 @@ def test_integer_input_outside_its_declared_width_is_rejected():
     assert ir.evaluate(g, {"q": np.array([-128, 127])})["y"].tolist() == [-127, 128]
     with pytest.raises(ir.EvalError, match="declared 8-bit signed range"):
         ir.evaluate(g, {"q": np.array([128])})
+    # a Python int past int64, or a uint64 that an int64 cast would wrap, is
+    # named the same way, at any declared width
+    for bits in (8, 40, 62, 63):
+        g.tensors["q"] = ir.TensorInfo((-1,), "int", bits=bits, signed=True)
+        for q in ([2**70], np.array([2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(ir.EvalError, match=f"declared {bits}-bit signed range"):
+                ir.evaluate(g, {"q": q})
 
 
-# --- the 2^53 boundaries ----------------------------------------------------------
+# --- values at 2^53 --------------------------------------------------------------
+#
+# The models below run 32-bit codes through fan-ins of 3 or 4, so every
+# accumulator is typed 66 or 67 bits wide and held in Python ints whatever
+# its values.  The values are chosen so that one sum (or requantization
+# product) lands on 2^53 - 1, 2^53 or 2^53 + 1, where a float64 path would
+# round; the replay pins that none does.
 
 def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
     return qz.IntLayer(q_weights=np.array(w, dtype=np.int64), weight_bits=32,
@@ -236,10 +251,10 @@ def test_requantize_bound_at_2_53(offset):
 
 
 def test_requantize_past_2_53_leaves_float64():
-    # acc * m = k * 2^22 - 2^21 - 1 is odd and past 2^53, so float64 rounds it
-    # up by one and (acc * m + 2^21) >> 22 would read k instead of k - 1; the
-    # accumulator itself is below 2^53, so only the requantization bound can
-    # send this layer to int64, in int_forward and in the exported graph
+    # acc * m = k * 2^22 - 2^21 - 1 is odd and past 2^53, so float64 would
+    # round it up by one and (acc * m + 2^21) >> 22 would read k instead of
+    # k - 1, though the accumulator itself is below 2^53; the layer's static
+    # width keeps it out of float64, in int_forward and in the exported graph
     k = 3 * ((1 << 30) + 1)
     requant = qz.DyadicScale(3, 22)
     acc_bound, rem = divmod(k * (1 << 22) - (1 << 21) - 1, 3)
@@ -265,9 +280,8 @@ def test_lowered_models_agree_with_the_python_int_replay(bits, small_data, train
 
 def test_bounds_follow_the_actual_inner_dimension():
     # a static inner dimension of 4096 types the products of 26-bit codes as
-    # 26 + 26 + 12 = 64 bits, past 2^53: the MatMul picks its form from the
-    # observed values, its sums are near 2^62 and the Add after them must
-    # still be exact
+    # 26 + 26 + 12 = 64 bits, so the MatMul and the Add after it run in
+    # Python ints; the sums are near 2^62 and must be exact
     def graph(a_shape):
         return ir.IRGraph(
             nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {}),
@@ -291,10 +305,17 @@ def test_bounds_follow_the_actual_inner_dimension():
             check(g)
 
 
-@pytest.mark.parametrize("width, form", [(53, np.float64), (54, np.int64)])
-def test_matmul_tier_follows_the_inferred_width(width, form, monkeypatch):
+@pytest.mark.parametrize("width, form, small", [
+    pytest.param(53, np.float64, False, id="53-float64"),
+    pytest.param(54, np.int64, False, id="54-int64"),
+    pytest.param(63, np.int64, False, id="63-int64"),
+    pytest.param(64, object, False, id="64-object"),
+    pytest.param(54, np.int64, True, id="54-int64-small-values")])
+def test_matmul_tier_follows_the_inferred_width(width, form, small, tier_forms):
     # two-term sums of unsigned 26-bit and (width - 27)-bit extreme codes; at
-    # 54 bits the sum, 2^54 - 2^28 - 2^27 + 2, is not a float64
+    # 54 bits the sum, 2^54 - 2^28 - 2^27 + 2, is not a float64.  Small
+    # values at a declared 54 bits fit a float64 too, but the width, not
+    # the values, picks the form.
     g = ir.IRGraph(
         nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {})],
         inputs=["a", "b"], outputs=["c"],
@@ -302,14 +323,38 @@ def test_matmul_tier_follows_the_inferred_width(width, form, monkeypatch):
                  "b": ir.TensorInfo((2, 1), "int", bits=width - 27, signed=False)},
         initializers={})
     assert ir.infer_shapes(g).tensors["c"].bits == width
-    forms = []
-    kernel = ir._exact_matmul
-    monkeypatch.setattr(ir, "_exact_matmul",
-                        lambda a, b, bound: forms.append(kernel(a, b, bound)) or forms[-1])
-    amax, bmax = (1 << 26) - 1, (1 << (width - 27)) - 1
+    amax, bmax = ((3, 5) if small else ((1 << 26) - 1, (1 << (width - 27)) - 1))
     out = ir.evaluate(g, {"a": np.full((1, 2), amax), "b": np.full((2, 1), bmax)})
     assert out["c"].tolist() == [[2 * amax * bmax]]
-    assert [f.dtype for f in forms] == [form]
+    assert out["c"].dtype == (object if width > 63 else np.int64)
+    assert tier_forms[(1 << width) - 1] == {np.dtype(form)}
+
+
+@pytest.mark.parametrize("width, mantissa, shift, form, small", [
+    pytest.param(53, 1, 0, np.float64, False, id="2^53-1-float64"),
+    pytest.param(53, 1, 1, np.int64, False, id="2^53-int64"),
+    pytest.param(63, 1, 0, np.int64, False, id="2^63-1-int64"),
+    pytest.param(63, 1, 1, object, False, id="2^63-object"),
+    pytest.param(40, (1 << 31) - 1, 31, object, True, id="past-2^63-small-values")])
+def test_requant_tier_follows_the_static_bound(width, mantissa, shift, form, small,
+                                               tier_forms):
+    # the bound (2^width - 1) * m + 2^(c-1) of the width, not the values,
+    # picks the form a Requant multiplies in; the codes leave as int64
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("Requant", ("a",), "q", {"mantissa": mantissa, "shift": shift,
+                                                  "bits": 32, "signed": True})],
+        inputs=["a"], outputs=["q"],
+        tensors={"a": ir.TensorInfo((-1,), "int", bits=width, signed=True)},
+        initializers={})
+    half = (1 << (shift - 1)) if shift else 0
+    reach = ((1 << width) - 1) * mantissa + half
+    top = 1 << (width - 1)
+    a = [-3, 0, 1, 2, 7] if small else [-top, -top + 1, -1, 0, 1, top - 2, top - 1]
+    want = [min(max((v * mantissa + half) >> shift, -(1 << 31)), (1 << 31) - 1) for v in a]
+    got = ir.evaluate(g, {"a": a})["q"]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert tier_forms[reach] == {np.dtype(form)}
 
 
 def _extreme_model(bits: int, sizes: list[int]) -> qz.FakeQuantModel:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -27,6 +28,10 @@ def test_coeffs_validation():
         hwest.EstimatorCoeffs(dsp_threshold=1)
     with pytest.raises(ValueError):
         hwest.EstimatorCoeffs(lut_per_bit_product=-0.1)
+    for name in ("dsp_threshold", "lut_per_bit_product", "softmax_ff"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                hwest.EstimatorCoeffs(**{name: value})
 
 
 def test_wide_multiplies_go_to_dsps():

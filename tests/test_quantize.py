@@ -161,53 +161,78 @@ def test_dyadic_scale_enforces_canonical_form():
     assert qz.DyadicScale(mantissa=0, shift=0).value == 0.0
 
 
+# --- requantization and the exact integer matmul, as one-node graphs ---------
+
+def _requant(acc, scale: qz.DyadicScale, width: int) -> np.ndarray:
+    """A Requant node's signed 32-bit codes of acc, declared width bits wide."""
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("Requant", ("a",), "q", {"mantissa": scale.mantissa,
+                                                  "shift": scale.shift, "bits": 32,
+                                                  "signed": True})],
+        inputs=["a"], outputs=["q"],
+        tensors={"a": ir.TensorInfo((-1,), "int", bits=width, signed=True)},
+        initializers={})
+    return ir.evaluate(g, {"a": acc})["q"]
+
+
+def _int_matmul(a, b, a_bits: int, b_bits: int) -> np.ndarray:
+    """A MatMul node's exact product of signed a_bits- and b_bits-wide codes."""
+    g = ir.IRGraph(
+        nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {})],
+        inputs=["a", "b"], outputs=["c"],
+        tensors={"a": ir.TensorInfo((-1, a.shape[1]), "int", bits=a_bits, signed=True),
+                 "b": ir.TensorInfo(b.shape, "int", bits=b_bits, signed=True)},
+        initializers={})
+    return ir.evaluate(g, {"a": a, "b": b})["c"]
+
+
 def test_requantize_rounds_to_nearest_with_ties_up():
     d = qz.DyadicScale(mantissa=3, shift=2)   # 0.75
-    assert qz.requantize(np.array([300]), d).tolist() == [225]
+    assert _requant(np.array([300]), d, 16).tolist() == [225]
     # 2/4 = 0.5 exactly: the added half turns it into round-half-up
     half = qz.DyadicScale(mantissa=1, shift=1)
-    assert qz.requantize(np.array([1, 3, -1]), half).tolist() == [1, 2, 0]
+    assert _requant(np.array([1, 3, -1]), half, 16).tolist() == [1, 2, 0]
 
 
 def test_requantize_with_zero_shift_is_plain_multiply():
     d = qz.DyadicScale(mantissa=7, shift=0)
     acc = np.array([-4, 0, 11])
-    assert qz.requantize(acc, d).tolist() == [-28, 0, 77]
+    assert _requant(acc, d, 16).tolist() == [-28, 0, 77]
 
 
 def test_requantize_matches_float_reference_within_half_ulp():
     rng = np.random.default_rng(4)
     acc = rng.integers(-10**6, 10**6, size=500)
     d = qz.to_dyadic(0.0123, mantissa_bits=16)
-    got = qz.requantize(acc, d)
+    got = _requant(acc, d, 21)
     ref = np.floor(acc * d.value + 0.5).astype(np.int64)
     assert np.array_equal(got, ref)
 
 
 def test_requantize_handles_python_int_objects():
+    # a 72-bit input runs in Python ints; the large codes clip, the small
+    # one shows the exact value
     d = qz.DyadicScale(mantissa=5, shift=4)
-    acc = np.array([2**70, -(2**68)], dtype=object)
-    out = qz.requantize(acc, d)
-    assert out[0] == (2**70 * 5 + 8) >> 4
-    assert out[1] == (-(2**68) * 5 + 8) >> 4
+    acc = qz.int_codes([2**70, -(2**68), 12345])
+    assert acc.dtype == object
+    assert _requant(acc, d, 72).tolist() == [2**31 - 1, -(2**31), (12345 * 5 + 8) >> 4]
 
 
 def test_requantize_promotes_instead_of_wrapping():
-    # 2^62 * 3 does not fit int64; the product must not wrap
+    # (2^62 - 1) * 3 does not fit int64: a wrapped product would change sign
+    # and clip to the other end of the range
     d = qz.DyadicScale(mantissa=3, shift=1)
-    assert qz.requantize(np.array([2**62]), d).tolist() == [3 * 2**61]
-    assert qz.requantize(np.array([-(2**62)]), d).tolist() == [-3 * 2**61]
-    assert qz.requantize(np.int64(2**62), d) == 3 * 2**61
+    acc = np.array([2**62 - 1, -(2**62), 5])
+    assert _requant(acc, d, 63).tolist() == [2**31 - 1, -(2**31), 8]
 
 
-def test_requantize_stays_int64_while_the_product_fits():
-    d = qz.DyadicScale(mantissa=3, shift=1)
-    out = qz.requantize(np.array([2**60, -(2**60), 7]), d)
-    assert out.dtype == np.int64
-    assert out.tolist() == [3 * 2**59, -3 * 2**59, 11]
+def test_requantize_stays_int64_while_the_product_fits(tier_forms):
+    # at 61 bits, (2^61 - 1) * 3 + 2^30 is past 2^53 and below 2^63
+    d = qz.DyadicScale(mantissa=3, shift=31)
+    out = _requant(np.array([2**60 - 1, -(2**60), 7]), d, 61)
+    assert out.tolist() == [3 * 2**29, -3 * 2**29, 0]
+    assert tier_forms[((1 << 61) - 1) * 3 + (1 << 30)] == {np.dtype(np.int64)}
 
-
-# --- the shared exact integer matmul kernel -----------------------------------
 
 def _py_matmul(a, b):
     """Reference a @ b as a loop over Python ints."""
@@ -230,9 +255,10 @@ def _near_max_operand(rng, rows, cols, bits, full_axis):
     return np.array(vals, dtype=dtype)
 
 
-# (bits of a, bits of b) with fan-in n = 8, so the bound is 2^(3 + a + b):
-# float64 BLAS below 2^53, int64 below 2^62 and a Python-int dot product
-# above, including operands that are themselves past int64.
+# (bits of a, bits of b) with fan-in n = 8: values in [-2^bits, 2^bits] are
+# declared bits + 2 wide, so the product is typed a + b + 7 bits: float64
+# BLAS through 53 bits, int64 through 63 and Python ints past that,
+# including operands that are themselves past int64.
 @pytest.mark.parametrize("a_bits,b_bits", [
     (10, 12), (24, 25), (25, 25), (26, 26), (28, 29), (29, 29),
     (29, 30), (30, 40), (20, 62), (40, 70), (50, 20), (70, 70)])
@@ -241,18 +267,17 @@ def test_int_matmul_matches_python_ints_on_every_path(a_bits, b_bits):
     n = 8
     a = _near_max_operand(rng, 5, n, a_bits, full_axis=0)
     b = _near_max_operand(rng, n, 4, b_bits, full_axis=1)
-    got = qz.int_matmul(a, b)
+    got = _int_matmul(a, b, a_bits + 2, b_bits + 2)
     assert got.tolist() == _py_matmul(a.tolist(), b.tolist())
-    bound = n * qz.max_abs(a) * qz.max_abs(b)
-    assert got.dtype == (np.int64 if bound < 2**62 else object)
+    assert got.dtype == (np.int64 if a_bits + b_bits + 7 <= 63 else object)
 
 
 def test_int_matmul_float_path_would_be_inexact_past_2_53():
     # 8 * (2^27 - 1)^2 = 2^57 - 2^31 + 8 lies between float64 neighbours 32
-    # apart: a float64 product rounds it, the kernel must not
+    # apart: a float64 product rounds it, the 59-bit MatMul must not
     a = np.full((1, 8), 2**27 - 1, dtype=np.int64)
     b = np.full((8, 1), 2**27 - 1, dtype=np.int64)
-    got = qz.int_matmul(a, b)
+    got = _int_matmul(a, b, 28, 28)
     assert int(got[0, 0]) == 8 * (2**27 - 1) ** 2
     assert int((a.astype(float) @ b.astype(float))[0, 0]) != 8 * (2**27 - 1) ** 2
 
@@ -458,8 +483,8 @@ def test_relu_commutes_with_requantization():
     # over a dense integer range
     d = qz.to_dyadic(0.37, mantissa_bits=12)
     acc = np.arange(-2000, 2000)
-    a = np.maximum(qz.requantize(acc, d), 0)
-    b = qz.requantize(np.maximum(acc, 0), d)
+    a = np.maximum(_requant(acc, d, 12), 0)
+    b = _requant(np.maximum(acc, 0), d, 12)
     assert np.array_equal(a, b)
 
 
@@ -473,9 +498,9 @@ def test_lower_rejects_too_narrow_accumulator(qat_setup):
 
 
 def test_lower_wide_accumulator_uses_object_arrays(qat_setup):
-    # 32-bit codes into a 96-bit accumulator: layer 0's products pass int64,
-    # so they run on Python ints; before the output scale was derived
-    # exactly, it underflowed from 19 bits
+    # 32-bit codes into a 96-bit accumulator: layer 0's accumulator is typed
+    # past 63 bits wide, so it runs on Python ints; before the output scale
+    # was derived exactly, it underflowed from 19 bits
     model, tr, va = qat_setup
     cfg = nn.TrainConfig(epochs=2, batch_size=64, seed=0)
     fq = qz.qat_train(model, tr, qz.QuantSchema.homogeneous(32, 3), cfg, val=va)
