@@ -19,7 +19,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import nn, quantize
 from .data import Dataset
 from .ioutil import read_document, write_json_atomic
 from .nn import MLPModel, TrainConfig
-from .quantize import QuantSchema
+from .quantize import QuantSchema, coupled_width
 
 DEFAULT_CANDIDATES = (4, 5, 6, 7, 8)
 
@@ -118,7 +118,7 @@ class AllocationProblem:
     """Inputs of one allocation run.
 
     candidates are the weight bit widths available to every layer; activation
-    widths follow the coupling rule b_a = b_w + coupling_offset.  traces are
+    widths follow them, b_a = quantize.coupled_width(b_w).  traces are
     the per-layer average Hessian traces and weights the float tensors whose
     quantization damage omega measures.
     """
@@ -127,7 +127,6 @@ class AllocationProblem:
     weights: list[np.ndarray]
     budget: float
     candidates: tuple[int, ...] = DEFAULT_CANDIDATES
-    coupling_offset: int = 3
 
     def __post_init__(self):
         if not self.budget > 0:  # also rejects NaN
@@ -145,13 +144,6 @@ class AllocationProblem:
         if lo < quantize.MIN_BITS or hi > quantize.MAX_BITS:
             raise ValueError(f"candidate widths must lie in "
                              f"{quantize.MIN_BITS}..{quantize.MAX_BITS}, got {self.candidates}")
-        if lo + self.coupling_offset < quantize.MIN_BITS:
-            raise ValueError(f"coupling_offset {self.coupling_offset} gives {lo}-bit "
-                             f"weights {lo + self.coupling_offset}-bit activations")
-
-    def schema_for(self, bits) -> QuantSchema:
-        return QuantSchema.coupled(bits, input_bits=self.arch.input_bits,
-                                   offset=self.coupling_offset)
 
 
 @dataclass
@@ -172,19 +164,13 @@ class AllocationSolution:
                            input_bits=self.input_bits)
 
 
-def _solution(problem: AllocationProblem, bits: tuple[int, ...], feasible: bool,
-              explored: int) -> AllocationSolution:
-    schema = problem.schema_for(bits)
-    return AllocationSolution(
-        weight_bits=schema.weight_bits,
-        activation_bits=schema.activation_bits,
-        omega_value=omega(problem.traces, problem.weights, schema),
-        bops=model_bops(problem.arch, schema),
-        feasible=feasible,
-        budget=problem.budget,
-        input_bits=problem.arch.input_bits,
-        explored=explored,
-    )
+def _solution(problem: AllocationProblem, label: tuple[float, float, tuple[int, ...]],
+              feasible: bool, explored: int) -> AllocationSolution:
+    bops, om, bits = label
+    return AllocationSolution(weight_bits=bits, activation_bits=tuple(map(coupled_width, bits)),
+                              omega_value=om, bops=bops, feasible=feasible,
+                              budget=problem.budget, input_bits=problem.arch.input_bits,
+                              explored=explored)
 
 
 def _layer_cost_tables(problem: AllocationProblem):
@@ -195,10 +181,7 @@ def _layer_cost_tables(problem: AllocationProblem):
 
     def bops_of(layer: int, prev_b: int | None, b: int) -> float:
         n, m = problem.arch.dims[layer]
-        if layer == 0:
-            b_in = problem.arch.input_bits
-        else:
-            b_in = min(prev_b + problem.coupling_offset, quantize.MAX_BITS)
+        b_in = problem.arch.input_bits if layer == 0 else coupled_width(prev_b)
         return layer_bops(n, m, b_in, b, problem.arch.sparsities[layer])
 
     return pert, bops_of
@@ -210,8 +193,9 @@ def solve_ilp(problem: AllocationProblem) -> AllocationSolution:
     A dynamic program over layers: layer i's BOPs depend only on its own
     width and layer i-1's, so after each layer it keeps, per last width, the
     Pareto frontier of (BOPs, omega, bits) prefixes.  Both totals accumulate
-    in layer order, as model_bops and omega sum them, so the budget test sees
-    the same floats the solution reports.  Ties break by lower BOPs, then the
+    in layer order, as model_bops and omega sum them, so the chosen label's
+    totals, which the budget test sees and the solution reports, are the
+    floats those functions give.  Ties break by lower BOPs, then the
     lexicographically smaller bit vector.  An unsatisfiable budget yields
     feasible=False carrying the minimum-BOPs configuration.  explored counts
     the complete configurations scored at the last layer.
@@ -238,11 +222,11 @@ def solve_ilp(problem: AllocationProblem) -> AllocationSolution:
         frontier = step
 
     finals = [label for kept in frontier.values() for label in kept]
-    best = min(((om, bops, bits) for bops, om, bits in finals if bops <= problem.budget),
-               default=None)
+    best = min((label for label in finals if label[0] <= problem.budget),
+               key=lambda label: (label[1], label[0], label[2]), default=None)
     if best is not None:
-        return _solution(problem, best[2], feasible=True, explored=explored)
-    return _solution(problem, min(finals)[2], feasible=False, explored=explored)
+        return _solution(problem, best, feasible=True, explored=explored)
+    return _solution(problem, min(finals), feasible=False, explored=explored)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +246,7 @@ class SweepRecord:
 
 
 def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
-          val: Dataset | None = None, sample: int | None = None,
-          seed: int = 0, coupling_offset: int = 3) -> list[SweepRecord]:
+          val: Dataset | None = None, sample: int | None = None) -> list[SweepRecord]:
     """Train-and-measure over (a sample of) the bit-width configuration grid.
 
     Each configuration gets a fresh model and a per-config training seed
@@ -274,7 +257,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     ValueError that fake-quantizing non-finite weights raises mid-epoch)
     produces a record with the error message instead of aborting the sweep;
     any other exception propagates.  sample draws that many configs without
-    replacement using the given seed.  The configurations train as one
+    replacement, seeded with cfg.seed.  The configurations train as one
     stack (quantize.qat_train_many), each exactly as it would alone, and
     each record's accuracy is its run's last validation accuracy.
     """
@@ -283,40 +266,33 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     grid = list(itertools.product(cands, repeat=arch.n_layers))
     ids = list(range(len(grid)))
     if sample is not None and sample < len(grid):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed)
         ids = sorted(rng.choice(len(grid), size=sample, replace=False).tolist())
     if not ids:
         return []
-    schemas = [QuantSchema.coupled(grid[i], input_bits=arch.input_bits, offset=coupling_offset)
-               for i in ids]
-    cfgs = [TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                        learning_rate=cfg.learning_rate, l1=cfg.l1, seed=cfg.seed + i,
-                        optimizer=cfg.optimizer) for i in ids]
+    schemas = [QuantSchema.coupled(grid[i], input_bits=arch.input_bits) for i in ids]
+    cfgs = [replace(cfg, seed=cfg.seed + i) for i in ids]
     try:
         fqs = quantize.qat_train_many([nn.mlp(list(sizes), seed=c.seed) for c in cfgs],
                                       data, schemas, cfgs, val=val)
     except ValueError as exc:  # fails every configuration alike
         fqs = [exc] * len(ids)
 
-    def record(config_id: int, schema: QuantSchema, fq) -> SweepRecord:
+    def record(config_id: int, schema: QuantSchema, seed: int, fq) -> SweepRecord:
         try:
             if isinstance(fq, Exception):
                 raise fq
             sp = tuple(nn.sparsity(fq.model))
             measured = ArchSpec(dims=arch.dims, sparsities=sp, input_bits=arch.input_bits)
-            return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
-                               activation_bits=schema.activation_bits,
-                               accuracy=fq.history.val_accuracy[-1],
-                               bops=model_bops(measured, schema), sparsities=sp,
-                               seed=cfg.seed + config_id)
+            accuracy, bops, error = fq.history.val_accuracy[-1], model_bops(measured, schema), ""
         except (nn.TrainingDiverged, ValueError) as exc:  # recorded, not fatal
-            return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
-                               activation_bits=schema.activation_bits,
-                               accuracy=float("nan"), bops=float("nan"),
-                               sparsities=(float("nan"),) * arch.n_layers,
-                               seed=cfg.seed + config_id, error=str(exc))
+            nan = float("nan")
+            sp, accuracy, bops, error = (nan,) * arch.n_layers, nan, nan, str(exc)
+        return SweepRecord(config_id=config_id, weight_bits=schema.weight_bits,
+                           activation_bits=schema.activation_bits, accuracy=accuracy,
+                           bops=bops, sparsities=sp, seed=seed, error=error)
 
-    return [record(*args) for args in zip(ids, schemas, fqs)]
+    return [record(i, schema, c.seed, fq) for i, schema, c, fq in zip(ids, schemas, cfgs, fqs)]
 
 
 def sweep_csv(records: list[SweepRecord]) -> str:

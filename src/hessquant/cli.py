@@ -62,13 +62,11 @@ DEFAULT_CONFIG = {
     "qat": {"epochs": 20, "batch_size": 64, "learning_rate": 1e-3,
             "l1": 0.0, "seed": 0, "optimizer": "adam"},
     "trace": {"batch": 1024},
-    "allocation": {"budget": 250000.0, "candidates": [4, 5, 6, 7, 8],
-                   "coupling_offset": 3},
+    "allocation": {"budget": 250000.0, "candidates": list(allocate.DEFAULT_CANDIDATES)},
     "schema": None,
     "quantize": {"source": "allocation", "accumulator_bits": 32},
     "sweep": {"sample": 10, "epochs": 5, "batch_size": 64,
-              "learning_rate": 1e-3, "l1": 0.0, "seed": 0, "optimizer": "adam",
-              "candidates": [4, 5, 6, 7, 8]},
+              "learning_rate": 1e-3, "l1": 0.0, "seed": 0, "optimizer": "adam"},
     "run_ir": {"graph": "graph.json", "batch": 1024},
     "estimate": {"source": "allocation", "coeffs": None},
 }
@@ -102,7 +100,21 @@ def _load_config(path: str | None) -> dict:
     unknown = set(user) - set(cfg)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return _deep_merge(cfg, user)
+    cfg = _deep_merge(cfg, user)
+    _drop_removed_keys(cfg)
+    return cfg
+
+
+def _drop_removed_keys(cfg: dict) -> None:
+    """Drop the removed keys allocation.coupling_offset and sweep.candidates.
+    Each loads, and does nothing, at the value the code now fixes, so older
+    configs and manifests rerun unchanged; another value changed results."""
+    alloc, sweep = (cfg[k] if isinstance(cfg[k], dict) else {} for k in ("allocation", "sweep"))
+    removed = ((alloc, "allocation", "coupling_offset", quantize.COUPLING_OFFSET),
+               (sweep, "sweep", "candidates", alloc.get("candidates")))
+    for sec, name, key, fixed in removed:
+        if sec.pop(key, fixed) != fixed:
+            raise ConfigError(f"{name}.{key} was removed; delete it or set it to {fixed!r}")
 
 
 def _consume(path: str, inputs: dict, hint: str, load):
@@ -157,6 +169,15 @@ def _bit_width(value) -> int:
 def _input_bits(cfg: dict) -> int:
     with _section("arch"):
         return _bit_width(cfg["arch"]["input_bits"])
+
+
+def _candidates(cfg: dict) -> tuple[int, ...]:
+    """allocation.candidates, the weight widths allocate and sweep choose from."""
+    with _section("allocation"):
+        candidates = tuple(_bit_width(b) for b in cfg["allocation"]["candidates"])
+        if not candidates:
+            raise ValueError("candidates must not be empty")
+    return candidates
 
 
 def _load_dataset(cfg: dict, out_dir: str, inputs: dict) -> data.Dataset:
@@ -292,13 +313,8 @@ def cmd_allocate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
         if not math.isfinite(budget):
             raise ValueError(f"budget must be finite, got {budget}")
         problem = allocate.AllocationProblem(
-            arch=arch,
-            traces=report.avg_traces,
-            weights=[l.weights for l in model.layers],
-            budget=budget,
-            candidates=tuple(int(b) for b in sec["candidates"]),
-            coupling_offset=int(sec["coupling_offset"]),
-        )
+            arch=arch, traces=report.avg_traces, weights=[l.weights for l in model.layers],
+            budget=budget, candidates=_candidates(cfg))
     sol = allocate.solve_ilp(problem)
     path = os.path.join(out_dir, "allocation.json")
     allocate.save_allocation(sol, path)
@@ -314,17 +330,14 @@ def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     arch = allocate.ArchSpec.from_sizes(_arch_sizes(cfg),
                                         input_bits=_input_bits(cfg))
     tcfg = _train_config(cfg, "sweep")
+    candidates = _candidates(cfg)
     with _section("sweep"):
-        candidates = [_bit_width(b) for b in sec["candidates"]]
-        if not candidates:
-            raise ValueError("candidates must not be empty")
         sample = None if sec["sample"] in (None, "all") else int(sec["sample"])
         if sample is not None and sample < 0:
             raise ValueError(f"sample must be 'all' or at least 0, got {sample}")
     ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, val_ds = _standardized_splits(cfg, ds)
-    records = allocate.sweep(arch, candidates, train_ds, tcfg, val=val_ds,
-                             sample=sample, seed=tcfg.seed)
+    records = allocate.sweep(arch, candidates, train_ds, tcfg, val=val_ds, sample=sample)
     path = os.path.join(out_dir, "sweep.csv")
     write_atomic(path, allocate.sweep_csv(records))
     return EXIT_OK, [path]

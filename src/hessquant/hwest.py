@@ -35,8 +35,9 @@ class EstimatorCoeffs:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        if self.dsp_threshold < 2:
-            raise ValueError("dsp_threshold must be >= 2")
+        if self.dsp_threshold < 2 or self.dsp_threshold != int(self.dsp_threshold):
+            raise ValueError(f"dsp_threshold must be a whole number >= 2, got {self.dsp_threshold}")
+        object.__setattr__(self, "dsp_threshold", int(self.dsp_threshold))
         for name in ("lut_per_bit_product", "lut_per_acc_bit", "ff_per_acc_bit",
                      "softmax_lut", "softmax_ff"):
             if getattr(self, name) < 0:
@@ -123,8 +124,7 @@ def estimate(arch: ArchSpec, schema: QuantSchema,
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
     doc = read_document(path, "hessquant-coeffs")
-    return EstimatorCoeffs(**{f.name: (int if f.name == "dsp_threshold" else float)(doc[f.name])
-                              for f in fields(EstimatorCoeffs)})
+    return EstimatorCoeffs(**{f.name: float(doc[f.name]) for f in fields(EstimatorCoeffs)})
 
 
 def estimate_json(est: ResourceEstimate) -> dict:

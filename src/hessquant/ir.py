@@ -480,6 +480,9 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             x = np.asarray(inputs[name], dtype=np.float64)
         else:
             x = np.asarray(inputs[name])
+            with np.errstate(invalid="ignore"):  # inf % 1 is NaN
+                if x.dtype.kind in "fO" and not np.all(np.mod(x, 1) == 0):
+                    raise EvalError(f"input {name} holds a value that is not an integer")
             _check_width(f"input {name}", x, t)  # before a cast could wrap or overflow
             x = _in_tier(x.astype(object if t.bits > 62 else np.int64, copy=False), _bound(t))
         if x.ndim != len(t.shape) or any(d not in (-1, s) for d, s in zip(t.shape, x.shape)):

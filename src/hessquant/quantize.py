@@ -50,6 +50,8 @@ from .nn import MLPModel, TrainConfig, TrainHistory
 
 MIN_BITS = 2
 MAX_BITS = 32
+# Activation widths follow weight widths by this many bits (coupled_width).
+COUPLING_OFFSET = 3
 MAX_SHIFT = 31
 MAX_MANTISSA_BITS = 31
 # Mantissa budget for lowered multipliers; small enough that acc * mantissa
@@ -226,6 +228,11 @@ def int_codes(values) -> np.ndarray:
 # Quantization schemas
 
 
+def coupled_width(bits: int) -> int:
+    """The activation width coupled to weight width `bits`, capped at MAX_BITS."""
+    return min(int(bits) + COUPLING_OFFSET, MAX_BITS)
+
+
 @dataclass(frozen=True)
 class QuantSchema:
     """Per-layer weight and activation bit widths plus the input width.
@@ -256,11 +263,11 @@ class QuantSchema:
         return self.input_bits if layer == 0 else self.activation_bits[layer - 1]
 
     @classmethod
-    def coupled(cls, weight_bits, input_bits: int = 16, offset: int = 3) -> "QuantSchema":
-        """Activation widths follow the weights: b_a = b_w + offset, capped."""
+    def coupled(cls, weight_bits, input_bits: int = 16) -> "QuantSchema":
+        """Activation widths follow the weights: b_a = coupled_width(b_w)."""
         wb = tuple(int(b) for b in weight_bits)
-        ab = tuple(min(int(b) + offset, MAX_BITS) for b in wb)
-        return cls(weight_bits=wb, activation_bits=ab, input_bits=input_bits)
+        return cls(weight_bits=wb, activation_bits=tuple(map(coupled_width, wb)),
+                   input_bits=input_bits)
 
     @classmethod
     def homogeneous(cls, bits: int, n_layers: int, input_bits: int | None = None) -> "QuantSchema":

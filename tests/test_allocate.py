@@ -140,7 +140,7 @@ def exhaustive_scores(problem):
     """(bops, omega, bits) of every configuration, scored without the solver."""
     scores = []
     for bits in itertools.product(problem.candidates, repeat=problem.arch.n_layers):
-        schema = problem.schema_for(bits)
+        schema = qz.QuantSchema.coupled(bits, input_bits=problem.arch.input_bits)
         scores.append((al.model_bops(problem.arch, schema),
                        al.omega(problem.traces, problem.weights, schema), bits))
     return scores
@@ -217,19 +217,17 @@ def test_solver_is_feasible_at_a_budget_equal_to_the_cheapest_bops():
 def random_problem(seed):
     rng = np.random.default_rng(seed)
     n_layers = int(rng.integers(1, 6))
-    # keep the brute-force oracle's grid at most 8^4 points
-    most = 5 if n_layers == 5 else 8
-    cands = rng.choice(np.arange(2, 13), size=int(rng.integers(2, most + 1)),
-                       replace=False)
+    # keep the brute-force oracle's grid at most 8^4 points; every third set
+    # is drawn from 29..32, whose coupled widths reach the MAX_BITS cap
+    pool = np.arange(29, 33) if seed % 3 == 2 else np.arange(2, 13)
+    most = min(5 if n_layers == 5 else 8, len(pool))
+    cands = rng.choice(pool, size=int(rng.integers(2, most + 1)), replace=False)
     sizes = [int(s) for s in rng.integers(2, 13, size=n_layers + 1)]
     arch = al.ArchSpec.from_sizes(sizes, sparsities=rng.uniform(0.0, 0.9, n_layers))
-    # offset 28 pushes every width above 4 into the MAX_BITS cap
-    offset = (0, 3, 28)[seed % 3]
     return al.AllocationProblem(arch=arch,
                                 traces=[float(t) for t in rng.uniform(-0.5, 5.0, n_layers)],
                                 weights=[rng.normal(size=dims) for dims in arch.dims],
-                                budget=math.inf, candidates=tuple(int(b) for b in cands),
-                                coupling_offset=offset), rng
+                                budget=math.inf, candidates=tuple(int(b) for b in cands)), rng
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -312,10 +310,14 @@ def sweep_data():
 def test_sweep_sample_runs_and_is_reproducible(sweep_data):
     tr, va = sweep_data
     arch = al.ArchSpec.from_sizes([16, 8, 5])
-    cfg = nn.TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=0)
-    recs1 = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3, seed=1)
-    recs2 = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3, seed=1)
+    cfg = nn.TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=1)
+    recs1 = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3)
+    recs2 = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3)
     assert len(recs1) == 3
+    # the sample is drawn with cfg.seed, and config i trains with cfg.seed + i
+    drawn = np.random.default_rng(cfg.seed).choice(4, size=3, replace=False)
+    assert [r.config_id for r in recs1] == sorted(drawn.tolist())
+    assert [r.seed for r in recs1] == [cfg.seed + r.config_id for r in recs1]
     assert [r.config_id for r in recs1] == [r.config_id for r in recs2]
     assert [r.accuracy for r in recs1] == [r.accuracy for r in recs2]
     for r in recs1:
@@ -337,8 +339,8 @@ def test_sweep_full_grid_covers_every_config(sweep_data):
 def test_sweep_csv_round_trip(sweep_data):
     tr, va = sweep_data
     arch = al.ArchSpec.from_sizes([16, 6, 5])
-    cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
-    recs = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3, seed=2)
+    cfg = nn.TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=2)
+    recs = al.sweep(arch, (4, 8), tr, cfg, val=va, sample=3)
     text = al.sweep_csv(recs)
     back = al.parse_sweep_csv(text)
     assert back == recs
@@ -352,7 +354,7 @@ def test_sweep_records_each_configuration_as_its_own_run(sweep_data):
     tr, va = sweep_data
     arch = al.ArchSpec.from_sizes([16, 8, 5])
     cfg = nn.TrainConfig(epochs=3, batch_size=64, learning_rate=1e-3, l1=1e-4, seed=5)
-    recs = al.sweep(arch, (3, 5, 8), tr, cfg, val=va, sample=4, seed=2)
+    recs = al.sweep(arch, (3, 5, 8), tr, cfg, val=va, sample=4)
     assert len(recs) == 4 and not any(r.error for r in recs)
     for r in recs:
         schema = qz.QuantSchema.coupled(r.weight_bits, input_bits=arch.input_bits)

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import io
 import json
 import os
@@ -128,8 +129,7 @@ def test_estimate_and_report(pipeline, tmp_path):
     est = read_json(out, "estimate.json")
     assert est["dsps"] >= 0 and est["luts"] > 0
     # a tiny sweep so report has input
-    cfg2, _ = write_config(src_tmp, sweep={"sample": 2, "epochs": 1,
-                                           "candidates": [4, 8]})
+    cfg2, _ = write_config(src_tmp, sweep={"sample": 2, "epochs": 1})
     assert cli.main(["sweep", "--config", cfg2]) == 0
     assert cli.main(["report", "--config", cfg2]) == 0
     lines = Path(out, "report.csv").read_text().strip().split("\n")
@@ -369,9 +369,8 @@ def test_a_failed_run_ir_leaves_the_last_manifest_alone(tmp_path, pipeline):
     ({"candidates": [40]}, []),
     ({"candidates": ["a"]}, []),
     ({"candidates": [0, 4]}, []),
-    ({"coupling_offset": -10}, []),
 ], ids=["budget-nan", "budget-negative", "budget-inf", "no-candidates", "candidate-40",
-        "candidate-not-a-number", "candidate-0", "offset-minus-10"])
+        "candidate-not-a-number", "candidate-0"])
 def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
                                             allocation, flags):
     _, _, out = pipeline
@@ -381,6 +380,71 @@ def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
     assert cli.main(["allocate", "--config", config, *flags]) == 2
     assert "bad allocation section" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(alt_out, "allocation.json"))
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"allocation": {"coupling_offset": 2}}, "allocation.coupling_offset"),
+    ({"sweep": {"candidates": [4, 8]}}, "sweep.candidates"),
+], ids=["coupling-offset-2", "sweep-candidates-differ"])
+def test_exit_2_on_a_removed_config_key_at_another_value(tmp_path, pipeline, capsys,
+                                                         overrides, key):
+    # at another value than the one now fixed, the key would have changed results
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, **overrides)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
+    capsys.readouterr()
+    for cmd in ("allocate", "sweep"):
+        assert run(cmd, config) == 2, cmd
+        assert f"{key} was removed" in capsys.readouterr().err
+    assert sorted(os.listdir(alt_out)) == ["dataset.csv", "model.json", "traces.json"]
+
+
+def test_a_manifest_that_still_holds_the_removed_keys_reruns_byte_identically(tmp_path,
+                                                                            pipeline):
+    # manifests written before allocation.coupling_offset and sweep.candidates
+    # were removed embed the default config with both keys at their defaults
+    _, _, out = pipeline
+    alt_out = str(tmp_path / "out")
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
+    for cmd in ("allocate", "sweep"):
+        assert cli.main([cmd, "--out", alt_out]) == 0, cmd
+        manifest = Path(alt_out, f"manifest-{cmd}.json")
+        doc = json.loads(manifest.read_text())
+        names = [manifest.name, *doc["artifacts"]]
+        before = {name: Path(alt_out, name).read_bytes() for name in names}
+        doc["config"]["allocation"]["coupling_offset"] = 3
+        doc["config"]["sweep"]["candidates"] = [4, 5, 6, 7, 8]
+        older = tmp_path / f"older-manifest-{cmd}.json"
+        older.write_text(json.dumps(doc))
+        assert cli.main([cmd, "--config", str(older)]) == 0, cmd
+        assert {name: Path(alt_out, name).read_bytes() for name in names} == before, cmd
+
+
+def test_allocate_sweep_and_the_schema_section_couple_activations_alike(tmp_path, pipeline):
+    # allocation.json, sweep.csv's b_a_* columns and the activations a schema
+    # section implies all follow quantize.coupled_width; candidate 30 puts
+    # them at the MAX_BITS cap
+    _, _, out = pipeline
+    config, alt_out = write_config(
+        tmp_path, allocation={"budget": 1e12, "candidates": [4, 30]},
+        sweep={"sample": 3, "epochs": 1}, estimate={"source": "schema"},
+        schema={"weight_bits": [4, 30, 5]})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
+    for cmd in ("allocate", "sweep", "estimate"):
+        assert run(cmd, config) == 0, cmd
+    coupled = []
+    alloc = read_json(alt_out, "allocation.json")
+    coupled.append((alloc["weight_bits"], alloc["activation_bits"]))
+    with open(os.path.join(alt_out, "sweep.csv")) as fh:
+        for row in csv.DictReader(fh):
+            coupled.append(([int(row[f"b_w_{i}"]) for i in range(3)],
+                            [int(row[f"b_a_{i}"]) for i in range(3)]))
+    layers = read_json(alt_out, "estimate.json")["layers"]
+    coupled.append(([4, 30], [l["act_bits_in"] for l in layers[1:]]))
+    assert len(coupled) == 5
+    for weight_bits, activation_bits in coupled:
+        assert activation_bits == [quantize.coupled_width(b) for b in weight_bits]
+    assert alloc["activation_bits"] == [32, 32, 32]
 
 
 @pytest.mark.parametrize("sizes, tensor", [([16, 8, 8, 3], "logits"), ([12, 8, 8, 5], "x")],
@@ -404,9 +468,9 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
 
 @pytest.mark.parametrize("command, section, value", [
     ("sweep", "sweep", {"sample": "x"}),
-    ("sweep", "sweep", {"candidates": ["a"]}),
-    ("sweep", "sweep", {"candidates": [4, 40]}),
-    ("sweep", "sweep", {"candidates": []}),
+    ("sweep", "allocation", {"candidates": ["a"]}),
+    ("sweep", "allocation", {"candidates": [4, 40]}),
+    ("sweep", "allocation", {"candidates": []}),
     ("gen-data", "data", {"n": "x"}),
     ("train", "data", {"val_fraction": 2}),
     ("train", "arch", {"sizes": [16, "z", 5]}),
@@ -649,8 +713,7 @@ def test_exit_2_on_an_unknown_schema_source(tmp_path, pipeline, capsys, command)
 
 
 def test_each_manifest_lists_every_file_its_command_read(tmp_path, monkeypatch):
-    config, out = write_config(tmp_path, sweep={"sample": 2, "epochs": 1,
-                                                "candidates": [4, 8]})
+    config, out = write_config(tmp_path, sweep={"sample": 2, "epochs": 1})
     real_open = io.open
     read = set()
 
@@ -695,10 +758,11 @@ def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, 
     Path(out, "sweep.csv").write_text(allocate.sweep_csv([allocate.SweepRecord(
         config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
         bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)]))
-    # a list, and values JSON reads as infinite (1e400) or not a number
+    # a list, values JSON reads as infinite (1e400) or not a number, and a
+    # fractional threshold
     for key, value in [("dsp_threshold", "[1]"), ("lut_per_bit_product", "1e400"),
                        ("dsp_threshold", "1e400"), ("lut_per_bit_product", "NaN"),
-                       ("dsp_threshold", "NaN")]:
+                       ("dsp_threshold", "NaN"), ("dsp_threshold", "11.9")]:
         doc = {"dsp_threshold": "12", "lut_per_bit_product": "1.0", "lut_per_acc_bit": "1.0",
                "ff_per_acc_bit": "1.0", "softmax_lut": "1.0", "softmax_ff": "1.0",
                key: value}

@@ -171,6 +171,12 @@ def test_integer_input_outside_its_declared_width_is_rejected():
         for q in ([2**70], np.array([2**64 - 1], dtype=np.uint64)):
             with pytest.raises(ir.EvalError, match=f"declared {bits}-bit signed range"):
                 ir.evaluate(g, {"q": q})
+    # a value that is not an integer is refused, not truncated by the cast
+    for q in ([1.5, -2.7], [np.nan], [np.inf], [-np.inf],
+              np.array([1.5, 2**70], dtype=object)):
+        with pytest.raises(ir.EvalError, match="input q holds a value that is not an integer"):
+            ir.evaluate(g, {"q": q})
+    assert ir.evaluate(g, {"q": [-3.0, 2.0]})["y"].tolist() == [-2, 3]
 
 
 # --- values at 2^53 --------------------------------------------------------------
