@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -72,49 +72,70 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+# The schema section's keys, by type (its default is null).  activation_bits
+# and input_bits may be absent or null: coupled activations, arch.input_bits.
+SCHEMA_KEYS = {"weight_bits": [0], "activation_bits": [0], "input_bits": 0}
+# Values a key takes besides those of its default's type.
+_ALSO_TAKES = {"sweep.sample": ("all", None), "schema.activation_bits": (None,),
+               "schema.input_bits": (None,)}
+# Keys no longer read, each with "any" or the one value it may still hold (a
+# function of the loaded config).  Each loads and is dropped.
+RETIRED_KEYS = {"trace.k": "any", "trace.seed": "any", "sweep.jobs": "any",
+                "allocation.coupling_offset": lambda cfg: quantize.COUPLING_OFFSET,
+                "sweep.candidates": lambda cfg: cfg["allocation"]["candidates"]}
+_KINDS = {dict: "an object", list: "a list", int: "an integer", float: "a finite number",
+          str: "a string", type(None): "null or a string"}
 
 
 def _load_config(path: str | None) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is None:
-        return cfg
-    try:
-        with open(path) as fh:
-            user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    if "config" in user and "command" in user and "versions" in user:
-        user = user["config"]  # accept a manifest file as the config source
-    unknown = set(user) - set(cfg)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = _deep_merge(cfg, user)
-    _drop_removed_keys(cfg)
+    """DEFAULT_CONFIG overridden by the config (or manifest) at `path`."""
+    user = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        if isinstance(user, dict) and {"config", "command", "versions"} <= set(user):
+            user = user["config"]  # accept a manifest file as the config source
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    retired = {name: user[sec].pop(key) for name in RETIRED_KEYS
+               for sec, key in [name.split(".")]
+               if isinstance(user.get(sec), dict) and key in user[sec]}
+    cfg = _typed(DEFAULT_CONFIG, user, "")
+    for name, value in retired.items():
+        fixed = RETIRED_KEYS[name]
+        if fixed != "any" and value != fixed(cfg):
+            raise ConfigError(f"{name} was removed; delete it or set it to {fixed(cfg)!r}")
     return cfg
 
 
-def _drop_removed_keys(cfg: dict) -> None:
-    """Drop the removed keys allocation.coupling_offset and sweep.candidates.
-    Each loads, and does nothing, at the value the code now fixes, so older
-    configs and manifests rerun unchanged; another value changed results."""
-    alloc, sweep = (cfg[k] if isinstance(cfg[k], dict) else {} for k in ("allocation", "sweep"))
-    removed = ((alloc, "allocation", "coupling_offset", quantize.COUPLING_OFFSET),
-               (sweep, "sweep", "candidates", alloc.get("candidates")))
-    for sec, name, key, fixed in removed:
-        if sec.pop(key, fixed) != fixed:
-            raise ConfigError(f"{name}.{key} was removed; delete it or set it to {fixed!r}")
+def _typed(default, value, key: str):
+    """`value` of config key `key` as the type of its `default`, or a
+    ConfigError naming the key: an object holds only the default's keys
+    (absent ones filled from it), a list's elements are typed as its first."""
+    if key == "schema" and value is not None:
+        default = SCHEMA_KEYS
+    if isinstance(default, dict) and isinstance(value, dict):
+        prefix = f"{key}." if key else ""
+        if unknown := sorted(set(value) - set(default)):
+            raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
+        given = value if default is SCHEMA_KEYS else {**default, **value}
+        return {k: _typed(default[k], v, prefix + k) for k, v in given.items()}
+    if isinstance(default, list) and isinstance(value, list):
+        return [_typed(default[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if (value in _ALSO_TAKES.get(key, ()) or value is default is None
+            or isinstance(value, str) and isinstance(default, (str, type(None)))):
+        return value
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max  # not a bool
+    if finite and (type(default) is float or type(default) is int and value == int(value)):
+        return type(default)(value)
+    also = "".join(f" or {json.dumps(v)}" for v in _ALSO_TAKES.get(key, ()))
+    raise ConfigError(f"bad {key.partition('.')[0]} section: {key} must be "
+                      f"{_KINDS[type(default)]}{also}, got {json.dumps(value)}")
 
 
 def _consume(path: str, inputs: dict, hint: str, load):
@@ -132,7 +153,7 @@ def _consume(path: str, inputs: dict, hint: str, load):
 
 @contextlib.contextmanager
 def _section(name: str):
-    """Report a value of config section `name` that fails to convert or check
+    """Report a value of config section `name` that fails its range check
     (KeyError, TypeError or ValueError) as a ConfigError naming the section."""
     try:
         yield
@@ -141,26 +162,20 @@ def _section(name: str):
 
 
 def _train_config(cfg: dict, name: str) -> nn.TrainConfig:
-    section = cfg[name]
     with _section(name):
-        return nn.TrainConfig(epochs=int(section["epochs"]),
-                              batch_size=int(section["batch_size"]),
-                              learning_rate=float(section["learning_rate"]),
-                              l1=float(section["l1"]), seed=int(section["seed"]),
-                              optimizer=str(section["optimizer"]))
+        return nn.TrainConfig(**{f.name: cfg[name][f.name]
+                                 for f in dataclasses.fields(nn.TrainConfig)})
 
 
 def _arch_sizes(cfg: dict) -> list[int]:
-    with _section("arch"):
-        sizes = [int(s) for s in cfg["arch"]["sizes"]]
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise ValueError(f"sizes must be at least two positive widths, got {sizes}")
+    sizes = cfg["arch"]["sizes"]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ConfigError(f"bad arch section: sizes {sizes} needs at least two positive widths")
     return sizes
 
 
-def _bit_width(value) -> int:
-    """An integer bit width; ValueError outside the supported range."""
-    b = int(value)
+def _bit_width(b: int) -> int:
+    """b; ValueError outside the supported range."""
     if not quantize.MIN_BITS <= b <= quantize.MAX_BITS:
         raise ValueError(f"bit width {b} outside {quantize.MIN_BITS}..{quantize.MAX_BITS}")
     return b
@@ -200,8 +215,8 @@ def _standardized_splits(cfg: dict, ds: data.Dataset,
     """Standardize (fitting stats if none are given) and split train/val."""
     ds_std = data.standardize(ds, mean=mean, std=std)
     with _section("data"):
-        train_ds, val_ds = data.split(ds_std, float(cfg["data"]["val_fraction"]),
-                                      int(cfg["data"]["split_seed"]))
+        train_ds, val_ds = data.split(ds_std, cfg["data"]["val_fraction"],
+                                      cfg["data"]["split_seed"])
     return ds_std, train_ds, val_ds
 
 
@@ -219,31 +234,34 @@ def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
     sec = cfg["schema"]
     if sec is None:
         raise ConfigError(f"{command}.source is 'schema' but no schema is configured")
+    ab, input_bits = sec.get("activation_bits"), sec.get("input_bits")
+    input_bits = cfg["arch"]["input_bits"] if input_bits is None else input_bits
     with _section("schema"):
-        wb = tuple(int(b) for b in sec["weight_bits"])
-        ab = sec.get("activation_bits")
-        input_bits = int(sec.get("input_bits", cfg["arch"]["input_bits"]))
+        wb = tuple(sec["weight_bits"])
         if ab is None:
             return quantize.QuantSchema.coupled(wb, input_bits=input_bits)
-        return quantize.QuantSchema(weight_bits=wb,
-                                    activation_bits=tuple(int(b) for b in ab),
+        return quantize.QuantSchema(weight_bits=wb, activation_bits=tuple(ab),
                                     input_bits=input_bits)
 
 
-def _schema_from_config(cfg: dict, command: str, out_dir: str,
-                        inputs: dict) -> quantize.QuantSchema:
-    """The schema `<command>.source` names: allocation.json, or the schema
-    section, which also stands in for an absent allocation.json."""
+def _schema_from_config(cfg: dict, command: str, out_dir: str, inputs: dict,
+                        n_layers: int) -> quantize.QuantSchema:
+    """The n_layers-layer schema `<command>.source` names: allocation.json, or
+    the schema section, which also stands in for an absent allocation.json."""
     source = cfg[command]["source"]
     path = os.path.join(out_dir, "allocation.json")
     if source == "schema" or (source == "allocation" and cfg["schema"] is not None
                               and not os.path.exists(path)):
-        return _schema_section(cfg, command)
-    if source != "allocation":
+        schema = _schema_section(cfg, command)
+    elif source == "allocation":
+        schema = _consume(path, inputs,
+                          f"run allocate first or set {command}.source to 'schema'",
+                          lambda p: allocate.load_allocation(p).schema)
+    else:
         raise ConfigError(f"unknown {command}.source {source!r}")
-    return _consume(path, inputs,
-                    f"run allocate first or set {command}.source to 'schema'",
-                    lambda p: allocate.load_allocation(p).schema)
+    if schema.n_layers != n_layers:
+        raise ConfigError(f"schema has {schema.n_layers} layers, model has {n_layers}")
+    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +274,8 @@ def cmd_gen_data(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
     if sec["source"] != "synthetic":
         raise ConfigError("gen-data only applies to data.source 'synthetic'")
     with _section("data"):
-        ds = data.generate_synthetic(int(sec["n"]), seed=int(sec["seed"]),
-                                     separation=float(sec["separation"]))
+        ds = data.generate_synthetic(sec["n"], seed=sec["seed"],
+                                     separation=sec["separation"])
     path = os.path.join(out_dir, "dataset.csv")
     data.write_csv(ds, path)
     return EXIT_OK, [path]
@@ -292,7 +310,7 @@ def cmd_trace(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, _ = _standardized_splits(cfg, ds, mean=mean, std=std)
     with _section("trace"):
-        batch = hessian.calibration_batch(train_ds, int(cfg["trace"]["batch"]))
+        batch = hessian.calibration_batch(train_ds, cfg["trace"]["batch"])
     report = hessian.layer_sensitivities(model, batch)
     path = os.path.join(out_dir, "traces.json")
     hessian.save_trace_report(report, path)
@@ -309,12 +327,11 @@ def cmd_allocate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
     arch = allocate.ArchSpec.from_model(model, sparsities=nn.sparsity(model),
                                         input_bits=_input_bits(cfg))
     with _section("allocation"):
-        budget = float(sec["budget"])
-        if not math.isfinite(budget):
-            raise ValueError(f"budget must be finite, got {budget}")
+        if not math.isfinite(sec["budget"]):
+            raise ValueError(f"budget must be finite, got {sec['budget']}")
         problem = allocate.AllocationProblem(
             arch=arch, traces=report.avg_traces, weights=[l.weights for l in model.layers],
-            budget=budget, candidates=_candidates(cfg))
+            budget=sec["budget"], candidates=_candidates(cfg))
     sol = allocate.solve_ilp(problem)
     path = os.path.join(out_dir, "allocation.json")
     allocate.save_allocation(sol, path)
@@ -331,10 +348,9 @@ def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
                                         input_bits=_input_bits(cfg))
     tcfg = _train_config(cfg, "sweep")
     candidates = _candidates(cfg)
-    with _section("sweep"):
-        sample = None if sec["sample"] in (None, "all") else int(sec["sample"])
-        if sample is not None and sample < 0:
-            raise ValueError(f"sample must be 'all' or at least 0, got {sample}")
+    sample = None if sec["sample"] == "all" else sec["sample"]
+    if sample is not None and sample < 0:
+        raise ConfigError(f"bad sweep section: sample must be 'all' or at least 0, got {sample}")
     ds = _load_dataset(cfg, out_dir, inputs)
     _, train_ds, val_ds = _standardized_splits(cfg, ds)
     records = allocate.sweep(arch, candidates, train_ds, tcfg, val=val_ds, sample=sample)
@@ -345,12 +361,8 @@ def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
 
 def cmd_quantize(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     model, mean, std = _load_model(out_dir, inputs)
-    schema = _schema_from_config(cfg, "quantize", out_dir, inputs)
-    if schema.n_layers != model.n_layers:
-        raise ConfigError(f"schema has {schema.n_layers} layers, model has "
-                          f"{model.n_layers}")
-    with _section("quantize"):
-        accumulator_bits = int(cfg["quantize"]["accumulator_bits"])
+    schema = _schema_from_config(cfg, "quantize", out_dir, inputs, model.n_layers)
+    accumulator_bits = cfg["quantize"]["accumulator_bits"]
     try:
         quantize.accumulator_widths(schema, [l.fan_in for l in model.layers],
                                     accumulator_bits)
@@ -418,10 +430,9 @@ def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
 
 
 def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
-    with _section("run_ir"):
-        batch_size = int(cfg["run_ir"]["batch"])
-        if batch_size < 1:
-            raise ValueError(f"batch must be at least 1, got {batch_size}")
+    batch_size = cfg["run_ir"]["batch"]
+    if batch_size < 1:
+        raise ConfigError(f"bad run_ir section: batch must be at least 1, got {batch_size}")
     graph_path = os.path.join(out_dir, cfg["run_ir"]["graph"])
     g = _consume(graph_path, inputs, "run export-ir first", ir.load_graph)
     diags = ir.validate(g)
@@ -486,7 +497,7 @@ def cmd_estimate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
         model, _, _ = _consume(model_path, inputs, "run train first", nn.load_model)
         sizes = list(model.sizes)
         sparsities = nn.sparsity(model)
-    schema = _schema_from_config(cfg, "estimate", out_dir, inputs)
+    schema = _schema_from_config(cfg, "estimate", out_dir, inputs, len(sizes) - 1)
     arch = allocate.ArchSpec.from_sizes(sizes, sparsities=sparsities,
                                         input_bits=schema.input_bits)
     est = hwest.estimate(arch, schema, coeffs=coeffs)
@@ -502,10 +513,12 @@ def cmd_report(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
                        lambda p: allocate.parse_sweep_csv(Path(p).read_text()))
     coeffs = _coeffs_from_config(cfg, inputs)
     sizes, input_bits = _arch_sizes(cfg), _input_bits(cfg)
+    L = len(sizes) - 1
+    if any(len(rec.weight_bits) != L for rec in records):
+        raise DataError("sweep.csv was written for a different architecture")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    L = len(sizes) - 1
     writer.writerow(["config_id"] + [f"b_w_{i}" for i in range(L)]
                     + ["accuracy", "bops", "dsps", "luts", "ffs", "error"])
     for rec in records:

@@ -124,12 +124,13 @@ def test_run_ir_logits_are_plain_floats_that_round_trip(pipeline):
 
 
 def test_estimate_and_report(pipeline, tmp_path):
-    src_tmp, config, out = pipeline
-    assert run("estimate", config) == 0
+    _, _, src_out = pipeline
+    # a tiny sweep so report has input
+    cfg2, out = write_config(tmp_path, sweep={"sample": 2, "epochs": 1})
+    copy_artifacts(src_out, out, ("dataset.csv", "model.json", "allocation.json"))
+    assert run("estimate", cfg2) == 0
     est = read_json(out, "estimate.json")
     assert est["dsps"] >= 0 and est["luts"] > 0
-    # a tiny sweep so report has input
-    cfg2, _ = write_config(src_tmp, sweep={"sample": 2, "epochs": 1})
     assert cli.main(["sweep", "--config", cfg2]) == 0
     assert cli.main(["report", "--config", cfg2]) == 0
     lines = Path(out, "report.csv").read_text().strip().split("\n")
@@ -402,7 +403,8 @@ def test_exit_2_on_a_removed_config_key_at_another_value(tmp_path, pipeline, cap
 def test_a_manifest_that_still_holds_the_removed_keys_reruns_byte_identically(tmp_path,
                                                                             pipeline):
     # manifests written before allocation.coupling_offset and sweep.candidates
-    # were removed embed the default config with both keys at their defaults
+    # were removed embed the default config with both keys at their defaults;
+    # trace.k, trace.seed and sweep.jobs load at any value.  All are dropped.
     _, _, out = pipeline
     alt_out = str(tmp_path / "out")
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
@@ -413,7 +415,8 @@ def test_a_manifest_that_still_holds_the_removed_keys_reruns_byte_identically(tm
         names = [manifest.name, *doc["artifacts"]]
         before = {name: Path(alt_out, name).read_bytes() for name in names}
         doc["config"]["allocation"]["coupling_offset"] = 3
-        doc["config"]["sweep"]["candidates"] = [4, 5, 6, 7, 8]
+        doc["config"]["sweep"].update(candidates=[4, 5, 6, 7, 8], jobs=3)
+        doc["config"]["trace"].update(k=17, seed=5)
         older = tmp_path / f"older-manifest-{cmd}.json"
         older.write_text(json.dumps(doc))
         assert cli.main([cmd, "--config", str(older)]) == 0, cmd
@@ -466,29 +469,78 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
     assert not os.path.exists(os.path.join(alt_out, "ir_outputs.csv"))
 
 
-@pytest.mark.parametrize("command, section, value", [
-    ("sweep", "sweep", {"sample": "x"}),
-    ("sweep", "allocation", {"candidates": ["a"]}),
-    ("sweep", "allocation", {"candidates": [4, 40]}),
-    ("sweep", "allocation", {"candidates": []}),
-    ("gen-data", "data", {"n": "x"}),
-    ("train", "data", {"val_fraction": 2}),
-    ("train", "arch", {"sizes": [16, "z", 5]}),
-    ("run-ir", "run_ir", {"batch": 0}),
-    ("allocate", "arch", {"input_bits": "x"}),
-    ("quantize", "quantize", {"accumulator_bits": None}),
+@pytest.mark.parametrize("command, section, value, message", [
+    ("sweep", "sweep", {"sample": "x"}, 'sweep.sample must be an integer or "all" or null'),
+    ("sweep", "allocation", {"candidates": ["a"]}, "allocation.candidates[0] must be an integer"),
+    ("sweep", "allocation", {"candidates": [4, 40]}, "bit width 40 outside 2..32"),
+    ("sweep", "allocation", {"candidates": []}, "candidates must not be empty"),
+    ("gen-data", "data", {"n": "x"}, 'data.n must be an integer, got "x"'),
+    ("train", "data", {"val_fraction": 2}, "val_fraction must be in (0, 1)"),
+    ("train", "arch", {"sizes": [16, "z", 5]}, "arch.sizes[1] must be an integer"),
+    ("run-ir", "run_ir", {"batch": 0}, "batch must be at least 1, got 0"),
+    ("allocate", "arch", {"input_bits": "x"}, "arch.input_bits must be an integer"),
+    ("quantize", "quantize", {"accumulator_bits": None},
+     "quantize.accumulator_bits must be an integer, got null"),
+    # wrong types, refused at load by every command
+    ("train", "train", {"epochs": 2.7}, "train.epochs must be an integer, got 2.7"),
+    ("train", "train", {"epochs": True}, "train.epochs must be an integer, got true"),
+    ("gen-data", "data", {"separation": "1.5"},
+     'data.separation must be a finite number, got "1.5"'),
+    ("gen-data", "allocation", {"budget": "30"},
+     'allocation.budget must be a finite number, got "30"'),
+    ("allocate", "allocation", {"budget": float("nan")},
+     "allocation.budget must be a finite number, got NaN"),
+    ("allocate", "allocation", {"candidates": [4, True]},
+     "allocation.candidates[1] must be an integer, got true"),
+    ("train", "qat", {"optimizer": 1}, "qat.optimizer must be a string, got 1"),
+    ("estimate", "estimate", {"coeffs": 5}, "estimate.coeffs must be null or a string, got 5"),
+    ("run-ir", "run_ir", {"graph": None}, "run_ir.graph must be a string, got null"),
+    ("trace", "trace", [1024], "trace must be an object, got [1024]"),
+    ("quantize", "schema", {"weight_bits": [4, 4, 4], "input_bits": "16"},
+     'schema.input_bits must be an integer or null, got "16"'),
+    ("quantize", "schema", {"weight_bits": 4}, "schema.weight_bits must be a list, got 4"),
 ], ids=["sweep-sample", "sweep-candidates", "sweep-candidate-40", "sweep-no-candidates",
         "data-n", "data-val-fraction", "arch-sizes", "run-ir-batch", "arch-input-bits",
-        "quantize-accumulator-bits"])
-def test_exit_2_on_a_bad_config_value(tmp_path, pipeline, capsys, command, section, value):
+        "quantize-accumulator-bits", "train-epochs-fraction", "train-epochs-bool",
+        "data-separation-string", "allocation-budget-string-at-gen-data",
+        "allocation-budget-nan", "allocation-candidate-bool", "qat-optimizer-number",
+        "estimate-coeffs-number", "run-ir-graph-null", "trace-not-an-object",
+        "schema-input-bits-string", "schema-weight-bits-not-a-list"])
+def test_exit_2_on_a_bad_config_value(tmp_path, pipeline, capsys, command, section, value,
+                                      message):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path, **{section: value})
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json",
                                   "allocation.json", "graph.json"))
     capsys.readouterr()
     assert run(command, config) == 2
-    assert f"bad {section} section" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bad {section} section: " in err and message in err
     assert not os.path.exists(os.path.join(alt_out, f"manifest-{command}.json"))
+
+
+@pytest.mark.parametrize("section", [name for name, sec in cli.DEFAULT_CONFIG.items()
+                                     if isinstance(sec, dict)] + ["schema"])
+def test_exit_2_on_a_misspelled_config_key(tmp_path, capsys, section):
+    # the section's first key, less its last letter
+    key = next(iter(cli.SCHEMA_KEYS if section == "schema" else cli.DEFAULT_CONFIG[section]))
+    config, out = write_config(tmp_path, **{section: {key[:-1]: 1}})
+    for command in ("gen-data", "report"):
+        assert run(command, config) == 2, command
+        assert f"unknown config keys: {section}.{key[:-1]}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_config_value_loads_as_its_default_type(tmp_path):
+    # an integer budget is a float, an integral float epoch count an integer;
+    # the manifest records the values that ran
+    config, out = write_config(tmp_path, allocation={"budget": 160000},
+                               train={"epochs": 6.0})
+    assert run("gen-data", config) == 0
+    resolved = read_json(out, "manifest-gen-data.json")["config"]
+    assert repr(resolved["allocation"]["budget"]) == "160000.0"
+    assert repr(resolved["train"]["epochs"]) == "6"
+    assert "k" not in resolved["trace"] and "seed" not in resolved["trace"]
 
 
 @pytest.mark.parametrize("batch", [0, -5])
@@ -746,6 +798,29 @@ def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
                              schema={"weight_bits": [40, 8, 8]})
     assert run("estimate", config) == 2
     assert "bad schema section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["arch", "model"])
+def test_estimate_exits_2_on_a_schema_of_another_layer_count(tmp_path, pipeline, capsys,
+                                                             with_model):
+    config, out = write_config(tmp_path, estimate={"source": "schema"},
+                               schema={"weight_bits": [4, 4]})
+    if with_model:
+        copy_artifacts(pipeline[2], out, ("model.json",))
+    assert run("estimate", config) == 2
+    assert "schema has 2 layers, model has 3" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "estimate.json"))
+
+
+def test_report_exits_3_on_a_sweep_for_another_architecture(tmp_path, capsys):
+    config, out = write_config(tmp_path, arch={"sizes": [16, 8, 5]})
+    os.makedirs(out)
+    Path(out, "sweep.csv").write_text(allocate.sweep_csv([allocate.SweepRecord(
+        config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
+        bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)]))
+    assert run("report", config) == 3
+    assert "sweep.csv was written for a different architecture" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
 @pytest.mark.parametrize("command", ["estimate", "report"])
