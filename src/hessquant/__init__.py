@@ -16,7 +16,7 @@ from .hessian import (TraceReport, exact_trace, hutchinson_estimate,
                       hutchinson_trace, layer_sensitivities)
 from .hwest import EstimatorCoeffs, ResourceEstimate, estimate
 from .ir import (IRGraph, IRNode, evaluate, export_graph, fold_constants,
-                 infer_shapes, merge_scales_relu, parse, serialize, validate)
+                 infer_shapes, parse, serialize, validate)
 from .nn import MLPModel, TrainConfig, TrainingDiverged, accuracy, mlp, train
 # The quantization entry points live on the submodule; re-exporting the
 # quantize() function here would shadow the hessquant.quantize module itself.
@@ -34,7 +34,7 @@ __all__ = [
     "layer_sensitivities",
     "EstimatorCoeffs", "ResourceEstimate", "estimate",
     "IRGraph", "IRNode", "evaluate", "export_graph", "fold_constants",
-    "infer_shapes", "merge_scales_relu", "parse", "serialize", "validate",
+    "infer_shapes", "parse", "serialize", "validate",
     "MLPModel", "TrainConfig", "TrainingDiverged", "accuracy", "mlp", "train",
     "DyadicScale", "IntegerModel", "LoweringError", "QuantParams",
     "QuantSchema", "calibrate", "dequantize", "fake_quant", "int_forward",

@@ -417,8 +417,6 @@ def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     stages.append(("infer_shapes", g))
     g = ir.fold_constants(g)
     stages.append(("fold_constants", g))
-    g = ir.merge_scales_relu(g)
-    stages.append(("merge_scales_relu", g))
     out_path = os.path.join(out_dir, "graph_opt.json")
     ir.save_graph(g, out_path)
     report_path = os.path.join(out_dir, "opt_report.json")

@@ -1,18 +1,18 @@
 """Quantized computation graph: export, passes, validation, interpretation.
 
-Graphs hold Quant / MatMul / Add / Mul / Relu / Softmax / Constant / Requant
-nodes in topological order.  Quant nodes emit integer codes per the
+Graphs hold Quant / MatMul / Add / Mul / Softmax / Constant / Requant nodes
+in topological order.  Quant nodes emit integer codes per the
 clip-round-scale rule (data, scale, and zero point arrive as inputs; bit
-width, signedness, narrow-range, and rounding mode are attributes).  A
-Requant node maps one integer tensor x to clip((x*m + 2^(c-1)) >> c, qmin,
-qmax) exactly, with attributes mantissa m, shift c, bits and signed.  The
-interpreter, the package's only one (`quantize.int_forward` evaluates the
-exported graph), runs integer tensors exactly and everything else in
-float64.  `infer_shapes` gives every integer tensor a worst-case width, and
-that width alone picks the tensor's form: with the bound (1 << width) - 1,
-float64 below 2^53, int64 below 2^63 and Python-int objects past that.  A
-Requant node picks the form it multiplies in the same way from its static
-bound * mantissa + 2^(shift-1).
+width, signedness and narrow-range are attributes, and ties round half to
+even).  A Requant node maps one integer tensor x to
+clip((x*m + 2^(c-1)) >> c, qmin, qmax) exactly, with attributes mantissa m,
+shift c, bits and signed.  The interpreter, the package's only one
+(`quantize.int_forward` evaluates the exported graph), runs integer tensors
+exactly and everything else in float64.  `infer_shapes` gives every integer
+tensor a worst-case width, and that width alone picks the tensor's form:
+with the bound (1 << width) - 1, float64 below 2^53, int64 below 2^63 and
+Python-int objects past that.  A Requant node picks the form it multiplies
+in the same way from its static bound * mantissa + 2^(shift-1).
 
 `infer_shapes` is also the one structural and attribute check; `validate`
 reports its first error, or else breaches of the lowered-graph rules that
@@ -20,9 +20,11 @@ inference does not know (Quant scales positive and finite, zero points 0).
 
 The exported form of an IntegerModel is Quant(input), then per hidden layer
 Quant(weights) -> MatMul -> Add(bias) -> Requant, whose unsigned clip is the
-ReLU, and Mul(output scale) -> Softmax after the last layer.  Graphs in the
-older split-scale template (Mul -> Relu -> Mul -> Quant for each Requant)
-still load and evaluate, and `merge_scales_relu` fuses their scale Muls.
+ReLU, and Mul(output scale) -> Softmax after the last layer.  Every node
+kind is one a writer emits: `export_graph` all but Constant, which
+`fold_constants` writes.  There is no Relu node kind and no other Quant
+rounding mode, so a graph in the older split-scale template (Mul -> Relu ->
+Mul -> Quant rounding ties up, for each Requant) is refused.
 
 Serialization is a canonical JSON document with top-level fields
 {version, inputs, outputs, tensors, initializers, nodes}; see README for the
@@ -41,10 +43,10 @@ import numpy as np
 from .quantize import (MAX_BITS, MIN_BITS, DyadicScale, IntegerModel, _int_range,
                        int_codes, sum_of_products_bits)
 
-NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Relu", "Softmax", "Constant", "Requant")
+NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Softmax", "Constant", "Requant")
 PARSED_UNSUPPORTED = ("Bipolar", "Trunc")
-_ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Relu": 1,
-          "Softmax": 1, "Constant": 0, "Requant": 1}
+_ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Softmax": 1, "Constant": 0,
+          "Requant": 1}
 _FLOAT_EXACT = 1 << 53     # every integer below this is a float64
 _INT64_LIMIT = 1 << 63
 
@@ -226,18 +228,19 @@ def _code_range(node: IRNode, *keys: str) -> tuple[int, int]:
     return _int_range(int(bits), bool(signed))
 
 
-def _quant_params(node: IRNode) -> tuple[int, int, str]:
-    """(qmin, qmax, rounding mode) of a Quant node; IRError naming the node
-    for a malformed attribute.  narrow (default false) drops the most
-    negative signed code; rounding is half_even (default) or half_up."""
+def _quant_params(node: IRNode) -> tuple[int, int]:
+    """(qmin, qmax) of a Quant node; IRError naming the node for a malformed
+    attribute.  narrow (default false) drops the most negative signed code;
+    rounding, if given, must be half_even, the one mode."""
     qmin, qmax = _code_range(node)
     narrow = node.attrs.get("narrow", False)
     mode = node.attrs.get("rounding", "half_even")
     if not isinstance(narrow, (bool, np.bool_)):
         raise IRError(f"node {node.output}: Quant narrow must be a boolean")
-    if mode not in ("half_even", "half_up"):
-        raise IRError(f"node {node.output}: Quant unknown rounding mode {mode!r}")
-    return qmin + bool(narrow and qmin < 0), qmax, mode
+    if mode != "half_even":
+        raise IRError(f"node {node.output}: Quant unknown rounding mode {mode!r} "
+                      "(only 'half_even')")
+    return qmin + bool(narrow and qmin < 0), qmax
 
 
 def _requant_params(node: IRNode) -> tuple[DyadicScale, int, int]:
@@ -336,8 +339,6 @@ def infer_shapes(g: IRGraph) -> IRGraph:
                                  signed=a.signed or b.signed)
             else:
                 out = TensorInfo(shape=shape, kind="real")
-        elif node.kind == "Relu":
-            out = need(node, node.inputs[0])
         elif node.kind == "Softmax":
             out = TensorInfo(shape=need(node, node.inputs[0]).shape, kind="real")
         elif node.kind == "Requant":
@@ -391,11 +392,11 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
     return ufunc(a, b)
 
 
-def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int, mode: str,
+def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int,
                 spare: bool) -> np.ndarray:
-    """Quant codes of x in float64 (widths stop at MAX_BITS, well inside its
-    exact integers); x is overwritten when spare is set and it is already
-    float64."""
+    """Quant codes of x in float64, ties rounded half to even (widths stop at
+    MAX_BITS, well inside its exact integers); x is overwritten when spare is
+    set and it is already float64."""
     t = _real(x)
     if t is x and not spare:
         t = t / scale
@@ -403,11 +404,7 @@ def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int, mode
         t /= scale
     if zp:
         t -= zp
-    if mode == "half_even":
-        np.rint(t, out=t)
-    else:  # half_up
-        t += 0.5
-        np.floor(t, out=t)
+    np.rint(t, out=t)
     np.clip(t, qmin, qmax, out=t)
     return t
 
@@ -519,9 +516,6 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         elif node.kind in ("Add", "Mul"):
             ufunc = np.add if node.kind == "Add" else np.multiply
             out = _into(ufunc, *map(held, vals), spare)
-        elif node.kind == "Relu":
-            a = vals[0]
-            out = np.maximum(a, 0, out=a if spare else None)
         elif node.kind == "Softmax":
             z = _real(vals[0])
             if z is vals[0] and not spare:
@@ -550,35 +544,6 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
 # Passes
 
 
-def _consumers(nodes: list[IRNode]) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {}
-    for idx, node in enumerate(nodes):
-        for name in node.inputs:
-            out.setdefault(name, []).append(idx)
-    return out
-
-
-def _scalar_const(g: IRGraph, name: str, const_outputs: dict[str, np.ndarray]):
-    """Value of a scalar initializer or Constant-node output, else None."""
-    arr = g.initializers.get(name)
-    if arr is None:
-        arr = const_outputs.get(name)
-    if arr is None:
-        return None
-    a = np.asarray(arr)
-    if a.size != 1:
-        return None
-    return a.reshape(()).item()
-
-
-def _prune_dead_initializers(g: IRGraph) -> None:
-    used = set()
-    for node in g.nodes:
-        used.update(node.inputs)
-    used.update(g.outputs)
-    g.initializers = {k: v for k, v in g.initializers.items() if k in used}
-
-
 def fold_constants(g: IRGraph) -> IRGraph:
     """Replace every node whose inputs are all constant with a Constant node.
 
@@ -603,95 +568,22 @@ def fold_constants(g: IRGraph) -> IRGraph:
             new_nodes.append(IRNode("Constant", (), node.output, {"value": value}))
         else:
             new_nodes.append(node)
+    used = {n for node in new_nodes for n in node.inputs} | set(g.outputs)
     out = g.copy()
     out.nodes = new_nodes
-    _prune_dead_initializers(out)
+    out.initializers = {k: v for k, v in g.initializers.items() if k in used}
     return infer_shapes(out)
 
 
 def merge_scales_relu(g: IRGraph) -> IRGraph:
-    """Move positive constant scales across ReLU and fuse adjacent scale Muls.
+    """Return g unchanged.
 
-    relu(s*x) = s*relu(x) for s > 0, so a Mul by a positive scalar constant
-    feeding only a Relu hoists past it; scalar Mul chains then collapse into
-    a single Mul.  The combined effect rewrites Mul(s1) -> Relu -> Mul(s2)
-    into Relu -> Mul(s1*s2).  Non-matching graphs come back unchanged; the
-    node count never increases.
+    The scale-past-relu fusion that had this name rewrote only the
+    split-scale template, whose Relu node kind is gone.  The name stays
+    because the benchmark harness (`perfbench/workloads.py`) still calls
+    it; ROADMAP item 9 deletes that call, and then this name.
     """
-    out = g.copy()
-    const_outputs = {n.output: n.attrs["value"] for n in out.nodes
-                     if n.kind == "Constant"}
-
-    def scalar_scale(node: IRNode):
-        """(data input, scale input, value) when node is Mul by scalar const."""
-        if node.kind != "Mul":
-            return None
-        for di, si in ((0, 1), (1, 0)):
-            val = _scalar_const(out, node.inputs[si], const_outputs)
-            if val is not None and out.initializers.get(node.inputs[di]) is None \
-                    and node.inputs[di] not in const_outputs:
-                return node.inputs[di], node.inputs[si], val
-        return None
-
-    # Hoist Mul(s > 0) across a solely-consuming Relu.
-    changed = True
-    while changed:
-        changed = False
-        cons = _consumers(out.nodes)
-        for idx, node in enumerate(out.nodes):
-            m = scalar_scale(node)
-            if m is None or m[2] <= 0:
-                continue
-            data, scale_name, _ = m
-            users = cons.get(node.output, [])
-            if node.output in out.outputs or len(users) != 1:
-                continue
-            r_idx = users[0]
-            relu = out.nodes[r_idx]
-            if relu.kind != "Relu":
-                continue
-            nodes = list(out.nodes)
-            nodes[idx] = IRNode("Relu", (data,), node.output)
-            nodes[r_idx] = IRNode("Mul", (node.output, scale_name), relu.output)
-            out.nodes = nodes
-            changed = True
-            break
-
-    # Fuse Mul(x, a) -> Mul(, b) chains into Mul(x, a*b).
-    changed = True
-    while changed:
-        changed = False
-        cons = _consumers(out.nodes)
-        for idx, node in enumerate(out.nodes):
-            m1 = scalar_scale(node)
-            if m1 is None:
-                continue
-            users = cons.get(node.output, [])
-            if node.output in out.outputs or len(users) != 1:
-                continue
-            nxt_idx = users[0]
-            nxt = out.nodes[nxt_idx]
-            m2 = scalar_scale(nxt)
-            if m2 is None or m2[0] != node.output:
-                continue
-            data, s1_name, s1 = m1
-            _, s2_name, s2 = m2
-            taken = set(out.initializers) | set(out.tensors) | \
-                {n.output for n in out.nodes} | set(out.inputs)
-            fused_name = f"{nxt.output}__scale"
-            while fused_name in taken:
-                fused_name += "_"
-            out.initializers[fused_name] = np.array(s1 * s2, dtype=np.float64)
-            nodes = list(out.nodes)
-            del nodes[idx]
-            nxt_idx -= 1 if nxt_idx > idx else 0
-            nodes[nxt_idx] = IRNode("Mul", (data, fused_name), nxt.output)
-            out.nodes = nodes
-            changed = True
-            break
-
-    _prune_dead_initializers(out)
-    return infer_shapes(out)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +603,16 @@ def validate(g: IRGraph) -> list[str]:
         infer_shapes(g)
     except IRError as exc:
         return [str(exc)]
-    consts = {n.output: n.attrs["value"] for n in g.nodes if n.kind == "Constant"}
+    # inference has checked that Quant scales and zero points are scalars and
+    # that no Constant output shadows an initializer
+    consts = dict(g.initializers)
+    consts.update((n.output, n.attrs["value"]) for n in g.nodes if n.kind == "Constant")
     diags: list[str] = []
     for node in g.nodes:
         if node.kind != "Quant":
             continue
-        scale, zp = (_scalar_const(g, name, consts) for name in node.inputs[1:])
+        scale, zp = (np.asarray(consts[name]).item() if name in consts else None
+                     for name in node.inputs[1:])
         if scale is not None and not 0 < scale < math.inf:
             diags.append(f"node {node.output}: Quant scale must be positive and finite")
         if zp is not None and zp != 0:
@@ -809,6 +705,10 @@ def serialize(g: IRGraph) -> str:
     return dumps_canonical(doc)
 
 
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
 def parse(text: str) -> IRGraph:
     """Inverse of serialize; raises ParseError naming the bad location."""
     try:
@@ -822,6 +722,14 @@ def parse(text: str) -> IRGraph:
     for key in ("inputs", "outputs", "tensors", "initializers", "nodes"):
         if key not in doc:
             raise ParseError(f"missing top-level field {key!r}")
+    for key in ("inputs", "outputs"):
+        if not _is_names(doc[key]):
+            raise ParseError(f"{key} must be a list of strings")
+    for key in ("tensors", "initializers"):
+        if not isinstance(doc[key], dict):
+            raise ParseError(f"{key} must be an object")
+    if not isinstance(doc["nodes"], list):
+        raise ParseError("nodes must be a list")
 
     nodes = []
     for i, nd in enumerate(doc["nodes"]):
@@ -834,10 +742,12 @@ def parse(text: str) -> IRGraph:
         for key in ("kind", "output"):
             if not isinstance(nd[key], str):
                 raise ParseError(f"{where}: {key} must be a string")
-        if (not isinstance(nd["inputs"], list)
-                or not all(isinstance(s, str) for s in nd["inputs"])):
+        if not _is_names(nd["inputs"]):
             raise ParseError(f"{where}: inputs must be a list of strings")
-        attrs = dict(nd.get("attrs", {}))
+        attrs = nd.get("attrs", {})
+        if not isinstance(attrs, dict):
+            raise ParseError(f"{where}: attrs must be an object")
+        attrs = dict(attrs)
         if nd["kind"] == "Constant":
             if "value" not in attrs:
                 raise ParseError(f"{where}: Constant needs a value attribute")
@@ -848,8 +758,7 @@ def parse(text: str) -> IRGraph:
                for name, t in doc["tensors"].items()}
     inits = {name: _tensor_from_doc(t, f"initializers[{name}]")
              for name, t in doc["initializers"].items()}
-    return IRGraph(nodes=nodes, inputs=[str(s) for s in doc["inputs"]],
-                   outputs=[str(s) for s in doc["outputs"]],
+    return IRGraph(nodes=nodes, inputs=list(doc["inputs"]), outputs=list(doc["outputs"]),
                    tensors=tensors, initializers=inits)
 
 

@@ -211,8 +211,7 @@ def test_criterion_06_ir_passes_preserve_semantics(int_pipeline):
     g = g0
     applied = []
     for name, pipeline_pass in (("infer_shapes", ir.infer_shapes),
-                                ("fold_constants", ir.fold_constants),
-                                ("merge_scales_relu", ir.merge_scales_relu)):
+                                ("fold_constants", ir.fold_constants)):
         g = pipeline_pass(g)
         assert ir.validate(g) == []
         check(ir.evaluate(g, feed), g, exact_reals=False)

@@ -104,6 +104,7 @@ def test_run_ir_consumes_optimized_graph(pipeline):
     _, config, out = pipeline
     assert run("opt-ir", config) == 0
     report = read_json(out, "opt_report.json")
+    assert [s["stage"] for s in report["stages"]] == ["input", "infer_shapes", "fold_constants"]
     counts = [s["nodes"] for s in report["stages"]]
     assert counts == sorted(counts, reverse=True)
     g = ir.load_graph(os.path.join(out, "graph_opt.json"))
@@ -258,6 +259,12 @@ def intmodel_with_another_output_scale(out):
     return json.dumps(doc)
 
 
+def graph_with_tensors_as_a_list(out):
+    doc = read_json(out, "graph.json")
+    doc["tensors"] = []
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -287,6 +294,7 @@ def intmodel_with_another_output_scale(out):
     ("export-ir", "intmodel.json",
      intmodel_with_layer_entry(-1, "requant", {"mantissa": 3, "shift": 2}), ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
+    ("opt-ir", "graph.json", graph_with_tensors_as_a_list, ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
@@ -295,7 +303,8 @@ def intmodel_with_another_output_scale(out):
         "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
         "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "intmodel-hidden-without-requant",
-        "intmodel-hidden-without-act-exp", "intmodel-last-with-requant", "graph", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "intmodel-hidden-without-act-exp", "intmodel-last-with-requant", "graph",
+        "graph-tensors-not-an-object", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline
@@ -643,6 +652,56 @@ def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, node
     assert run(command, config) == 6
     err = capsys.readouterr().err
     assert f"node {node}: {target['kind']}" in err and message in err
+
+
+def _split_scale(doc):
+    # the older split-scale template, its two scale Muls fused: each Requant
+    # becomes Mul(m / 2^c) -> Relu -> Quant(half_up) at scale 1
+    doc["initializers"]["one"] = {"kind": "real", "shape": [], "data": [1.0]}
+    nodes = []
+    for node in doc["nodes"]:
+        if node["kind"] != "Requant":
+            nodes.append(node)
+            continue
+        h, attrs = node["output"], node["attrs"]
+        doc["initializers"][f"s_{h}"] = {"kind": "real", "shape": [],
+                                         "data": [attrs["mantissa"] / 2 ** attrs["shift"]]}
+        nodes += [{"kind": "Mul", "inputs": [node["inputs"][0], f"s_{h}"],
+                   "output": f"scaled_{h}", "attrs": {}},
+                  {"kind": "Relu", "inputs": [f"scaled_{h}"], "output": f"relu_{h}",
+                   "attrs": {}},
+                  {"kind": "Quant", "inputs": [f"relu_{h}", "one", "zero"], "output": h,
+                   "attrs": {"bits": attrs["bits"], "signed": False, "narrow": False,
+                             "rounding": "half_up"}}]
+    doc["nodes"] = nodes
+
+
+def _half_up_input(doc):
+    next(n for n in doc["nodes"] if n["output"] == "h0")["attrs"]["rounding"] = "half_up"
+
+
+@pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
+@pytest.mark.parametrize("tamper, message", [
+    (_split_scale, "node relu_h1: unknown operator Relu"),
+    (_half_up_input, "node h0: Quant unknown rounding mode 'half_up'"),
+], ids=["split-scale", "half-up"])
+def test_exit_6_on_the_split_scale_template(tmp_path, pipeline, capsys, command, tamper,
+                                            message):
+    # the IR has no Relu node and no half_up rounding; the refused run writes
+    # nothing, so the previous manifest stays in place
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "graph.json"))
+    assert run(command, config) == 0
+    manifest = Path(alt_out, f"manifest-{command}.json")
+    before = manifest.read_bytes()
+    doc = read_json(out, "graph.json")
+    tamper(doc)
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command, config) == 6
+    assert message in capsys.readouterr().err
+    assert manifest.read_bytes() == before
 
 
 def test_exit_2_on_lowering_error(tmp_path, pipeline, capsys, monkeypatch):

@@ -75,7 +75,7 @@ def _check_against_reference(im: qz.IntegerModel, x: np.ndarray) -> None:
     assert codes.tolist() == want
     assert logits.tolist() == want_logits
     g = ir.export_graph(im)
-    for graph in (g, ir.merge_scales_relu(ir.fold_constants(g))):
+    for graph in (g, ir.fold_constants(g)):
         out = ir.evaluate(_with_code_output(graph, len(im.layers)), {"x": x})
         got = out[f"accb{len(im.layers) - 1}"]
         assert got.dtype in (np.int64, object)
@@ -97,7 +97,7 @@ def lowered(small_data, trained_model):
 def test_in_place_evaluation_never_writes_caller_arrays(lowered):
     im, val_ds = lowered
     raw = ir.export_graph(im)
-    opt = ir.merge_scales_relu(ir.fold_constants(raw))
+    opt = ir.fold_constants(raw)
     x = val_ds.features[:200].copy()
     watched = {"x": x, **_model_arrays(im),
                **{f"raw:{k}": v for k, v in _graph_arrays(raw).items()},
@@ -123,11 +123,12 @@ def test_in_place_evaluation_leaves_inputs_and_constants_of_a_hand_graph():
     # every elementwise node reads a graph input, an initializer or a
     # Constant value that dies there; none of them may be written
     g = ir.IRGraph(
-        nodes=[ir.IRNode("Relu", ("x",), "r", {}),
+        nodes=[ir.IRNode("Softmax", ("x",), "r", {}),
                ir.IRNode("Mul", ("r", "s"), "y", {}),
                ir.IRNode("Constant", (), "c", {"value": np.array([3, -4], dtype=np.int64)}),
                ir.IRNode("Add", ("q", "c"), "a", {}),
-               ir.IRNode("Relu", ("a",), "ra", {}),
+               ir.IRNode("Requant", ("a",), "ra",
+                         {"mantissa": 1, "shift": 0, "bits": 8, "signed": False}),
                ir.IRNode("Mul", ("ra", "k"), "z", {}),
                ir.IRNode("Softmax", ("y",), "p", {})],
         inputs=["x", "q"], outputs=["y", "z", "p"],
@@ -140,7 +141,8 @@ def test_in_place_evaluation_leaves_inputs_and_constants_of_a_hand_graph():
     before = {k: _fingerprint(v) for k, v in watched.items()}
     out = ir.evaluate(g, {"x": x, "q": q})
     assert {k: _fingerprint(v) for k, v in watched.items()} == before
-    assert out["y"].tolist() == [[0.0, 1.0], [1.5, 0.0]]
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert out["y"].tolist() == (e / e.sum(axis=1, keepdims=True) * 0.5).tolist()
     assert out["z"].dtype == np.int64
     assert out["z"].tolist() == [[0, 615], [16, 10]]
     assert out["p"].tolist() == ir.evaluate(g, {"x": x, "q": q})["p"].tolist()

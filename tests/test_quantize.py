@@ -656,7 +656,7 @@ def test_wide_int_forward_matches_ir_evaluate_bit_for_bit(wide_lowered):
     assert logits.tobytes() == (codes.astype(np.float64)
                                 * im.output_scale).tobytes()
     g = ir.export_graph(im)
-    for graph in (g, ir.merge_scales_relu(ir.fold_constants(g))):
+    for graph in (g, ir.fold_constants(g)):
         got = ir.evaluate(graph, {"x": va.features})["logits"]
         assert got.tobytes() == logits.tobytes()
 
