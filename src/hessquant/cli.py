@@ -448,7 +448,7 @@ def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     ds = _load_dataset(cfg, out_dir, inputs)
     ds_std = data.standardize(ds, mean=mean, std=std)
 
-    rows = []
+    lines = ["row,prediction," + ",".join(f"logit_{c}" for c in range(model.sizes[-1]))]
     correct = 0
     for start in range(0, len(ds_std), batch_size):
         x = ds_std.features[start:start + batch_size]
@@ -457,19 +457,13 @@ def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
         preds = np.argmax(logits, axis=1)
         correct += int(np.sum(preds == ds_std.labels[start:start + batch_size]))
         # tolist() yields Python floats, whose repr is the shortest exact form
-        for j, (pred, row) in enumerate(zip(preds.tolist(), logits.tolist())):
-            rows.append([start + j, pred] + [repr(v) for v in row])
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "prediction"] +
-                    [f"logit_{c}" for c in range(len(rows[0]) - 2)])
-    writer.writerows(rows)
+        lines += [f"{j},{pred},{','.join(map(repr, row))}" for j, (pred, row)
+                  in enumerate(zip(preds.tolist(), logits.tolist()), start=start)]
     out_path = os.path.join(out_dir, "ir_outputs.csv")
-    write_atomic(out_path, buf.getvalue())
+    write_atomic(out_path, "\n".join(lines) + "\n")
     report_path = os.path.join(out_dir, "ir_report.json")
-    write_json_atomic(report_path, {"rows": len(rows),
-                                    "accuracy": correct / max(len(rows), 1)})
+    write_json_atomic(report_path, {"rows": len(ds_std),
+                                    "accuracy": correct / max(len(ds_std), 1)})
     return EXIT_OK, [out_path, report_path]
 
 

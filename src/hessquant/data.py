@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,9 +90,47 @@ def ingest_csv(path: str, n_features: int = N_FEATURES,
                n_classes: int = N_CLASSES) -> Dataset:
     """Load a dataset from CSV: n_features real columns then an integer label.
 
-    A single leading header row is tolerated.  Any other malformed row raises
-    CSVFormatError with its 1-based line number.
+    A single leading header row and blank lines are tolerated; there are no
+    comment lines.  numpy's C parser reads a file it accepts whole and whose
+    values pass every check.  Any other file is read again line by line, and
+    that reader alone raises CSVFormatError with the offending 1-based line
+    number.  Both readers return the same C-contiguous float64 features and
+    int64 labels, bit for bit.
     """
+    ds = _ingest_fast(path, n_features, n_classes)
+    return ds if ds is not None else _ingest_lines(path, n_features, n_classes)
+
+
+def _ingest_fast(path: str, n_features: int, n_classes: int) -> Dataset | None:
+    """The file through np.loadtxt, or None when the line reader must decide.
+
+    Labels parse as integers, so "3.0" is refused here as it is line by line.
+    """
+    dtype = [("x", np.float64, (n_features,)), ("y", np.int64)]
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        # a quoted first record may span lines, so only csv can find its end
+        if '"' in first:
+            return None
+        if not _looks_like_header(next(csv.reader([first]), [])):
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns, rather than raises, on an empty file and
+                # (numpy 1.x) on an integer label written as a float
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype,
+                                   ndmin=1)
+        except (ValueError, Warning):
+            return None
+    x, y = table["x"], table["y"]
+    if not (len(table) and np.isfinite(x).all() and (y >= 0).all()
+            and (y < n_classes).all()):
+        return None
+    return Dataset(features=np.ascontiguousarray(x), labels=np.ascontiguousarray(y))
+
+
+def _ingest_lines(path: str, n_features: int, n_classes: int) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     with open(path, newline="") as fh:
@@ -125,13 +164,17 @@ def ingest_csv(path: str, n_features: int = N_FEATURES,
 
 
 def write_csv(ds: Dataset, path: str) -> None:
-    """Write features plus label column, one row per sample, no header."""
+    """Write features plus label column, one row per sample, no header.
+
+    Each feature is repr() of a Python float, the shortest text that reads
+    back as the same float64, so ingest_csv returns the features bit for bit.
+    """
     from .ioutil import write_atomic
 
-    lines = []
-    for x, y in zip(ds.features, ds.labels):
-        lines.append(",".join(repr(float(v)) for v in x) + f",{int(y)}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    labels = ds.labels.astype(np.int64).tolist()
+    # one row at a time: a whole-matrix tolist() would hold every float at once
+    write_atomic(path, "\n".join([f"{','.join(map(repr, x.tolist()))},{y}"
+                                  for x, y in zip(ds.features, labels)]) + "\n")
 
 
 def standardize(ds: Dataset, mean: np.ndarray | None = None,

@@ -658,13 +658,14 @@ def _tensor_doc(a: np.ndarray) -> dict:
 
 def _tensor_from_doc(doc: dict, where: str) -> np.ndarray:
     try:
-        shape = tuple(doc["shape"])
-        data = doc["data"]
-        if doc["kind"] == "real":
+        shape, data, kind = tuple(doc["shape"]), doc["data"], doc["kind"]
+        if kind == "real":
             return np.array([float(v) for v in data], dtype=np.float64).reshape(shape)
-        return int_codes(data).reshape(shape)
+        if kind == "int":
+            return int_codes(data).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad tensor document ({exc})") from None
+    raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
 
 
 def _info_doc(t: TensorInfo) -> dict:
@@ -675,12 +676,19 @@ def _info_doc(t: TensorInfo) -> dict:
 
 def _info_from_doc(doc: dict, where: str) -> TensorInfo:
     try:
-        if doc["kind"] == "real":
-            return TensorInfo(shape=tuple(doc["shape"]), kind="real")
-        return TensorInfo(shape=tuple(doc["shape"]), kind="int",
-                          bits=int(doc["bits"]), signed=bool(doc["signed"]))
+        shape, kind = tuple(doc["shape"]), doc["kind"]
+        if kind == "real":
+            return TensorInfo(shape=shape, kind="real")
+        if kind != "int":
+            raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
+        bits, signed = doc["bits"], doc["signed"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{where}: bad tensor info ({exc})") from None
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise ParseError(f"{where}: bits must be an integer, got {bits!r}")
+    if not isinstance(signed, bool):
+        raise ParseError(f"{where}: signed must be a boolean, got {signed!r}")
+    return TensorInfo(shape=shape, kind="int", bits=bits, signed=signed)
 
 
 def serialize(g: IRGraph) -> str:

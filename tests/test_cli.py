@@ -265,6 +265,13 @@ def graph_with_tensors_as_a_list(out):
     return json.dumps(doc)
 
 
+def graph_with_signedness_as_a_string(out):
+    doc = read_json(out, "graph.json")
+    info = next(t for t in doc["tensors"].values() if t["kind"] == "int")
+    info["signed"] = "false"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command, name, text, upstream", [
     ("quantize", "model.json", '{"format": "nope"}', ()),
     ("trace", "model.json", '{"format": "hessquant-model"', ()),
@@ -295,6 +302,7 @@ def graph_with_tensors_as_a_list(out):
      intmodel_with_layer_entry(-1, "requant", {"mantissa": 3, "shift": 2}), ()),
     ("run-ir", "graph.json", '{"version": 1}', ()),
     ("opt-ir", "graph.json", graph_with_tensors_as_a_list, ()),
+    ("run-ir", "graph.json", graph_with_signedness_as_a_string, ()),
     ("report", "sweep.csv", "config_id,b_w_0\nx,4\n", ()),
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
@@ -304,7 +312,7 @@ def graph_with_tensors_as_a_list(out):
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
         "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "intmodel-hidden-without-requant",
         "intmodel-hidden-without-act-exp", "intmodel-last-with-requant", "graph",
-        "graph-tensors-not-an-object", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
+        "graph-tensors-not-an-object", "graph-signed-a-string", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
                                         command, name, text, upstream):
     _, _, out = pipeline

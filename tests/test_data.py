@@ -101,6 +101,99 @@ def test_ingest_csv_reports_offending_line(tmp_path):
     assert err.value.line == 3
 
 
+GOOD = ",".join(["0.5"] * 16) + ",3"
+
+
+def row_with(feature="0.5", label="3"):
+    return ",".join([feature] + ["0.5"] * 15) + "," + label
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (row_with() + ",1\n", 1, "expected 17 columns, got 18"),
+    (GOOD + "\n" + row_with(feature="x") + "\n", 2,
+     "non-numeric feature: could not convert string to float: 'x'"),
+    (GOOD + "\n" + row_with(label="3.0") + "\n", 2, "label is not an integer: '3.0'"),
+    (GOOD + "\n" + row_with(label="-1") + "\n", 2, "label -1 outside 0..4"),
+    (GOOD + "\n" + row_with(feature="1e400") + "\n", 2, "non-finite feature value"),
+    (GOOD + "\n#c\n", 2, "expected 17 columns, got 1"),
+    ("", 1, "no data rows"),
+    ("\n  \n", 1, "no data rows"),
+    (",".join(f"f{i}" for i in range(16)) + ",label\n", 1, "no data rows"),
+], ids=["columns", "feature", "label-float", "label-range", "non-finite", "comment",
+        "empty", "blank", "header-only"])
+def test_ingest_csv_errors_name_their_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(data.CSVFormatError) as err:
+        data.ingest_csv(str(path))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+HEADER = ",".join(f"f{i}" for i in range(16)) + ",label"
+
+
+# (file text, whether np.loadtxt reads it): the fast reader must accept a
+# subset of what the line reader accepts, with bit-identical arrays.
+@pytest.mark.parametrize("text, fast", [
+    (GOOD + "\n" + row_with(label="3.0") + "\n", False),
+    (GOOD + "\n" + row_with(label=" 3") + "\n", True),
+    (GOOD + "\n" + row_with(label="+3") + "\n", True),
+    (GOOD + "\n" + row_with(feature="1_0") + "\n", False),
+    (GOOD + "\n" + row_with(feature="nan") + "\n", False),
+    (GOOD + "\n" + row_with(feature="inf") + "\n", False),
+    (GOOD + "\n" + row_with(feature="1e400") + "\n", False),
+    (GOOD + "\n" + row_with(feature="-0.0") + "\n", True),
+    (GOOD + "\n" + row_with(feature="5e-324") + "\n", True),
+    (GOOD + "\n" + row_with(feature='"0.25"') + "\n", False),
+    (row_with(feature='"0.25"') + "\n" + GOOD + "\n", False),
+    ("#c\n" + GOOD + "\n", True),
+    (GOOD + "\n#c\n" + GOOD + "\n", False),
+    (GOOD + "\n\n" + GOOD + "\n", True),
+    (GOOD + "\n  \n" + GOOD + "\n", False),
+    (GOOD + "\r\n" + GOOD + "\r\n", True),
+    (HEADER + "\n" + GOOD + "\n", True),
+    (GOOD + "\n" + HEADER + "\n", False),
+    ("", False),
+], ids=["label-3.0", "label-space", "label-plus", "feature-underscore", "feature-nan",
+        "feature-inf", "feature-overflow", "feature-negative-zero", "feature-subnormal",
+        "quoted-cell", "quoted-first-line", "comment-on-line-1", "comment-mid-file",
+        "blank-line", "whitespace-line", "crlf", "header", "header-on-line-2", "empty"])
+def test_fast_reader_accepts_a_subset_bit_for_bit(tmp_path, text, fast):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode())
+    got = data._ingest_fast(str(path), data.N_FEATURES, data.N_CLASSES)
+    assert (got is not None) == fast
+    try:
+        want = data._ingest_lines(str(path), data.N_FEATURES, data.N_CLASSES)
+    except data.CSVFormatError:
+        assert got is None
+        return
+    if got is not None:
+        assert got.features.flags.c_contiguous and got.features.dtype == np.float64
+        assert got.labels.dtype == np.int64
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+    back = data.ingest_csv(str(path))
+    assert back.features.tobytes() == want.features.tobytes()
+    assert back.labels.tobytes() == want.labels.tobytes()
+
+
+def test_written_csv_reads_back_exactly_without_the_line_reader(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a file write_csv produced reached the line reader")
+
+    ds = data.generate_synthetic(30_000, seed=7)
+    path = tmp_path / "big.csv"
+    data.write_csv(ds, str(path))
+    monkeypatch.setattr(data, "_ingest_lines", refuse)
+    back = data.ingest_csv(str(path))
+    assert back.features.flags.c_contiguous
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.dtype == np.int64
+    assert np.array_equal(back.labels, ds.labels)
+
+
 def test_standardize_zero_mean_unit_variance():
     ds = data.generate_synthetic(500, seed=2)
     std = data.standardize(ds)

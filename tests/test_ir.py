@@ -501,6 +501,9 @@ def test_parse_rejects_malformed_documents():
     assert "nodes[0]" in str(err.value)
 
 
+INT_INFO_DOC = {"kind": "int", "bits": 8, "signed": True, "shape": [-1]}
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("tensors", [], "tensors must be an object"),
     ("initializers", 7, "initializers must be an object"),
@@ -508,10 +511,21 @@ def test_parse_rejects_malformed_documents():
     ("inputs", "x", "inputs must be a list of strings"),
     ("outputs", ["y", 3], "outputs must be a list of strings"),
     ("nodes", 5, "nodes must be a list"),
+    ("tensors.x", {**INT_INFO_DOC, "signed": "false"},
+     "tensors[x]: signed must be a boolean, got 'false'"),
+    ("tensors.x", {**INT_INFO_DOC, "bits": 8.9}, "tensors[x]: bits must be an integer, got 8.9"),
+    ("tensors.x", {**INT_INFO_DOC, "kind": "float"},
+     "tensors[x]: kind must be 'real' or 'int', got 'float'"),
+    ("initializers.w", {"kind": "float", "shape": [1], "data": [1]},
+     "initializers[w]: kind must be 'real' or 'int', got 'float'"),
 ])
 def test_parse_names_a_field_of_the_wrong_type(field, value, message):
     doc = json.loads(ir.serialize(base_single_node_graph()))
-    (doc["nodes"][0] if field == "attrs" else doc)[field] = value
+    *parents, key = field.split(".")
+    target = doc["nodes"][0] if key == "attrs" else doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
     with pytest.raises(ir.ParseError) as err:
         ir.parse(json.dumps(doc))
     assert str(err.value) == message
