@@ -251,9 +251,9 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
 
     Each configuration gets a fresh model and a per-config training seed
     (cfg.seed + config_id), is trained with quantization-aware training under
-    the coupled schema, and is recorded with its accuracy, measured per-layer
-    sparsity, and BOPs recomputed from that measured sparsity.  A
-    configuration whose training diverges (TrainingDiverged, or the
+    the coupled schema and cfg (the CLI passes the qat settings), and is
+    recorded with its accuracy, measured per-layer sparsity, and BOPs
+    recomputed from that measured sparsity.  A configuration whose training diverges (TrainingDiverged, or the
     ValueError that fake-quantizing non-finite weights raises mid-epoch)
     produces a record with the error message instead of aborting the sweep;
     any other exception propagates.  sample draws that many configs without

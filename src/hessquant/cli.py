@@ -57,16 +57,13 @@ DEFAULT_CONFIG = {
     "data": {"source": "synthetic", "n": 6000, "seed": 0, "separation": 1.5,
              "csv": None, "val_fraction": 0.2, "split_seed": 0},
     "arch": {"sizes": [16, 64, 32, 32, 5], "input_bits": 16},
-    "train": {"epochs": 30, "batch_size": 64, "learning_rate": 1e-3,
-              "l1": 1e-4, "seed": 0, "optimizer": "adam"},
-    "qat": {"epochs": 20, "batch_size": 64, "learning_rate": 1e-3,
-            "l1": 0.0, "seed": 0, "optimizer": "adam"},
+    "train": {"epochs": 30, "batch_size": 64, "learning_rate": 1e-3, "l1": 1e-4, "seed": 0},
+    "qat": {"epochs": 20, "batch_size": 64, "learning_rate": 1e-3, "l1": 0.0, "seed": 0},
     "trace": {"batch": 1024},
     "allocation": {"budget": 250000.0, "candidates": list(allocate.DEFAULT_CANDIDATES)},
     "schema": None,
     "quantize": {"source": "allocation", "accumulator_bits": 32},
-    "sweep": {"sample": 10, "epochs": 5, "batch_size": 64,
-              "learning_rate": 1e-3, "l1": 0.0, "seed": 0, "optimizer": "adam"},
+    "sweep": {"sample": 10, "epochs": 5, "seed": 0},
     "run_ir": {"graph": "graph.json", "batch": 1024},
     "estimate": {"source": "allocation", "coeffs": None},
 }
@@ -82,7 +79,10 @@ _ALSO_TAKES = {"sweep.sample": ("all", None), "schema.activation_bits": (None,),
 # function of the loaded config).  Each loads and is dropped.
 RETIRED_KEYS = {"trace.k": "any", "trace.seed": "any", "sweep.jobs": "any",
                 "allocation.coupling_offset": lambda cfg: quantize.COUPLING_OFFSET,
-                "sweep.candidates": lambda cfg: cfg["allocation"]["candidates"]}
+                "sweep.candidates": lambda cfg: cfg["allocation"]["candidates"],
+                **{f"{sec}.optimizer": lambda cfg: "adam" for sec in ("train", "qat", "sweep")},
+                **{f"sweep.{key}": lambda cfg, key=key: cfg["qat"][key]
+                   for key in ("batch_size", "learning_rate", "l1")}}
 _KINDS = {dict: "an object", list: "a list", int: "an integer", float: "a finite number",
           str: "a string", type(None): "null or a string"}
 
@@ -163,8 +163,7 @@ def _section(name: str):
 
 def _train_config(cfg: dict, name: str) -> nn.TrainConfig:
     with _section(name):
-        return nn.TrainConfig(**{f.name: cfg[name][f.name]
-                                 for f in dataclasses.fields(nn.TrainConfig)})
+        return nn.TrainConfig(**cfg[name])
 
 
 def _arch_sizes(cfg: dict) -> list[int]:
@@ -343,10 +342,13 @@ def cmd_allocate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
 
 
 def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
+    """QAT over a sample of the candidate grid: qat's settings, sweep's epochs and seed."""
     sec = cfg["sweep"]
     arch = allocate.ArchSpec.from_sizes(_arch_sizes(cfg),
                                         input_bits=_input_bits(cfg))
-    tcfg = _train_config(cfg, "sweep")
+    with _section("sweep"):
+        tcfg = dataclasses.replace(_train_config(cfg, "qat"), epochs=sec["epochs"],
+                                   seed=sec["seed"])
     candidates = _candidates(cfg)
     sample = None if sec["sample"] == "all" else sec["sample"]
     if sample is not None and sample < 0:
@@ -523,6 +525,8 @@ def cmd_report(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
                                       input_bits=input_bits)
         arch = allocate.ArchSpec.from_sizes(sizes, sparsities=rec.sparsities,
                                             input_bits=schema.input_bits)
+        if allocate.model_bops(arch, schema) != rec.bops:
+            raise DataError("sweep.csv was written for a different architecture")
         est = hwest.estimate(arch, schema, coeffs=coeffs)
         writer.writerow([rec.config_id, *rec.weight_bits, repr(rec.accuracy),
                          repr(rec.bops), est.dsps, est.luts, est.ffs, ""])

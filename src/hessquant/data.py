@@ -135,7 +135,9 @@ def _ingest_lines(path: str, n_features: int, n_classes: int) -> Dataset:
     labels: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        end = 0  # the line the last record ended on: a quoted cell may hold a newline
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if lineno == 1 and _looks_like_header(row):

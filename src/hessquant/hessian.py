@@ -92,38 +92,6 @@ def hutchinson_trace(model: MLPModel, batch: Dataset, layer: int,
     return hutchinson_estimate(hvp, model.layers[layer].weights.size, k, seed)[:2]
 
 
-def _closed_form_traces(model: MLPModel, batch: Dataset, lowest: int = 0) -> list[float]:
-    """tr H_ll for layers lowest.., in layer order.  Per row, tr(G^T A G) is
-    sum_c p_c ||g_c||^2 - ||sum_c p_c g_c||^2 with g_c = dz_c/du_l: one
-    backward pass per class from the one-hot logit gradient, and one from p."""
-    hs, gates, p = _caches(model, batch, lowest)
-    layers = range(model.n_layers - 1, lowest - 1, -1)
-
-    def row_sq_norms(g: np.ndarray) -> dict:
-        norms = {}
-        for i in layers:
-            if gates[i] is not None:
-                g *= gates[i]
-            norms[i] = np.einsum("ij,ij->i", g, g)
-            if i > lowest:
-                g = g @ model.layers[i].weights.T
-        return norms
-
-    per_row = {i: -sq for i, sq in row_sq_norms(p.copy()).items()}
-    for c in range(p.shape[1]):
-        g = np.zeros_like(p)
-        g[:, c] = 1.0
-        for i, sq in row_sq_norms(g).items():
-            per_row[i] += p[:, c] * sq
-    return [float(np.mean(np.einsum("ij,ij->i", hs[i], hs[i]) * per_row[i]))
-            for i in reversed(layers)]
-
-
-def exact_trace(model: MLPModel, batch: Dataset, layer: int) -> float:
-    """The closed-form Hessian trace over one layer's weights."""
-    return _closed_form_traces(model, batch, layer)[0]
-
-
 @dataclass
 class TraceReport:
     """Per-layer Hessian traces plus enough metadata to reproduce them.
@@ -159,12 +127,40 @@ def calibration_batch(data: Dataset, n: int = CALIBRATION_SIZE) -> Dataset:
 
 
 def layer_sensitivities(model: MLPModel, batch: Dataset) -> TraceReport:
-    """Exact Hessian traces for every layer's weight matrix, in layer order."""
-    traces = _closed_form_traces(model, batch)
+    """Exact Hessian traces for every layer's weight matrix, in layer order.
+    Per row, tr(G^T A G) is sum_c p_c ||g_c||^2 - ||sum_c p_c g_c||^2 with
+    g_c = dz_c/du_l: one backward pass per class from the one-hot logit
+    gradient, and one from p."""
+    hs, gates, p = _caches(model, batch)
+
+    def row_sq_norms(g: np.ndarray) -> list:
+        norms = [None] * model.n_layers
+        for i in reversed(range(model.n_layers)):
+            if gates[i] is not None:
+                g *= gates[i]
+            norms[i] = np.einsum("ij,ij->i", g, g)
+            if i > 0:
+                g = g @ model.layers[i].weights.T
+        return norms
+
+    per_row = [-sq for sq in row_sq_norms(p.copy())]
+    for c in range(p.shape[1]):
+        g = np.zeros_like(p)
+        g[:, c] = 1.0
+        for i, sq in enumerate(row_sq_norms(g)):
+            per_row[i] += p[:, c] * sq
+    traces = [float(np.mean(np.einsum("ij,ij->i", h, h) * r)) for h, r in zip(hs, per_row)]
     counts = [layer.weights.size for layer in model.layers]
     return TraceReport(traces=traces, avg_traces=[t / c for t, c in zip(traces, counts)],
                        weight_counts=counts, batch_sha256=batch_digest(batch),
                        sizes=list(model.sizes))
+
+
+def exact_trace(model: MLPModel, batch: Dataset, layer: int) -> float:
+    """The closed-form Hessian trace over one layer's weights."""
+    if not 0 <= layer < model.n_layers:
+        raise IndexError(f"layer {layer} out of range")
+    return layer_sensitivities(model, batch).traces[layer]
 
 
 def save_trace_report(report: TraceReport, path: str) -> None:

@@ -659,10 +659,12 @@ def _tensor_doc(a: np.ndarray) -> dict:
 def _tensor_from_doc(doc: dict, where: str) -> np.ndarray:
     try:
         shape, data, kind = tuple(doc["shape"]), doc["data"], doc["kind"]
-        if kind == "real":
-            return np.array([float(v) for v in data], dtype=np.float64).reshape(shape)
-        if kind == "int":
-            return int_codes(data).reshape(shape)
+        if kind in ("real", "int"):
+            what, types = ("integers", int) if kind == "int" else ("numbers", (int, float))
+            if bad := [v for v in data if isinstance(v, bool) or not isinstance(v, types)]:
+                raise TypeError(f"{kind} data must be {what}, got {bad[0]!r}")
+            values = int_codes(data) if kind == "int" else np.array([float(v) for v in data])
+            return values.reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: bad tensor document ({exc})") from None
     raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")

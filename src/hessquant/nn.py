@@ -86,6 +86,9 @@ class MLPModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return forward(self, x)
 
+    def _logits(self, x: np.ndarray) -> np.ndarray:
+        return forward_logits(self, x)
+
     def copy(self) -> "MLPModel":
         return MLPModel(layers=[DenseLayer(weights=l.weights.copy(), bias=l.bias.copy())
                                 for l in self.layers])
@@ -93,16 +96,14 @@ class MLPModel:
 
 @dataclass
 class TrainConfig:
+    """One mini-batch Adam training, float or quantization-aware."""
     epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 1e-3
     l1: float = 0.0
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
 
@@ -277,12 +278,9 @@ def _backprop(model: MLPModel, x: np.ndarray, labels: np.ndarray, l1: float,
 
 def _update(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
             cfg: TrainConfig) -> None:
-    """Optimizer step t (Adam, or SGD) on theta and the moments, in place; each
-    element sees the operations of the textbook form in its order, bit for bit.
-    Adam works in two scratch arrays, which keeps a wide stack's step cheap."""
-    if cfg.optimizer == "sgd":
-        theta -= cfg.learning_rate * g
-        return
+    """Adam step t on theta and the moments, in place; each element sees the
+    operations of the textbook form in its order, bit for bit.  It works in
+    two scratch arrays, which keeps a wide stack's step cheap."""
     s = np.multiply(1 - ADAM_BETA1, g)
     m *= ADAM_BETA1
     m += s
@@ -322,7 +320,7 @@ def _drop(failed: dict, results: list, members: np.ndarray, *stacked):
     return [a[keep] for a in (members, *stacked)]
 
 
-def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step, logits,
+def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step,
                 predictor, val: Dataset | None = None, x: np.ndarray | None = None,
                 max_loss: float = math.inf) -> list:
     """The mini-batch loop shared by float and quantization-aware training;
@@ -340,10 +338,10 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
     may raise MemberErrors before it changes any state: those members leave
     the stack and the step runs again on the rest.
 
-    Each epoch ends per member on 2-d views, as one run would: the loss of
-    logits(params_k, x, k), which raises TrainingDiverged when it is not
-    finite or exceeds max_loss, and the accuracy of predictor(params_k, k)
-    on `val` (else the training data).  A member whose epoch end raises
+    Each epoch ends per member on 2-d views, as one run would, with the
+    model predictor(params_k, k): the loss of its `_logits(x)`, which raises
+    TrainingDiverged when it is not finite or exceeds max_loss, and its
+    accuracy on `val` (else the training data).  A member whose epoch end raises
     TrainingDiverged or a ValueError leaves the stack there.  Returns per
     model (model, history), the model owning its arrays, or the exception
     that ended its run.
@@ -378,11 +376,12 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
         for j, k in enumerate(members):
             member = _view_model(template, theta[j])
             try:
-                epoch_loss = _objective(logits(member, x, k), data.labels, member, cfg.l1)
+                predicted = predictor(member, k)
+                epoch_loss = _objective(predicted._logits(x), data.labels, member, cfg.l1)
                 if not math.isfinite(epoch_loss) or epoch_loss > max_loss:
                     raise TrainingDiverged(epoch)
                 histories[k].train_loss.append(epoch_loss)
-                histories[k].val_accuracy.append(accuracy(predictor(member, k), eval_set))
+                histories[k].val_accuracy.append(accuracy(predicted, eval_set))
             except (TrainingDiverged, ValueError) as exc:
                 failed[j] = exc
         if failed:
@@ -418,8 +417,8 @@ def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
     def step(params, members, epoch, x, y, grads):
         _backprop(params, x, y, cfg.l1, grads)
 
-    return _only(_train_loop([model], data, [cfg], step, lambda p, x, k: forward_logits(p, x),
-                             lambda p, k: p, val=val, max_loss=1e8))
+    return _only(_train_loop([model], data, [cfg], step, lambda p, k: p, val=val,
+                             max_loss=1e8))
 
 
 def accuracy(model, data: Dataset) -> float:

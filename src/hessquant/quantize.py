@@ -38,7 +38,7 @@ code does not fit (`int_codes`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -467,17 +467,13 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
         return FakeQuantModel(model=params, schema=schemas[k], input_max=input_max,
                               act_max=act_max[:, k].tolist())
 
-    results = nn._train_loop(models, data, cfgs, step,
-                             lambda params, xq, k: predictor(params, k)._logits(xq), predictor,
-                             val=val, x=_fq_signed(data.features, schemas[0].input_bits,
-                                                   input_max))
+    results = nn._train_loop(models, data, cfgs, step, predictor, val=val,
+                             x=_fq_signed(data.features, schemas[0].input_bits, input_max))
     batches = -(-len(data) // cfg.batch_size)
     ema_updates = [batches if e < frozen_from else 0 for e in range(cfg.epochs)]
     return [result if isinstance(result, Exception) else
-            FakeQuantModel(model=result[0], schema=schema, input_max=input_max,
-                           act_max=act_max[:, k].tolist(), history=result[1],
-                           ema_updates=list(ema_updates))
-            for k, (result, schema) in enumerate(zip(results, schemas))]
+            replace(predictor(result[0], k), history=result[1], ema_updates=list(ema_updates))
+            for k, result in enumerate(results)]
 
 
 def calibrate_fake_quant(model: MLPModel, schema: QuantSchema, calib: Dataset) -> FakeQuantModel:

@@ -345,7 +345,7 @@ def test_exit_4_on_divergence(tmp_path, pipeline, capsys, command, section, lear
     # at 1e300 QAT's weight ranges leave the finite floats before its loss does
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path, **{section: {
-        "learning_rate": learning_rate, "optimizer": "sgd", "epochs": 3}})
+        "learning_rate": learning_rate, "epochs": 3}})
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "allocation.json"))
     capsys.readouterr()
     with np.errstate(all="ignore"):
@@ -403,7 +403,15 @@ def test_exit_2_on_a_bad_allocation_section(tmp_path, pipeline, capsys,
 @pytest.mark.parametrize("overrides, key", [
     ({"allocation": {"coupling_offset": 2}}, "allocation.coupling_offset"),
     ({"sweep": {"candidates": [4, 8]}}, "sweep.candidates"),
-], ids=["coupling-offset-2", "sweep-candidates-differ"])
+    ({"train": {"optimizer": "sgd"}}, "train.optimizer"),
+    ({"qat": {"optimizer": "sgd"}}, "qat.optimizer"),
+    ({"sweep": {"optimizer": "sgd"}}, "sweep.optimizer"),
+    ({"sweep": {"batch_size": 32}}, "sweep.batch_size"),
+    ({"sweep": {"learning_rate": 2e-3}}, "sweep.learning_rate"),
+    ({"qat": {"l1": 1e-4}, "sweep": {"l1": 0.0}}, "sweep.l1"),
+], ids=["coupling-offset-2", "sweep-candidates-differ", "train-optimizer-sgd",
+        "qat-optimizer-sgd", "sweep-optimizer-sgd", "sweep-batch-size-differs",
+        "sweep-learning-rate-differs", "sweep-l1-differs-from-qat"])
 def test_exit_2_on_a_removed_config_key_at_another_value(tmp_path, pipeline, capsys,
                                                          overrides, key):
     # at another value than the one now fixed, the key would have changed results
@@ -419,9 +427,10 @@ def test_exit_2_on_a_removed_config_key_at_another_value(tmp_path, pipeline, cap
 
 def test_a_manifest_that_still_holds_the_removed_keys_reruns_byte_identically(tmp_path,
                                                                             pipeline):
-    # manifests written before allocation.coupling_offset and sweep.candidates
-    # were removed embed the default config with both keys at their defaults;
-    # trace.k, trace.seed and sweep.jobs load at any value.  All are dropped.
+    # manifests written before allocation.coupling_offset, sweep.candidates,
+    # the optimizer keys and sweep's own training keys were removed embed the
+    # default config with those keys at their defaults; trace.k, trace.seed
+    # and sweep.jobs load at any value.  All are dropped.
     _, _, out = pipeline
     alt_out = str(tmp_path / "out")
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "traces.json"))
@@ -432,12 +441,37 @@ def test_a_manifest_that_still_holds_the_removed_keys_reruns_byte_identically(tm
         names = [manifest.name, *doc["artifacts"]]
         before = {name: Path(alt_out, name).read_bytes() for name in names}
         doc["config"]["allocation"]["coupling_offset"] = 3
-        doc["config"]["sweep"].update(candidates=[4, 5, 6, 7, 8], jobs=3)
+        doc["config"]["sweep"].update(candidates=[4, 5, 6, 7, 8], jobs=3, batch_size=64,
+                                      learning_rate=1e-3, l1=0.0, optimizer="adam")
+        doc["config"]["train"]["optimizer"] = doc["config"]["qat"]["optimizer"] = "adam"
         doc["config"]["trace"].update(k=17, seed=5)
         older = tmp_path / f"older-manifest-{cmd}.json"
         older.write_text(json.dumps(doc))
         assert cli.main([cmd, "--config", str(older)]) == 0, cmd
         assert {name: Path(alt_out, name).read_bytes() for name in names} == before, cmd
+
+
+def test_every_retired_key_names_a_section_that_no_longer_has_it():
+    for name in cli.RETIRED_KEYS:
+        section, key = name.split(".")
+        assert isinstance(cli.DEFAULT_CONFIG[section], dict), name
+        assert key not in cli.DEFAULT_CONFIG[section], name
+
+
+def test_sweep_trains_with_the_qat_settings_but_its_own_epochs_and_seed(tmp_path, pipeline,
+                                                                         monkeypatch):
+    # the retired sweep keys load at the qat section's values, not at defaults
+    recipe = {"batch_size": 32, "learning_rate": 2e-3, "l1": 1e-4}
+    config, alt_out = write_config(tmp_path, qat=recipe,
+                                   sweep={**recipe, "epochs": 2, "seed": 5, "sample": 1})
+    copy_artifacts(pipeline[2], alt_out, ("dataset.csv",))
+    seen = []
+    monkeypatch.setattr(allocate, "sweep",
+                        lambda arch, candidates, data, cfg, **kw: seen.append(cfg) or [])
+    assert run("sweep", config) == 0
+    assert seen == [nn.TrainConfig(epochs=2, seed=5, **recipe)]
+    assert sorted(read_json(alt_out, "manifest-sweep.json")["config"]["sweep"]) == [
+        "epochs", "sample", "seed"]
 
 
 def test_allocate_sweep_and_the_schema_section_couple_activations_alike(tmp_path, pipeline):
@@ -509,7 +543,6 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
      "allocation.budget must be a finite number, got NaN"),
     ("allocate", "allocation", {"candidates": [4, True]},
      "allocation.candidates[1] must be an integer, got true"),
-    ("train", "qat", {"optimizer": 1}, "qat.optimizer must be a string, got 1"),
     ("estimate", "estimate", {"coeffs": 5}, "estimate.coeffs must be null or a string, got 5"),
     ("run-ir", "run_ir", {"graph": None}, "run_ir.graph must be a string, got null"),
     ("trace", "trace", [1024], "trace must be an object, got [1024]"),
@@ -520,7 +553,7 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
         "data-n", "data-val-fraction", "arch-sizes", "run-ir-batch", "arch-input-bits",
         "quantize-accumulator-bits", "train-epochs-fraction", "train-epochs-bool",
         "data-separation-string", "allocation-budget-string-at-gen-data",
-        "allocation-budget-nan", "allocation-candidate-bool", "qat-optimizer-number",
+        "allocation-budget-nan", "allocation-candidate-bool",
         "estimate-coeffs-number", "run-ir-graph-null", "trace-not-an-object",
         "schema-input-bits-string", "schema-weight-bits-not-a-list"])
 def test_exit_2_on_a_bad_config_value(tmp_path, pipeline, capsys, command, section, value,
@@ -888,6 +921,22 @@ def test_report_exits_3_on_a_sweep_for_another_architecture(tmp_path, capsys):
     assert run("report", config) == 3
     assert "sweep.csv was written for a different architecture" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+def test_report_exits_3_on_a_sweep_for_another_architecture_of_the_same_depth(
+        tmp_path, pipeline, capsys):
+    # the layer counts agree, so only the recorded BOPs tell the two apart
+    config, out = write_config(tmp_path, sweep={"sample": 2, "epochs": 1})
+    copy_artifacts(pipeline[2], out, ("dataset.csv",))
+    assert run("sweep", config) == 0
+    assert run("report", config) == 0
+    os.remove(os.path.join(out, "report.csv"))
+    for arch in ({"sizes": [16, 40, 8, 5]}, {"input_bits": 8}):
+        config, _ = write_config(tmp_path, arch=arch)
+        capsys.readouterr()
+        assert run("report", config) == 3, arch
+        assert "sweep.csv was written for a different architecture" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
 @pytest.mark.parametrize("command", ["estimate", "report"])

@@ -119,8 +119,11 @@ def row_with(feature="0.5", label="3"):
     ("", 1, "no data rows"),
     ("\n  \n", 1, "no data rows"),
     (",".join(f"f{i}" for i in range(16)) + ",label\n", 1, "no data rows"),
+    # record 2 spans lines 2-3, so the fourth record starts on line 5
+    (GOOD + "\n" + row_with(feature='"0.5\n"') + "\n" + GOOD + "\n" + row_with(label="7")
+     + "\n", 5, "label 7 outside 0..4"),
 ], ids=["columns", "feature", "label-float", "label-range", "non-finite", "comment",
-        "empty", "blank", "header-only"])
+        "empty", "blank", "header-only", "after-a-record-on-two-lines"])
 def test_ingest_csv_errors_name_their_line(tmp_path, text, line, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -518,6 +518,10 @@ INT_INFO_DOC = {"kind": "int", "bits": 8, "signed": True, "shape": [-1]}
      "tensors[x]: kind must be 'real' or 'int', got 'float'"),
     ("initializers.w", {"kind": "float", "shape": [1], "data": [1]},
      "initializers[w]: kind must be 'real' or 'int', got 'float'"),
+    ("initializers.w", {"kind": "int", "shape": [1], "data": [8.9]},
+     "initializers[w]: bad tensor document (int data must be integers, got 8.9)"),
+    ("initializers.w", {"kind": "real", "shape": [1], "data": ["1.5"]},
+     "initializers[w]: bad tensor document (real data must be numbers, got '1.5')"),
 ])
 def test_parse_names_a_field_of_the_wrong_type(field, value, message):
     doc = json.loads(ir.serialize(base_single_node_graph()))

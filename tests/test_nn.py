@@ -130,19 +130,10 @@ def test_train_improves_loss_and_is_deterministic():
 def test_train_flags_divergence_with_epoch():
     ds = data.generate_synthetic(200, seed=21)
     cfg = nn.TrainConfig(epochs=5, batch_size=32, learning_rate=1e6,
-                         l1=0.0, seed=0, optimizer="sgd")
+                         l1=0.0, seed=0)
     with pytest.raises(nn.TrainingDiverged) as err:
         nn.train(nn.mlp([16, 8, 5], seed=0), ds, cfg)
     assert err.value.epoch >= 0
-
-
-def test_sgd_optimizer_also_learns():
-    ds = data.generate_synthetic(600, seed=22, separation=1.8)
-    ds = data.standardize(ds)
-    cfg = nn.TrainConfig(epochs=10, batch_size=32, learning_rate=0.05,
-                         l1=0.0, seed=0, optimizer="sgd")
-    m, hist = nn.train(nn.mlp([16, 12, 5], seed=0), ds, cfg)
-    assert hist.train_loss[-1] < hist.train_loss[0]
 
 
 def test_l1_training_produces_sparser_weights():

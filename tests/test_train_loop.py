@@ -135,10 +135,7 @@ def ref_train(model: MLPModel, data: Dataset, cfg: TrainConfig,
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             g = ref_grad(current, data.take(idx), l1=cfg.l1)
-            if cfg.optimizer == "adam":
-                theta, state = ref_adam_step(theta, g, state, cfg)
-            else:
-                theta = theta - cfg.learning_rate * g
+            theta, state = ref_adam_step(theta, g, state, cfg)
             current = ref_replace_parameters(current, theta)
         epoch_loss = ref_loss(current, data, l1=cfg.l1)
         if not math.isfinite(epoch_loss) or epoch_loss > 1e8:
@@ -297,10 +294,7 @@ def ref_qat_train(model: MLPModel, data: Dataset, schema: QuantSchema, cfg: Trai
                 seeded = True
                 updates += 1
             g = ref_fq_grad(current, schema, input_max, act_max, batch, cfg.l1, observe)
-            if cfg.optimizer == "adam":
-                theta, state = ref_adam(theta, g, state, cfg)
-            else:
-                theta = theta - cfg.learning_rate * g
+            theta, state = ref_adam(theta, g, state, cfg)
             current = ref_replace_parameters(current, theta)
         fq = RefFakeQuantModel(model=current, schema=schema, input_max=input_max,
                                act_max=list(act_max))
@@ -338,13 +332,12 @@ def assert_owns_arrays(model: MLPModel):
         assert layer.weights.base is None and layer.bias.base is None
 
 
-@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 0.05)])
+@pytest.mark.parametrize("lr", [pytest.param(1e-3, id="adam-0.001")])
 @pytest.mark.parametrize("l1", [0.0, 1e-4])
 @pytest.mark.parametrize("epochs", [1, 5])
-def test_train_matches_reference_loop(splits, optimizer, lr, l1, epochs):
+def test_train_matches_reference_loop(splits, lr, l1, epochs):
     tr, va = splits
-    cfg = TrainConfig(epochs=epochs, batch_size=64, learning_rate=lr, l1=l1,
-                      seed=7, optimizer=optimizer)
+    cfg = TrainConfig(epochs=epochs, batch_size=64, learning_rate=lr, l1=l1, seed=7)
     start = nn.mlp([16, 12, 8, 5], seed=3)
     before = _snapshot(start)
     got, hist = nn.train(start, tr, cfg, val=va)
@@ -407,11 +400,11 @@ def test_qat_matches_reference_loop(splits, pretrained, bits, epochs):
     assert got.history is not None and got.schema == schema
 
 
-@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 0.02)])
-def test_qat_without_validation_set_matches_reference(splits, pretrained, optimizer, lr):
+@pytest.mark.parametrize("lr", [pytest.param(1e-3, id="adam-0.001")])
+def test_qat_without_validation_set_matches_reference(splits, pretrained, lr):
     tr, _ = splits
     schema = QuantSchema.coupled((5, 3, 6))
-    cfg = TrainConfig(epochs=3, batch_size=48, learning_rate=lr, seed=4, optimizer=optimizer)
+    cfg = TrainConfig(epochs=3, batch_size=48, learning_rate=lr, seed=4)
     assert_same_fq(qz.qat_train(pretrained, tr, schema, cfg),
                    ref_qat_train(pretrained, tr, schema, cfg))
 
@@ -599,8 +592,7 @@ def test_stacked_float_training_equals_each_reference_run(splits):
     def step(params, members, epoch, x, y, grads):
         nn._backprop(params, x, y, 1e-4, grads)
 
-    got = nn._train_loop(starts, tr, cfgs, step, lambda p, x, k: nn.forward_logits(p, x),
-                         lambda p, k: p, val=va)
+    got = nn._train_loop(starts, tr, cfgs, step, lambda p, k: p, val=va)
     for (model, hist), start, cfg in zip(got, starts, cfgs):
         want, want_hist = ref_train(start, tr, cfg, val=va)
         assert_same_model(model, want)
@@ -610,7 +602,7 @@ def test_stacked_float_training_equals_each_reference_run(splits):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", 3), ("batch_size", 32), ("learning_rate", 2e-3), ("l1", 1e-4),
-    ("optimizer", "sgd"), ("input_bits", 8)])
+    ("input_bits", 8)])
 def test_stacked_qat_refuses_members_that_differ_in_a_shared_setting(splits, field, value):
     tr, _ = splits
     cfgs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
