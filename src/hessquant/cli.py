@@ -54,18 +54,18 @@ class Diverged(Exception):
 
 DEFAULT_CONFIG = {
     "out": "out",
-    "data": {"source": "synthetic", "n": 6000, "seed": 0, "separation": 1.5,
-             "csv": None, "val_fraction": 0.2, "split_seed": 0},
+    "data": {"n": 6000, "seed": 0, "separation": 1.5, "csv": None, "val_fraction": 0.2,
+             "split_seed": 0},
     "arch": {"sizes": [16, 64, 32, 32, 5], "input_bits": 16},
     "train": {"epochs": 30, "batch_size": 64, "learning_rate": 1e-3, "l1": 1e-4, "seed": 0},
     "qat": {"epochs": 20, "batch_size": 64, "learning_rate": 1e-3, "l1": 0.0, "seed": 0},
     "trace": {"batch": 1024},
     "allocation": {"budget": 250000.0, "candidates": list(allocate.DEFAULT_CANDIDATES)},
     "schema": None,
-    "quantize": {"source": "allocation", "accumulator_bits": 32},
+    "quantize": {"accumulator_bits": 32},
     "sweep": {"sample": 10, "epochs": 5, "seed": 0},
-    "run_ir": {"graph": "graph.json", "batch": 1024},
-    "estimate": {"source": "allocation", "coeffs": None},
+    "run_ir": {"graph": "graph.json"},
+    "estimate": {"coeffs": None},
 }
 
 
@@ -75,14 +75,19 @@ SCHEMA_KEYS = {"weight_bits": [0], "activation_bits": [0], "input_bits": 0}
 # Values a key takes besides those of its default's type.
 _ALSO_TAKES = {"sweep.sample": ("all", None), "schema.activation_bits": (None,),
                "schema.input_bits": (None,)}
-# Keys no longer read, each with "any" or the one value it may still hold (a
-# function of the loaded config).  Each loads and is dropped.
+# Keys no longer read, each with "any" or the values it may still hold (a
+# function of the loaded config giving a tuple).  Each loads and is dropped.
 RETIRED_KEYS = {"trace.k": "any", "trace.seed": "any", "sweep.jobs": "any",
-                "allocation.coupling_offset": lambda cfg: quantize.COUPLING_OFFSET,
-                "sweep.candidates": lambda cfg: cfg["allocation"]["candidates"],
-                **{f"{sec}.optimizer": lambda cfg: "adam" for sec in ("train", "qat", "sweep")},
-                **{f"sweep.{key}": lambda cfg, key=key: cfg["qat"][key]
-                   for key in ("batch_size", "learning_rate", "l1")}}
+                "run_ir.batch": "any",
+                "allocation.coupling_offset": lambda cfg: (quantize.COUPLING_OFFSET,),
+                "sweep.candidates": lambda cfg: (cfg["allocation"]["candidates"],),
+                **{f"{sec}.optimizer": lambda cfg: ("adam",) for sec in ("train", "qat", "sweep")},
+                **{f"sweep.{key}": lambda cfg, key=key: (cfg["qat"][key],)
+                   for key in ("batch_size", "learning_rate", "l1")},
+                "data.source": lambda cfg: ("csv",) if cfg["data"]["csv"] else ("synthetic",),
+                **{f"{cmd}.source": lambda cfg: ("allocation", "schema")
+                   if cfg["schema"] is not None else ("allocation",)
+                   for cmd in ("quantize", "estimate")}}
 _KINDS = {dict: "an object", list: "a list", int: "an integer", float: "a finite number",
           str: "a string", type(None): "null or a string"}
 
@@ -107,9 +112,9 @@ def _load_config(path: str | None) -> dict:
                if isinstance(user.get(sec), dict) and key in user[sec]}
     cfg = _typed(DEFAULT_CONFIG, user, "")
     for name, value in retired.items():
-        fixed = RETIRED_KEYS[name]
-        if fixed != "any" and value != fixed(cfg):
-            raise ConfigError(f"{name} was removed; delete it or set it to {fixed(cfg)!r}")
+        kept = () if RETIRED_KEYS[name] == "any" else RETIRED_KEYS[name](cfg)
+        if kept and value not in kept:
+            raise ConfigError(f"{name} was removed; delete it or set it to {kept[0]!r}")
     return cfg
 
 
@@ -195,15 +200,8 @@ def _candidates(cfg: dict) -> tuple[int, ...]:
 
 
 def _load_dataset(cfg: dict, out_dir: str, inputs: dict) -> data.Dataset:
-    src = cfg["data"]["source"]
-    if src == "csv":
-        path = cfg["data"]["csv"]
-        if not path:
-            raise ConfigError("data.source is 'csv' but data.csv is not set")
-    elif src == "synthetic":
-        path = os.path.join(out_dir, "dataset.csv")
-    else:
-        raise ConfigError(f"unknown data.source {src!r}")
+    """data.csv when it is set, else the synthetic <out>/dataset.csv."""
+    path = cfg["data"]["csv"] or os.path.join(out_dir, "dataset.csv")
     return _consume(path, inputs, "run gen-data first or point data.csv at a file",
                     data.ingest_csv)
 
@@ -227,37 +225,23 @@ def _load_model(out_dir: str, inputs: dict):
     return model, mean, std
 
 
-def _schema_section(cfg: dict, command: str) -> quantize.QuantSchema:
-    """The schema section as a QuantSchema; coupled activations when it has
-    no activation_bits, arch.input_bits when it has no input_bits."""
+def _schema(cfg: dict, out_dir: str, inputs: dict, n_layers: int) -> quantize.QuantSchema:
+    """The n_layers-layer schema: the schema section when it is set (coupled
+    activations when it has no activation_bits, arch.input_bits when it has
+    no input_bits), else allocation.json."""
     sec = cfg["schema"]
     if sec is None:
-        raise ConfigError(f"{command}.source is 'schema' but no schema is configured")
-    ab, input_bits = sec.get("activation_bits"), sec.get("input_bits")
-    input_bits = cfg["arch"]["input_bits"] if input_bits is None else input_bits
-    with _section("schema"):
-        wb = tuple(sec["weight_bits"])
-        if ab is None:
-            return quantize.QuantSchema.coupled(wb, input_bits=input_bits)
-        return quantize.QuantSchema(weight_bits=wb, activation_bits=tuple(ab),
-                                    input_bits=input_bits)
-
-
-def _schema_from_config(cfg: dict, command: str, out_dir: str, inputs: dict,
-                        n_layers: int) -> quantize.QuantSchema:
-    """The n_layers-layer schema `<command>.source` names: allocation.json, or
-    the schema section, which also stands in for an absent allocation.json."""
-    source = cfg[command]["source"]
-    path = os.path.join(out_dir, "allocation.json")
-    if source == "schema" or (source == "allocation" and cfg["schema"] is not None
-                              and not os.path.exists(path)):
-        schema = _schema_section(cfg, command)
-    elif source == "allocation":
-        schema = _consume(path, inputs,
-                          f"run allocate first or set {command}.source to 'schema'",
+        schema = _consume(os.path.join(out_dir, "allocation.json"), inputs,
+                          "run allocate first or set the schema section",
                           lambda p: allocate.load_allocation(p).schema)
     else:
-        raise ConfigError(f"unknown {command}.source {source!r}")
+        ab, input_bits = sec.get("activation_bits"), sec.get("input_bits")
+        input_bits = cfg["arch"]["input_bits"] if input_bits is None else input_bits
+        with _section("schema"):
+            wb = tuple(sec["weight_bits"])
+            schema = (quantize.QuantSchema.coupled(wb, input_bits=input_bits) if ab is None
+                      else quantize.QuantSchema(weight_bits=wb, activation_bits=tuple(ab),
+                                                input_bits=input_bits))
     if schema.n_layers != n_layers:
         raise ConfigError(f"schema has {schema.n_layers} layers, model has {n_layers}")
     return schema
@@ -270,8 +254,8 @@ def _schema_from_config(cfg: dict, command: str, out_dir: str, inputs: dict,
 
 def cmd_gen_data(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     sec = cfg["data"]
-    if sec["source"] != "synthetic":
-        raise ConfigError("gen-data only applies to data.source 'synthetic'")
+    if sec["csv"]:
+        raise ConfigError("gen-data writes the synthetic dataset; data.csv is set")
     with _section("data"):
         ds = data.generate_synthetic(sec["n"], seed=sec["seed"],
                                      separation=sec["separation"])
@@ -363,7 +347,7 @@ def cmd_sweep(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
 
 def cmd_quantize(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     model, mean, std = _load_model(out_dir, inputs)
-    schema = _schema_from_config(cfg, "quantize", out_dir, inputs, model.n_layers)
+    schema = _schema(cfg, out_dir, inputs, model.n_layers)
     accumulator_bits = cfg["quantize"]["accumulator_bits"]
     try:
         quantize.accumulator_widths(schema, [l.fan_in for l in model.layers],
@@ -429,10 +413,12 @@ def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     return EXIT_OK, [out_path, report_path]
 
 
+# run-ir evaluates the dataset in chunks of this many rows, which bounds its
+# memory and changes no output byte.
+RUN_IR_ROWS = 1024
+
+
 def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
-    batch_size = cfg["run_ir"]["batch"]
-    if batch_size < 1:
-        raise ConfigError(f"bad run_ir section: batch must be at least 1, got {batch_size}")
     graph_path = os.path.join(out_dir, cfg["run_ir"]["graph"])
     g = _consume(graph_path, inputs, "run export-ir first", ir.load_graph)
     diags = ir.validate(g)
@@ -440,6 +426,8 @@ def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_IR, []
+    if "logits" not in g.outputs:
+        raise DataError(f"{graph_path} has no logits output")
     model, mean, std = _load_model(out_dir, inputs)
     shapes = ir.infer_shapes(g).tensors
     for name, width in (("x", len(mean)), ("logits", model.sizes[-1])):
@@ -452,12 +440,12 @@ def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
 
     lines = ["row,prediction," + ",".join(f"logit_{c}" for c in range(model.sizes[-1]))]
     correct = 0
-    for start in range(0, len(ds_std), batch_size):
-        x = ds_std.features[start:start + batch_size]
+    for start in range(0, len(ds_std), RUN_IR_ROWS):
+        x = ds_std.features[start:start + RUN_IR_ROWS]
         out = ir.evaluate(g, {"x": x})
         logits = np.asarray(out["logits"], dtype=np.float64)
         preds = np.argmax(logits, axis=1)
-        correct += int(np.sum(preds == ds_std.labels[start:start + batch_size]))
+        correct += int(np.sum(preds == ds_std.labels[start:start + RUN_IR_ROWS]))
         # tolist() yields Python floats, whose repr is the shortest exact form
         lines += [f"{j},{pred},{','.join(map(repr, row))}" for j, (pred, row)
                   in enumerate(zip(preds.tolist(), logits.tolist()), start=start)]
@@ -491,7 +479,7 @@ def cmd_estimate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
         model, _, _ = _consume(model_path, inputs, "run train first", nn.load_model)
         sizes = list(model.sizes)
         sparsities = nn.sparsity(model)
-    schema = _schema_from_config(cfg, "estimate", out_dir, inputs, len(sizes) - 1)
+    schema = _schema(cfg, out_dir, inputs, len(sizes) - 1)
     arch = allocate.ArchSpec.from_sizes(sizes, sparsities=sparsities,
                                         input_bits=schema.input_bits)
     est = hwest.estimate(arch, schema, coeffs=coeffs)
@@ -503,28 +491,33 @@ def cmd_estimate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
 
 
 def cmd_report(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
-    records = _consume(os.path.join(out_dir, "sweep.csv"), inputs, "run sweep first",
-                       lambda p: allocate.parse_sweep_csv(Path(p).read_text()))
     coeffs = _coeffs_from_config(cfg, inputs)
     sizes, input_bits = _arch_sizes(cfg), _input_bits(cfg)
     L = len(sizes) - 1
-    if any(len(rec.weight_bits) != L for rec in records):
-        raise DataError("sweep.csv was written for a different architecture")
 
+    def load(path: str) -> list:
+        """sweep.csv's records, each with its schema and architecture, or
+        None for a failed configuration's record."""
+        records = allocate.parse_sweep_csv(Path(path).read_text())
+        if any(len(rec.weight_bits) != L for rec in records):
+            raise DataError("sweep.csv was written for a different architecture")
+        return [(rec, None if rec.error else (
+            quantize.QuantSchema(weight_bits=rec.weight_bits,
+                                 activation_bits=rec.activation_bits, input_bits=input_bits),
+            allocate.ArchSpec.from_sizes(sizes, sparsities=rec.sparsities,
+                                         input_bits=input_bits))) for rec in records]
+
+    rows = _consume(os.path.join(out_dir, "sweep.csv"), inputs, "run sweep first", load)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["config_id"] + [f"b_w_{i}" for i in range(L)]
                     + ["accuracy", "bops", "dsps", "luts", "ffs", "error"])
-    for rec in records:
-        if rec.error:
+    for rec, design in rows:
+        if design is None:
             writer.writerow([rec.config_id, *rec.weight_bits, "", "", "", "", "",
                              rec.error])
             continue
-        schema = quantize.QuantSchema(weight_bits=rec.weight_bits,
-                                      activation_bits=rec.activation_bits,
-                                      input_bits=input_bits)
-        arch = allocate.ArchSpec.from_sizes(sizes, sparsities=rec.sparsities,
-                                            input_bits=schema.input_bits)
+        schema, arch = design
         if allocate.model_bops(arch, schema) != rec.bops:
             raise DataError("sweep.csv was written for a different architecture")
         est = hwest.estimate(arch, schema, coeffs=coeffs)

@@ -460,14 +460,18 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
     """A save_model checkpoint.  A malformed one, one whose `activations`
-    are not the fixed list, or one with a parameter or standardization
-    statistic that is not finite raises ValueError, KeyError or TypeError."""
+    are not the fixed list or whose `params` are not a flat list, or one with
+    a parameter or standardization statistic that is not finite raises
+    ValueError, KeyError or TypeError."""
     doc = read_document(path, "hessquant-model")
     skeleton = mlp(doc["sizes"], seed=0)
     want = _activation_names(skeleton.n_layers)
     if doc["activations"] != want:
         raise ValueError(f"{path}: activations must be {want}, got {doc['activations']}")
-    model = replace_parameters(skeleton, check_finite(doc["params"], "params"))
+    params = check_finite(doc["params"], "params")
+    if params.ndim != 1:
+        raise ValueError(f"{path}: params must be a flat list of numbers")
+    model = replace_parameters(skeleton, params)
     stats = doc.get("standardization")
     if stats is None:
         return model, None, None

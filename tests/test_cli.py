@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -324,6 +325,35 @@ def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
     assert f"malformed artifact {os.path.join(alt_out, name)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trace", "run-ir"])
+@pytest.mark.parametrize("params", [lambda p: 5, lambda p: [p]], ids=["a-number", "nested"])
+def test_exit_3_on_a_model_whose_params_are_not_a_flat_list(tmp_path, pipeline, capsys,
+                                                           command, params):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "graph.json"))
+    doc = read_json(out, "model.json")
+    doc["params"] = params(doc["params"])
+    Path(alt_out, "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert "params must be a flat list" in capsys.readouterr().err
+
+
+def test_run_ir_exits_3_on_a_graph_without_a_logits_output(tmp_path, pipeline, capsys):
+    # logits stays among the graph's tensors, so only its outputs tell
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    doc = read_json(out, "graph.json")
+    doc["outputs"] = ["probabilities"]
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("run-ir", config) == 3
+    assert "has no logits output" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "ir_outputs.csv"))
+
+
 @pytest.mark.parametrize("command", ["trace", "allocate", "quantize", "run-ir", "estimate"])
 def test_exit_3_on_a_model_with_another_activation(tmp_path, pipeline, capsys, command):
     _, _, out = pipeline
@@ -528,7 +558,6 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
     ("gen-data", "data", {"n": "x"}, 'data.n must be an integer, got "x"'),
     ("train", "data", {"val_fraction": 2}, "val_fraction must be in (0, 1)"),
     ("train", "arch", {"sizes": [16, "z", 5]}, "arch.sizes[1] must be an integer"),
-    ("run-ir", "run_ir", {"batch": 0}, "batch must be at least 1, got 0"),
     ("allocate", "arch", {"input_bits": "x"}, "arch.input_bits must be an integer"),
     ("quantize", "quantize", {"accumulator_bits": None},
      "quantize.accumulator_bits must be an integer, got null"),
@@ -550,7 +579,7 @@ def test_run_ir_exits_3_on_a_graph_for_another_model(tmp_path, pipeline, capsys,
      'schema.input_bits must be an integer or null, got "16"'),
     ("quantize", "schema", {"weight_bits": 4}, "schema.weight_bits must be a list, got 4"),
 ], ids=["sweep-sample", "sweep-candidates", "sweep-candidate-40", "sweep-no-candidates",
-        "data-n", "data-val-fraction", "arch-sizes", "run-ir-batch", "arch-input-bits",
+        "data-n", "data-val-fraction", "arch-sizes", "arch-input-bits",
         "quantize-accumulator-bits", "train-epochs-fraction", "train-epochs-bool",
         "data-separation-string", "allocation-budget-string-at-gen-data",
         "allocation-budget-nan", "allocation-candidate-bool",
@@ -861,7 +890,89 @@ def test_exit_2_on_an_unknown_schema_source(tmp_path, pipeline, capsys, command)
     copy_artifacts(out, alt_out, ("model.json",))
     capsys.readouterr()
     assert run(command, config) == 2
-    assert f"unknown {command}.source 'nope'" in capsys.readouterr().err
+    assert (f"{command}.source was removed; delete it or set it to 'allocation'"
+            in capsys.readouterr().err)
+
+
+SCHEMA = {"weight_bits": [4, 6, 8]}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"data": {"source": "synthetic"}},
+    {"data": {"source": "csv", "csv": "elsewhere.csv"}},
+    {"quantize": {"source": "allocation"}, "estimate": {"source": "allocation"}},
+    {"quantize": {"source": "allocation"}, "estimate": {"source": "allocation"},
+     "schema": SCHEMA},
+    {"quantize": {"source": "schema"}, "estimate": {"source": "schema"}, "schema": SCHEMA},
+    {"run_ir": {"batch": 7}},
+    {"run_ir": {"batch": 0}},
+], ids=["data-synthetic", "data-csv", "sources-allocation", "sources-allocation-with-schema",
+        "sources-schema", "run-ir-batch-7", "run-ir-batch-0"])
+def test_a_derived_key_loads_at_the_value_the_config_implies_and_is_dropped(
+        tmp_path, pipeline, overrides):
+    config, out = write_config(tmp_path, **overrides)
+    copy_artifacts(pipeline[2], out, ("model.json", "allocation.json"))
+    assert run("estimate", config) == 0
+    resolved = read_json(out, "manifest-estimate.json")["config"]
+    assert "source" not in resolved["data"] and "batch" not in resolved["run_ir"]
+    assert resolved["quantize"] == {"accumulator_bits": 32}
+    assert resolved["estimate"] == {"coeffs": None}
+
+
+@pytest.mark.parametrize("overrides, key, kept", [
+    ({"data": {"source": "csv"}}, "data.source", "synthetic"),
+    ({"data": {"source": "synthetic", "csv": "elsewhere.csv"}}, "data.source", "csv"),
+    ({"quantize": {"source": "schema"}}, "quantize.source", "allocation"),
+    ({"estimate": {"source": "schema"}}, "estimate.source", "allocation"),
+    ({"estimate": {"source": "nope"}, "schema": SCHEMA}, "estimate.source", "allocation"),
+], ids=["data-csv-without-a-file", "data-synthetic-with-a-file", "quantize-schema-without-one",
+        "estimate-schema-without-one", "estimate-nope"])
+def test_exit_2_on_a_derived_key_the_config_contradicts(tmp_path, capsys, overrides, key, kept):
+    config, out = write_config(tmp_path, **overrides)
+    for command in ("gen-data", "estimate"):
+        assert run(command, config) == 2, command
+        assert (f"{key} was removed; delete it or set it to {kept!r}"
+                in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_the_schema_section_takes_precedence_over_allocation_json(tmp_path, pipeline):
+    config, out = write_config(tmp_path, schema=SCHEMA, qat={"epochs": 1})
+    copy_artifacts(pipeline[2], out, ("dataset.csv", "model.json", "allocation.json"))
+    assert read_json(out, "allocation.json")["weight_bits"] != SCHEMA["weight_bits"]
+    for command in ("quantize", "estimate"):
+        assert run(command, config) == 0, command
+        assert "allocation.json" not in read_json(out, f"manifest-{command}.json")["inputs"]
+    assert read_json(out, "fqreport.json")["schema"]["weight_bits"] == SCHEMA["weight_bits"]
+    est = read_json(out, "estimate.json")
+    assert [l["weight_bits"] for l in est["layers"]] == SCHEMA["weight_bits"]
+
+
+def test_gen_data_exits_2_when_data_csv_is_set(tmp_path, pipeline, capsys):
+    csv_path = str(tmp_path / "mine.csv")
+    shutil.copyfile(os.path.join(pipeline[2], "dataset.csv"), csv_path)
+    config, out = write_config(tmp_path, data={"csv": csv_path})
+    assert run("gen-data", config) == 2
+    assert "data.csv is set" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dataset.csv"))
+    assert run("train", config) == 0
+    assert list(read_json(out, "manifest-train.json")["inputs"]) == ["mine.csv"]
+
+
+def test_run_ir_outputs_do_not_depend_on_the_chunk_size(tmp_path, pipeline, monkeypatch):
+    # the retired run_ir.batch loads and changes nothing; neither does the
+    # fixed chunk, which the 1,200-row dataset spans twice at its default
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path, run_ir={"batch": 7})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json", "graph.json"))
+    names = ("ir_outputs.csv", "ir_report.json")
+    assert run("run-ir", config) == 0
+    assert [Path(alt_out, n).read_bytes() for n in names] == [Path(out, n).read_bytes()
+                                                              for n in names]
+    monkeypatch.setattr(cli, "RUN_IR_ROWS", 7)
+    assert run("run-ir", config) == 0
+    assert [Path(alt_out, n).read_bytes() for n in names] == [Path(out, n).read_bytes()
+                                                              for n in names]
 
 
 def test_each_manifest_lists_every_file_its_command_read(tmp_path, monkeypatch):
@@ -891,6 +1002,14 @@ def test_readme_config_block_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     assert json.loads(re.sub(r"//.*", "", block)) == cli.DEFAULT_CONFIG
+
+
+def test_readme_retired_keys_table_is_the_retired_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| retired key |", 1)[1].split("\n\n", 1)[0]
+    keys = [k for row in table.splitlines()[2:]
+            for k in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(cli.RETIRED_KEYS)
 
 
 def test_estimate_exits_2_on_a_bad_schema_section(tmp_path, capsys):
@@ -937,6 +1056,22 @@ def test_report_exits_3_on_a_sweep_for_another_architecture_of_the_same_depth(
         assert run("report", config) == 3, arch
         assert "sweep.csv was written for a different architecture" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("field, value", [("sparsities", (2.0, 0.0, 0.0)),
+                                          ("weight_bits", (40, 6, 8))],
+                         ids=["sparsity-2", "width-40"])
+def test_report_exits_3_on_a_sweep_record_out_of_range(tmp_path, capsys, field, value):
+    config, out = write_config(tmp_path)
+    os.makedirs(out)
+    record = allocate.SweepRecord(
+        config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
+        bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)
+    Path(out, "sweep.csv").write_text(allocate.sweep_csv([
+        dataclasses.replace(record, **{field: value})]))
+    assert run("report", config) == 3
+    assert f"malformed artifact {os.path.join(out, 'sweep.csv')}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
 @pytest.mark.parametrize("command", ["estimate", "report"])
