@@ -253,10 +253,11 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     (cfg.seed + config_id), is trained with quantization-aware training under
     the coupled schema and cfg (the CLI passes the qat settings), and is
     recorded with its accuracy, measured per-layer sparsity, and BOPs
-    recomputed from that measured sparsity.  A configuration whose training diverges (TrainingDiverged, or the
-    ValueError that fake-quantizing non-finite weights raises mid-epoch)
-    produces a record with the error message instead of aborting the sweep;
-    any other exception propagates.  sample draws that many configs without
+    recomputed from that measured sparsity.  A configuration whose training
+    fails its epoch-end check (TrainingDiverged, or the ValueError that
+    fake-quantizing non-finite weights raises there) produces a record with
+    the error message instead of aborting the sweep; any other exception
+    propagates.  sample draws that many configs without
     replacement, seeded with cfg.seed.  The configurations train as one
     stack (quantize.qat_train_many), each exactly as it would alone, and
     each record's accuracy is its run's last validation accuracy.
@@ -354,7 +355,7 @@ def save_allocation(sol: AllocationSolution, path: str) -> None:
 
 
 def load_allocation(path: str) -> AllocationSolution:
-    doc = read_document(path, "hessquant-allocation")
+    doc = read_document(path, "hessquant-allocation", (1,))
     return AllocationSolution(
         weight_bits=tuple(doc["weight_bits"]),
         activation_bits=tuple(doc["activation_bits"]),
@@ -362,6 +363,6 @@ def load_allocation(path: str) -> AllocationSolution:
         bops=float(doc["bops"]),
         feasible=bool(doc["feasible"]),
         budget=float(doc["budget"]),
-        input_bits=int(doc.get("input_bits", 16)),
+        input_bits=doc.get("input_bits", 16),
         explored=int(doc.get("explored", 0)),
     )

@@ -178,22 +178,15 @@ def _arch_sizes(cfg: dict) -> list[int]:
     return sizes
 
 
-def _bit_width(b: int) -> int:
-    """b; ValueError outside the supported range."""
-    if not quantize.MIN_BITS <= b <= quantize.MAX_BITS:
-        raise ValueError(f"bit width {b} outside {quantize.MIN_BITS}..{quantize.MAX_BITS}")
-    return b
-
-
 def _input_bits(cfg: dict) -> int:
     with _section("arch"):
-        return _bit_width(cfg["arch"]["input_bits"])
+        return quantize.check_bit_width(cfg["arch"]["input_bits"])
 
 
 def _candidates(cfg: dict) -> tuple[int, ...]:
     """allocation.candidates, the weight widths allocate and sweep choose from."""
     with _section("allocation"):
-        candidates = tuple(_bit_width(b) for b in cfg["allocation"]["candidates"])
+        candidates = tuple(map(quantize.check_bit_width, cfg["allocation"]["candidates"]))
         if not candidates:
             raise ValueError("candidates must not be empty")
     return candidates

@@ -177,11 +177,15 @@ def save_trace_report(report: TraceReport, path: str) -> None:
 
 def load_trace_report(path: str) -> TraceReport:
     """A save_trace_report file.  Version 1 files load too: the estimator's
-    standard errors, probe count and seeds they also hold are ignored."""
-    doc = read_document(path, "hessquant-traces")
+    standard errors, probe count and seeds they also hold are ignored.  A
+    trace that is not finite, also one written as a string, raises
+    ValueError."""
+    doc = read_document(path, "hessquant-traces", (1, 2))
+    traces, avg_traces = ([float(t) for t in doc[k]] for k in ("traces", "avg_traces"))
+    nn.check_finite(traces + avg_traces, f"{path}: traces")
     return TraceReport(
-        traces=[float(t) for t in doc["traces"]],
-        avg_traces=[float(t) for t in doc["avg_traces"]],
+        traces=traces,
+        avg_traces=avg_traces,
         weight_counts=[int(c) for c in doc["weight_counts"]],
         batch_sha256=doc["batch_sha256"],
         sizes=[int(s) for s in doc.get("sizes", [])],

@@ -123,7 +123,7 @@ def estimate(arch: ArchSpec, schema: QuantSchema,
 
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
-    doc = read_document(path, "hessquant-coeffs")
+    doc = read_document(path, "hessquant-coeffs", None)
     return EstimatorCoeffs(**{f.name: float(doc[f.name]) for f in fields(EstimatorCoeffs)})
 
 

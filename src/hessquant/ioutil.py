@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -67,11 +68,28 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def read_document(path: str, fmt: str) -> dict:
-    """The JSON object in `path`; ValueError unless it is a dict whose
-    "format" is `fmt`."""
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite JSON number")
+    return value
+
+
+def loads_finite(text: str):
+    """json.loads that refuses, with ValueError, what no artifact holds: the
+    NaN and Infinity tokens and numbers past the largest float."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
+
+
+def read_document(path: str, fmt: str, versions: tuple[int, ...] | None) -> dict:
+    """The JSON object in `path`, of finite numbers only; ValueError unless
+    it is a dict whose "format" is `fmt` and, unless versions is None,
+    whose "version" is an integer among `versions`."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = loads_finite(fh.read())
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} document")
+    version = doc.get("version")
+    if versions is not None and not (type(version) is int and version in versions):
+        raise ValueError(f"{path}: unsupported {fmt} version {version!r}")
     return doc

@@ -40,6 +40,7 @@ from functools import partial
 
 import numpy as np
 
+from .ioutil import dumps_canonical, loads_finite, write_atomic
 from .quantize import (MAX_BITS, MIN_BITS, DyadicScale, IntegerModel, _int_range,
                        int_codes, sum_of_products_bits)
 
@@ -49,6 +50,10 @@ _ARITY = {"Quant": 3, "MatMul": 2, "Add": 2, "Mul": 2, "Softmax": 1, "Constant":
           "Requant": 1}
 _FLOAT_EXACT = 1 << 53     # every integer below this is a float64
 _INT64_LIMIT = 1 << 63
+# The widest integer tensor a graph.json may declare.  Bias and accumulator
+# tensors pass MAX_BITS; the widest code export_graph writes, a bias rounded
+# from a float64, needs at most 1,025 bits.
+MAX_TENSOR_BITS = 2048
 
 
 class IRError(ValueError):
@@ -688,6 +693,8 @@ def _info_from_doc(doc: dict, where: str) -> TensorInfo:
         raise ParseError(f"{where}: bad tensor info ({exc})") from None
     if isinstance(bits, bool) or not isinstance(bits, int):
         raise ParseError(f"{where}: bits must be an integer, got {bits!r}")
+    if not MIN_BITS <= bits <= MAX_TENSOR_BITS:
+        raise ParseError(f"{where}: bits {bits} outside {MIN_BITS}..{MAX_TENSOR_BITS}")
     if not isinstance(signed, bool):
         raise ParseError(f"{where}: signed must be a boolean, got {signed!r}")
     return TensorInfo(shape=shape, kind="int", bits=bits, signed=signed)
@@ -695,8 +702,6 @@ def _info_from_doc(doc: dict, where: str) -> TensorInfo:
 
 def serialize(g: IRGraph) -> str:
     """Canonical JSON text of the graph (byte-stable across round trips)."""
-    from .ioutil import dumps_canonical
-
     nodes = []
     for node in g.nodes:
         attrs = dict(node.attrs)
@@ -722,9 +727,11 @@ def _is_names(v) -> bool:
 def parse(text: str) -> IRGraph:
     """Inverse of serialize; raises ParseError naming the bad location."""
     try:
-        doc = json.loads(text)
+        doc = loads_finite(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if doc.get("version") != 1:
@@ -773,8 +780,6 @@ def parse(text: str) -> IRGraph:
 
 
 def save_graph(g: IRGraph, path: str) -> None:
-    from .ioutil import write_atomic
-
     write_atomic(path, serialize(g))
 
 

@@ -9,7 +9,9 @@ leading member axis, and the buffer is updated in place.  The kernels
 (`_affine`, `softmax`, `_forward_caches`, `_backward`) work on one model's
 2-d arrays and on such stacks alike, and each stacked product equals the
 member's own product bit for bit, so a member trains exactly as it would
-alone; `train` is a stack of one.
+alone; `train` is a stack of one.  The stack keeps its members for the
+whole run: a member fails only at an epoch end, and its rows then keep
+running unread.
 
 Everything runs on float64 numpy arrays.  Matrices are C-order with shape
 (fan_in, fan_out); a model's trainable parameters flatten canonically as
@@ -36,16 +38,6 @@ ADAM_EPS = 1e-8
 
 class ShapeError(ValueError):
     pass
-
-
-class MemberErrors(Exception):
-    """Raised by a stacked training step for members that cannot take it:
-    errors maps each one's stack position to the exception its own run
-    raises at that step."""
-
-    def __init__(self, errors: dict[int, Exception]):
-        super().__init__(f"{len(errors)} stacked members failed")
-        self.errors = errors
 
 
 class TrainingDiverged(RuntimeError):
@@ -311,15 +303,6 @@ def _check_stack(models: list[MLPModel], cfgs: list[TrainConfig]) -> None:
         raise ValueError(f"stacked runs may differ only in seed, not in {', '.join(differ)}")
 
 
-def _drop(failed: dict, results: list, members: np.ndarray, *stacked):
-    """Record the exceptions of the failed stack positions in results and
-    return members and the stacked arrays without those positions."""
-    for j, exc in failed.items():
-        results[members[j]] = exc
-    keep = [j for j in range(len(members)) if j not in failed]
-    return [a[keep] for a in (members, *stacked)]
-
-
 def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], step,
                 predictor, val: Dataset | None = None, x: np.ndarray | None = None,
                 max_loss: float = math.inf) -> list:
@@ -332,19 +315,19 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
     which no member copies.  `params` and `grads` are models of views into
     the stack's (K, P) parameter and gradient buffers, with layers
     (K, fan_in, fan_out) and (K, fan_out).  Each step hands the (K, B, n)
-    batches and (K, B) labels to step(params, members, epoch, x, y, grads),
-    where members[j] is the index of the model at stack position j; the step
-    overwrites every gradient, then the buffer is updated in place.  A step
-    may raise MemberErrors before it changes any state: those members leave
-    the stack and the step runs again on the rest.
+    batches and (K, B) labels to step(params, epoch, x, y, grads), which
+    overwrites every gradient, then the buffer is updated in place.  The
+    stack keeps its members for the whole run.
 
     Each epoch ends per member on 2-d views, as one run would, with the
     model predictor(params_k, k): the loss of its `_logits(x)`, which raises
     TrainingDiverged when it is not finite or exceeds max_loss, and its
-    accuracy on `val` (else the training data).  A member whose epoch end raises
-    TrainingDiverged or a ValueError leaves the stack there.  Returns per
-    model (model, history), the model owning its arrays, or the exception
-    that ended its run.
+    accuracy on `val` (else the training data).  This is the one place a
+    member fails: when its epoch end raises TrainingDiverged or a ValueError,
+    that exception is its result, and its rows keep running unread.  The
+    loop stops once every member has failed.  Returns per model (model,
+    history), the model owning its arrays, or the exception that ended its
+    run.
     """
     template, cfg, n = models[0], cfgs[0], len(data)
     x = check_matrix(data.features if x is None else x, cols=template.layers[0].fan_in,
@@ -352,29 +335,26 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     theta = np.stack([parameter_vector(model) for model in models])
     g, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
-    members = np.arange(len(models))
+    params, grads = _view_model(template, theta), _view_model(template, g)
     results: list = [None] * len(models)
     histories = [TrainHistory() for _ in models]
     eval_set = val if val is not None else data
     t = 0
     for epoch in range(cfg.epochs):
-        order = np.stack([rngs[k].permutation(n) for k in members])
-        params, grads = _view_model(template, theta), _view_model(template, g)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[:, start:start + cfg.batch_size]
-            while len(members):
-                try:
-                    step(params, members, epoch, x[idx], data.labels[idx], grads)
-                    break
-                except MemberErrors as exc:
-                    members, theta, g, m, v, order, idx = _drop(
-                        exc.errors, results, members, theta, g, m, v, order, idx)
-                    params, grads = _view_model(template, theta), _view_model(template, g)
-            t += 1
-            _update(theta, g, m, v, t, cfg)
-        failed = {}
-        for j, k in enumerate(members):
-            member = _view_model(template, theta[j])
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        # a failed member's rows run on unread, and the epoch end checks the
+        # others for non-finite values, so a floating-point warning here would
+        # only end the whole stack where warnings are errors
+        with np.errstate(all="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                idx = order[:, start:start + cfg.batch_size]
+                step(params, epoch, x[idx], data.labels[idx], grads)
+                t += 1
+                _update(theta, g, m, v, t, cfg)
+        for k, result in enumerate(results):
+            if result is not None:
+                continue
+            member = _view_model(template, theta[k])
             try:
                 predicted = predictor(member, k)
                 epoch_loss = _objective(predicted._logits(x), data.labels, member, cfg.l1)
@@ -383,14 +363,11 @@ def _train_loop(models: list[MLPModel], data: Dataset, cfgs: list[TrainConfig], 
                 histories[k].train_loss.append(epoch_loss)
                 histories[k].val_accuracy.append(accuracy(predicted, eval_set))
             except (TrainingDiverged, ValueError) as exc:
-                failed[j] = exc
-        if failed:
-            members, theta, g, m, v = _drop(failed, results, members, theta, g, m, v)
-        if not len(members):
+                results[k] = exc
+        if all(result is not None for result in results):
             break
-    for j, k in enumerate(members):
-        results[k] = (replace_parameters(template, theta[j]), histories[k])
-    return results
+    return [(replace_parameters(template, theta[k]), histories[k]) if result is None
+            else result for k, result in enumerate(results)]
 
 
 def _only(results: list):
@@ -414,7 +391,7 @@ def train(model: MLPModel, data: Dataset, cfg: TrainConfig,
     if len(data) == 0:
         raise ValueError("empty training set")
 
-    def step(params, members, epoch, x, y, grads):
+    def step(params, epoch, x, y, grads):
         _backprop(params, x, y, cfg.l1, grads)
 
     return _only(_train_loop([model], data, [cfg], step, lambda p, k: p, val=val,
@@ -463,7 +440,7 @@ def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | Non
     are not the fixed list or whose `params` are not a flat list, or one with
     a parameter or standardization statistic that is not finite raises
     ValueError, KeyError or TypeError."""
-    doc = read_document(path, "hessquant-model")
+    doc = read_document(path, "hessquant-model", (1,))
     skeleton = mlp(doc["sizes"], seed=0)
     want = _activation_names(skeleton.n_layers)
     if doc["activations"] != want:

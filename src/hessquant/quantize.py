@@ -13,8 +13,8 @@ training inputs once per call.  `qat_train_many` trains a stack of same-shape
 models, each under its own weight and activation widths and seed (the
 input width is shared), in that one loop; per-member weight scales,
 activation widths and activation ranges are (K, 1, 1) arrays that broadcast
-over the stack, and each member ends bit for bit as `qat_train` (a stack of
-one) would leave it.
+over the stack, the widths and the range view built once per stack, and
+each member ends bit for bit as `qat_train` (a stack of one) would leave it.
 
 Lowering keeps QAT's own input and weight scales and weight codes, so the
 deployed weights are bit for bit the fake-quantized ones.  Only where the
@@ -228,6 +228,17 @@ def int_codes(values) -> np.ndarray:
 # Quantization schemas
 
 
+def check_bit_width(b) -> int:
+    """b as an int: TypeError unless it is an integer (a bool, float or
+    string is not, whatever it reads as), ValueError outside
+    MIN_BITS..MAX_BITS."""
+    if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+        raise TypeError(f"bit width {b!r} is not an integer")
+    if not MIN_BITS <= b <= MAX_BITS:
+        raise ValueError(f"bit width {b} outside {MIN_BITS}..{MAX_BITS}")
+    return int(b)
+
+
 def coupled_width(bits: int) -> int:
     """The activation width coupled to weight width `bits`, capped at MAX_BITS."""
     return min(int(bits) + COUPLING_OFFSET, MAX_BITS)
@@ -251,8 +262,7 @@ class QuantSchema:
         if not self.weight_bits:
             raise ValueError("schema needs at least one layer")
         for b in (*self.weight_bits, *self.activation_bits, self.input_bits):
-            if not MIN_BITS <= int(b) <= MAX_BITS:
-                raise ValueError(f"bit width {b} outside {MIN_BITS}..{MAX_BITS}")
+            check_bit_width(b)
 
     @property
     def n_layers(self) -> int:
@@ -265,7 +275,7 @@ class QuantSchema:
     @classmethod
     def coupled(cls, weight_bits, input_bits: int = 16) -> "QuantSchema":
         """Activation widths follow the weights: b_a = coupled_width(b_w)."""
-        wb = tuple(int(b) for b in weight_bits)
+        wb = tuple(map(check_bit_width, weight_bits))
         return cls(weight_bits=wb, activation_bits=tuple(map(coupled_width, wb)),
                    input_bits=input_bits)
 
@@ -309,25 +319,25 @@ def _weight_codes(w: np.ndarray, bits):
 
     The scales are computed as calibrate computes them.  |w| / scale stays
     below 2^(bits-1), so only the upper clip can bind, and adding 0.0 turns
-    rint's -0.0 into the +0.0 of the int64 round trip.  A scale that is not
-    positive and finite raises calibrate's ValueError, and in a stack
-    nn.MemberErrors with that error for each such member.
+    rint's -0.0 into the +0.0 of the int64 round trip.  Only a 2-d matrix is
+    checked: a scale that is not positive and finite raises calibrate's
+    ValueError.  A stack is not checked: such a member's codes are whatever
+    its scale gives (non-finite for non-finite weights), and every other
+    member's are those of its own 2-d call.
     """
     stacked = w.ndim == 3
     betas = np.abs(w).max(axis=(-2, -1)).tolist() if stacked else [float(np.max(np.abs(w)))]
     widths = list(bits) if stacked else [bits]
     scales = [2 * (b + (b == 0.0)) / (2 ** n - 1) for b, n in zip(betas, widths)]
-    errors = {j: ValueError("calibration values contain non-finite entries"
-                            if not math.isfinite(b) else
-                            f"scale must be positive and finite, got {sc}")
-              for j, (b, sc) in enumerate(zip(betas, scales)) if not 0 < sc < math.inf}
-    if errors:
-        raise nn.MemberErrors(errors) if stacked else errors[0]
     qmax = [2 ** (n - 1) - 1 for n in widths]
     if stacked:
         scale, top = (np.array(v, dtype=np.float64)[:, None, None] for v in (scales, qmax))
     else:
-        scale, top = scales[0], qmax[0]
+        [beta], [scale], [top] = betas, scales, qmax
+        if not 0 < scale < math.inf:
+            raise ValueError("calibration values contain non-finite entries"
+                             if not math.isfinite(beta) else
+                             f"scale must be positive and finite, got {scale}")
     q = w / scale
     np.rint(q, out=q)
     np.minimum(q, top, out=q)
@@ -427,10 +437,12 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
 
     The members may differ in their weight and activation widths and seeds;
     the input width, every other training setting and the layer widths must
-    match (ValueError otherwise).  The inputs are fake-quantized once.  A
-    member whose own run would raise TrainingDiverged or a ValueError leaves
-    the stack at that point, and its slot of the result holds that
-    exception; the others continue unchanged.
+    match (ValueError otherwise).  The inputs are fake-quantized once, and
+    the step's per-member widths and range view are built once per stack.
+    A member fails where its own run would, at an epoch end, with
+    TrainingDiverged or a ValueError (a non-finite weight reaches the
+    epoch-end check as calibrate's error); its slot of the result holds
+    that exception, and the others continue unchanged.
     """
     if len(data) == 0:
         raise ValueError("empty training set")
@@ -451,15 +463,15 @@ def qat_train_many(models: list[MLPModel], data: Dataset, schemas: list[QuantSch
     act_max = np.zeros((models[0].n_layers - 1, len(models)))
     frozen_from = cfg.epochs - max(1, cfg.epochs // 5) if cfg.epochs >= 2 else cfg.epochs
     momentum = 0.0  # the first observing step seeds the ranges
+    # (K, 1, 1) per layer; ranges is a view, so the step's EMA updates act_max
+    ab, ranges, wb = abits[:, :, None, None], act_max[:, :, None, None], wbits.tolist()
 
-    def step(params, members, epoch, xq, y, grads):
+    def step(params, epoch, xq, y, grads):
         nonlocal momentum
-        ab, ranges = (a[:, members, None, None] for a in (abits, act_max))
-        wqs = _fq_weights(params, wbits[:, members].tolist())
+        wqs = _fq_weights(params, wb)
         hs, gates = [xq], []
         observe = momentum if epoch < frozen_from else None
         logits = _fq_logits(params, wqs, ab, ranges, xq, hs, gates, observe)
-        act_max[:, members] = ranges[..., 0, 0]
         momentum = 0.95
         nn._backward(logits, y, hs, gates + [None], params, cfg.l1, grads, mats=wqs)
 
@@ -736,7 +748,7 @@ def load_integer_model(path: str) -> IntegerModel:
     chain, or one with a hidden layer lacking a requant or an integer
     act_exp or a last layer having either, raises ValueError, KeyError,
     TypeError or OverflowError."""
-    doc = read_document(path, "hessquant-integer-model")
+    doc = read_document(path, "hessquant-integer-model", (1,))
     schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
                          activation_bits=tuple(doc["schema"]["activation_bits"]),
                          input_bits=doc["schema"]["input_bits"])

@@ -204,7 +204,7 @@ def test_exit_3_on_corrupt_dataset(tmp_path):
 
 
 MODEL_WITH_THREE_MEANS = json.dumps({
-    "format": "hessquant-model", "sizes": [16, 5], "activations": ["softmax"],
+    "format": "hessquant-model", "version": 1, "sizes": [16, 5], "activations": ["softmax"],
     "params": [0.0] * 85, "standardization": {"mean": [0.0] * 3, "std": [1.0] * 3}})
 
 
@@ -281,14 +281,15 @@ def graph_with_signedness_as_a_string(out):
     ("trace", "model.json", model_with_a_nan(("params",)), ("dataset.csv",)),
     ("allocate", "model.json", model_with_a_nan(("standardization", "std")),
      ("traces.json",)),
-    ("allocate", "traces.json", '{"format": "hessquant-traces"}', ("model.json",)),
+    ("allocate", "traces.json", '{"format": "hessquant-traces", "version": 2}', ("model.json",)),
     ("quantize", "allocation.json",
-     '{"format": "hessquant-allocation", "weight_bits": 4}', ("model.json",)),
+     '{"format": "hessquant-allocation", "version": 1, "weight_bits": 4}', ("model.json",)),
     ("estimate", "allocation.json",
-     '{"format": "hessquant-allocation", "weight_bits": [40, 8, 8], '
+     '{"format": "hessquant-allocation", "version": 1, "weight_bits": [40, 8, 8], '
      '"activation_bits": [8, 8, 8], "omega": 0, "bops": 0, "feasible": true, '
      '"budget": 1}', ()),
-    ("export-ir", "intmodel.json", '{"format": "hessquant-integer-model", "schema": []}', ()),
+    ("export-ir", "intmodel.json",
+     '{"format": "hessquant-integer-model", "version": 1, "schema": []}', ()),
     ("export-ir", "intmodel.json", truncated_intmodel, ()),
     ("export-ir", "intmodel.json", intmodel_with_other_input_bits, ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("input",)), ()),
@@ -352,6 +353,109 @@ def test_run_ir_exits_3_on_a_graph_without_a_logits_output(tmp_path, pipeline, c
     assert run("run-ir", config) == 3
     assert "has no logits output" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(alt_out, "ir_outputs.csv"))
+
+
+def with_field(name, keys, value):
+    """The text of the pipeline's artifact `name` with the field at keys (a
+    path of keys) set to value, or deleted when value is None; a float
+    value is written as the token json writes for it, such as Infinity."""
+    def tamper(out):
+        doc = read_json(out, name)
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return json.dumps(doc)
+    return tamper
+
+
+@pytest.mark.parametrize("command, name, keys, value, upstream, message", [
+    ("allocate", "traces.json", ("avg_traces", 0), float("inf"), ("model.json",),
+     "Infinity is not a finite JSON number"),
+    ("allocate", "traces.json", ("avg_traces", 0), "Infinity", ("model.json",),
+     "traces contains non-finite values"),
+    ("opt-ir", "graph.json", ("initializers", "out_scale", "data", 0), float("inf"), (),
+     "Infinity is not a finite JSON number"),
+    ("run-ir", "graph.json", ("initializers", "w0_scale", "data", 0), float("nan"),
+     ("dataset.csv", "model.json"), "NaN is not a finite JSON number"),
+    ("export-ir", "intmodel.json", ("layers", 0, "q_weights", 0, 0), -1e400, (),
+     "-Infinity is not a finite JSON number"),
+    ("trace", "model.json", ("version",), 2, ("dataset.csv",),
+     "unsupported hessquant-model version 2"),
+    ("allocate", "traces.json", ("version",), 3, ("model.json",),
+     "unsupported hessquant-traces version 3"),
+    ("quantize", "allocation.json", ("version",), "1", ("model.json", "dataset.csv"),
+     "unsupported hessquant-allocation version '1'"),
+    ("export-ir", "intmodel.json", ("version",), None, (),
+     "unsupported hessquant-integer-model version None"),
+], ids=["traces-infinity", "traces-infinity-as-a-string", "graph-infinity", "graph-nan", "intmodel-minus-infinity",
+        "model-version-2", "traces-version-3", "allocation-version-a-string",
+        "intmodel-no-version"])
+def test_exit_3_on_a_number_that_is_not_finite_or_an_unknown_version(
+        tmp_path, pipeline, capsys, command, name, keys, value, upstream, message):
+    # both used to pass the reader: a non-finite number then crashed the
+    # command while it wrote its artifact
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, upstream)
+    Path(alt_out, name).write_text(with_field(name, keys, value)(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    err = capsys.readouterr().err
+    assert f"malformed artifact {os.path.join(alt_out, name)}" in err and message in err
+    assert not os.path.exists(os.path.join(alt_out, f"manifest-{command}.json"))
+
+
+@pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
+@pytest.mark.parametrize("bits", [-1, 1, ir.MAX_TENSOR_BITS + 1, 10 ** 30])
+def test_exit_3_on_a_declared_width_outside_the_cap(tmp_path, pipeline, capsys, command,
+                                                    bits):
+    # -1 used to pass opt-ir and end run-ir in "negative shift count"
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    Path(alt_out, "graph.json").write_text(
+        with_field("graph.json", ("tensors", "b0", "bits"), bits)(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert f"tensors[b0]: bits {bits} outside 2..{ir.MAX_TENSOR_BITS}" in capsys.readouterr().err
+
+
+def test_a_31_bit_schema_with_a_96_bit_accumulator_runs_through_the_ir(tmp_path, pipeline):
+    # its bias and accumulator tensors are declared past 32 bits, within the cap
+    _, _, out = pipeline
+    config, alt_out = write_config(
+        tmp_path, quantize={"accumulator_bits": 96}, qat={"epochs": 1},
+        schema={"weight_bits": [31] * 3, "activation_bits": [31] * 3, "input_bits": 31})
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    for command in ("quantize", "export-ir", "opt-ir", "run-ir"):
+        assert run(command, config) == 0, command
+    widths = {name: t["bits"] for name, t in read_json(alt_out, "graph.json")["tensors"].items()
+              if t["kind"] == "int"}
+    assert quantize.MAX_BITS < max(widths.values()) <= ir.MAX_TENSOR_BITS
+    assert widths["accb0"] > 64
+
+
+@pytest.mark.parametrize("command", ["quantize", "estimate"])
+@pytest.mark.parametrize("keys", [("weight_bits", 0), ("input_bits",)],
+                         ids=["weight-bits", "input-bits"])
+@pytest.mark.parametrize("width", ["4", 4.0, True])
+def test_exit_3_on_an_allocation_width_that_is_not_an_integer(tmp_path, pipeline, capsys,
+                                                             command, keys, width):
+    # "4" used to load and end quantize in a TypeError from the cost model
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    Path(alt_out, "allocation.json").write_text(
+        with_field("allocation.json", keys, width)(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    err = capsys.readouterr().err
+    assert f"malformed artifact {os.path.join(alt_out, 'allocation.json')}" in err
+    assert f"bit width {width!r} is not an integer" in err
 
 
 @pytest.mark.parametrize("command", ["trace", "allocate", "quantize", "run-ir", "estimate"])
@@ -687,8 +791,8 @@ def _drop_bits(node, inits):
     del node["attrs"]["bits"]
 
 
-def _nan_scale(node, inits):
-    inits[node["inputs"][1]]["data"] = [float("nan")]
+def _zero_scale(node, inits):
+    inits[node["inputs"][1]]["data"] = [0.0]
 
 
 @pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
@@ -704,10 +808,10 @@ def _nan_scale(node, inits):
     ("h0", _set_attrs(bits=70), "width 70 outside"),
     ("h0", _set_attrs(signed=0), "signed a boolean"),
     ("h0", _set_attrs(rounding="weird"), "unknown rounding mode 'weird'"),
-    ("h0", _nan_scale, "scale must be positive and finite"),
+    ("h0", _zero_scale, "scale must be positive and finite"),
 ], ids=["missing-attribute", "scale", "width", "real-input", "quant-missing-bits",
         "quant-bits-abc", "quant-bits-1", "quant-bits-33", "quant-bits-70",
-        "quant-signed", "quant-rounding", "quant-nan-scale"])
+        "quant-signed", "quant-rounding", "quant-zero-scale"])
 def test_exit_6_on_a_malformed_requant(tmp_path, pipeline, capsys, command, node, tamper,
                                        message):
     # h1 is the first Requant node, h0 the input Quant

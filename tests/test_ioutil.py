@@ -54,3 +54,27 @@ def test_dumps_canonical_rejects_values_json_cannot_hold(value):
         ioutil.dumps_canonical({"budget": value})
     with pytest.raises(ValueError):
         ioutil.dumps_canonical({"v": np.array([1.0, value])})
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_read_document_refuses_a_number_that_is_not_finite(tmp_path, number):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format": "f", "version": 1, "v": [1.5, %s]}' % number)
+    with pytest.raises(ValueError, match=f"{number} is not a finite JSON number"):
+        ioutil.read_document(str(path), "f", (1,))
+
+
+@pytest.mark.parametrize("version, versions, ok", [
+    (1, (1,), True), (2, (1, 2), True), (2, (1,), False), (None, (1,), False),
+    ("1", (1,), False), (1.0, (1,), False), (True, (1,), False), ("any", None, True)])
+def test_read_document_takes_only_the_listed_versions(tmp_path, version, versions, ok):
+    path = tmp_path / "doc.json"
+    doc = {"format": "f", "v": 1e300}
+    if version is not None:
+        doc["version"] = version
+    path.write_text(json.dumps(doc))
+    if ok:
+        assert ioutil.read_document(str(path), "f", versions) == doc
+    else:
+        with pytest.raises(ValueError, match=f"unsupported f version {version!r}"):
+            ioutil.read_document(str(path), "f", versions)

@@ -535,6 +535,24 @@ def test_parse_names_a_field_of_the_wrong_type(field, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bits", [-1, 0, 1, ir.MAX_TENSOR_BITS + 1, 10 ** 30])
+def test_parse_refuses_a_declared_width_outside_the_cap(bits):
+    doc = json.loads(ir.serialize(base_single_node_graph()))
+    doc["tensors"]["x"] = {**INT_INFO_DOC, "bits": bits}
+    with pytest.raises(ir.ParseError) as err:
+        ir.parse(json.dumps(doc))
+    assert str(err.value) == f"tensors[x]: bits {bits} outside 2..{ir.MAX_TENSOR_BITS}"
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_parse_refuses_a_number_that_is_not_finite(number):
+    doc = json.loads(ir.serialize(base_single_node_graph()))
+    doc["initializers"]["w"] = {"kind": "real", "shape": [1], "data": ["@"]}
+    with pytest.raises(ir.ParseError) as err:
+        ir.parse(json.dumps(doc).replace('"@"', number))
+    assert str(err.value) == f"{number} is not a finite JSON number"
+
+
 def test_parse_keeps_wide_integers_exact():
     g = ir.IRGraph(
         nodes=[ir.IRNode("Add", ("x", "big"), "y", {})],

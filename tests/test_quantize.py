@@ -360,6 +360,24 @@ def test_schema_validates_ranges():
         qz.QuantSchema(weight_bits=(8,), activation_bits=(8, 8))
 
 
+@pytest.mark.parametrize("width", ["4", 4.0, True])
+@pytest.mark.parametrize("where", ["weight_bits", "activation_bits", "input_bits", "coupled"])
+def test_schema_refuses_a_width_that_is_not_an_integer(width, where):
+    # never coerced: "4" would pass int() and then break the cost model
+    with pytest.raises(TypeError, match=f"bit width {width!r} is not an integer"):
+        if where == "coupled":
+            qz.QuantSchema.coupled((4, width))
+        else:
+            widths = {"weight_bits": (4, 4), "activation_bits": (7, 7), "input_bits": 8}
+            widths[where] = width if where == "input_bits" else (4, width)
+            qz.QuantSchema(**widths)
+
+
+def test_schema_takes_numpy_integer_widths():
+    s = qz.QuantSchema.coupled(np.array([4, 6]), input_bits=np.int64(8))
+    assert s.weight_bits == (4, 6) and s.activation_bits == (7, 9)
+
+
 # --- QAT ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -458,21 +458,36 @@ def test_weight_fake_quant_equals_calibrate_then_fake_quant(bits):
         assert qz._fq_weight(w, bits).tobytes() == want.tobytes()
 
 
+NON_FINITE_WEIGHTS = ([[1.0, np.nan]], [[1.0, np.inf]], [[1.7e308, 1.0]], [[5e-324]])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_weight_fake_quant_rejects_non_finite_weights():
-    # calibrate's error, alone and in a stack for that member only: NaN,
-    # infinite weights, an overflowing scale and one that underflows to 0
-    for w in ([[1.0, np.nan]], [[1.0, np.inf]], [[1.7e308, 1.0]], [[5e-324]]):
-        w = np.array(w)
+    # calibrate's error for a matrix: NaN, infinite weights, an overflowing
+    # scale and one that underflows to 0
+    for w in map(np.array, NON_FINITE_WEIGHTS):
         with pytest.raises(ValueError) as want:
             fake_quant(w, calibrate(w, 8, symmetric=True))
         with pytest.raises(ValueError) as got:
             qz._fq_weight(w, 8)
         assert str(got.value) == str(want.value)
-        with pytest.raises(nn.MemberErrors) as stacked:
-            qz._fq_weight(np.stack([np.ones_like(w), w]), [8, 8])
-        assert list(stacked.value.errors) == [1]
-        assert str(stacked.value.errors[1]) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_member_leaves_the_other_stacked_weights_alone():
+    # a stack checks nothing: a non-finite member quantizes to whatever it
+    # gives, and every other member to its own 2-d call, bit for bit
+    rng = np.random.default_rng(5)
+    for bad in map(np.array, NON_FINITE_WEIGHTS):
+        others = [rng.normal(size=bad.shape) * s for s in (1e-3, 1.0, 40.0)] + [
+            np.zeros(bad.shape)]
+        for at in range(len(others) + 1):
+            mats = others[:at] + [bad] + others[at:]
+            widths = [2, 5, 8, 16, 32][:len(mats)]
+            got = qz._fq_weight(np.stack(mats), widths)
+            for k, (w, bits) in enumerate(zip(mats, widths)):
+                if k != at:
+                    assert got[k].tobytes() == qz._fq_weight(w, bits).tobytes()
 
 
 def _runaway_bias_model(size: float) -> MLPModel:
@@ -541,8 +556,9 @@ def test_stacked_qat_equals_each_reference_run(splits, pretrained, with_val):
 
 
 def _huge_weight_model(w: float) -> MLPModel:
-    # 1.7e308: the fake-quant scale overflows at the first step; 8e307: the
-    # first step's logits overflow and the second step finds non-finite weights
+    # 1.7e308: the fake-quant scale overflows at the first step, which makes
+    # the weights non-finite; 8e307: the first step's logits overflow, which
+    # does it at the second step
     m = nn.mlp([16, 8, 5], seed=4)
     m.layers[0].weights[0, 0] = w
     return m
@@ -557,9 +573,9 @@ def _huge_weight_model(w: float) -> MLPModel:
                               "none-left", "the-last-one-fails-at-a-step",
                               "two-fail-at-the-second-step"])
 def test_a_failing_member_leaves_the_rest_of_the_stack_alone(splits, kinds):
-    # a member whose own run diverges at an epoch end or cannot quantize its
-    # weights at a step reports that run's error; the others end exactly as
-    # their own runs do, also when one member or none is left
+    # a member whose own run diverges or cannot quantize its weights at an
+    # epoch end reports that run's error; the others end exactly as their own
+    # runs do, also when one member or none is left
     tr, va = splits
     make = {"ok": lambda k: nn.mlp([16, 8, 5], seed=k),
             "runaway": lambda k: _runaway_bias_model(1.5e308),
@@ -579,8 +595,19 @@ def test_a_failing_member_leaves_the_rest_of_the_stack_alone(splits, kinds):
             qz.qat_train(start, tr, schema, cfg, val=va)
         assert type(fq) is type(err.value) and str(fq) == str(err.value)
         assert str(fq) == {"runaway": str(TrainingDiverged(0)),
-                           "overflowing": "scale must be positive and finite, got inf",
+                           "overflowing": "calibration values contain non-finite entries",
                            "nan_later": "calibration values contain non-finite entries"}[kind]
+
+
+def test_a_failing_member_raises_no_warning_into_the_stack(splits):
+    # warnings are errors in this suite: the rows of a member whose weights
+    # turn non-finite at the first step run on to the epoch end quietly
+    tr, va = splits
+    starts = [nn.mlp([16, 8, 5], seed=1), _huge_weight_model(1.7e308)]
+    cfgs = [TrainConfig(epochs=2, batch_size=64, learning_rate=1e-3, seed=k) for k in (0, 1)]
+    ok, failed = qz.qat_train_many(starts, tr, [QuantSchema.coupled((6, 6))] * 2, cfgs, val=va)
+    assert isinstance(ok, qz.FakeQuantModel)
+    assert str(failed) == "calibration values contain non-finite entries"
 
 
 def test_stacked_float_training_equals_each_reference_run(splits):
@@ -589,7 +616,7 @@ def test_stacked_float_training_equals_each_reference_run(splits):
             for s in (2, 9)]
     starts = [nn.mlp([16, 10, 5], seed=s) for s in (1, 5)]
 
-    def step(params, members, epoch, x, y, grads):
+    def step(params, epoch, x, y, grads):
         nn._backprop(params, x, y, 1e-4, grads)
 
     got = nn._train_loop(starts, tr, cfgs, step, lambda p, k: p, val=va)
