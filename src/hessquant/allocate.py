@@ -25,9 +25,9 @@ import numpy as np
 
 from . import nn, quantize
 from .data import Dataset
-from .ioutil import read_document, write_json_atomic
+from .ioutil import read_document, typed, write_json_atomic
 from .nn import MLPModel, TrainConfig
-from .quantize import QuantSchema, coupled_width
+from .quantize import QuantSchema, check_bit_width, coupled_width
 
 DEFAULT_CANDIDATES = (4, 5, 6, 7, 8)
 
@@ -137,13 +137,9 @@ class AllocationProblem:
         # sampled (Hutchinson) traces that can dip below zero; a negative
         # sensitivity would reward quantization error, so floor at 0
         self.traces = [max(0.0, float(t)) for t in self.traces]
-        self.candidates = tuple(sorted(set(int(b) for b in self.candidates)))
+        self.candidates = tuple(sorted(set(map(check_bit_width, self.candidates))))
         if not self.candidates:
             raise ValueError("candidate set is empty")
-        lo, hi = self.candidates[0], self.candidates[-1]
-        if lo < quantize.MIN_BITS or hi > quantize.MAX_BITS:
-            raise ValueError(f"candidate widths must lie in "
-                             f"{quantize.MIN_BITS}..{quantize.MAX_BITS}, got {self.candidates}")
 
 
 @dataclass
@@ -262,7 +258,7 @@ def sweep(arch: ArchSpec, candidates, data: Dataset, cfg: TrainConfig,
     stack (quantize.qat_train_many), each exactly as it would alone, and
     each record's accuracy is its run's last validation accuracy.
     """
-    cands = tuple(sorted(set(int(b) for b in candidates)))
+    cands = tuple(sorted(set(map(check_bit_width, candidates))))
     sizes = (arch.dims[0][0], *[m for _, m in arch.dims])
     grid = list(itertools.product(cands, repeat=arch.n_layers))
     ids = list(range(len(grid)))
@@ -318,6 +314,8 @@ def sweep_csv(records: list[SweepRecord]) -> str:
 
 
 def parse_sweep_csv(text: str) -> list[SweepRecord]:
+    """sweep_csv's records; ValueError for a malformed one, or one without an
+    error whose accuracy is not a number in [0, 1]."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         return []
@@ -326,11 +324,14 @@ def parse_sweep_csv(text: str) -> list[SweepRecord]:
     records = []
     for row in rows[1:]:
         vals = dict(zip(header, row))
+        accuracy = float(vals["accuracy"])
+        if not (vals.get("error") or 0 <= accuracy <= 1):  # also refuses NaN
+            raise ValueError(f"config {vals['config_id']}: accuracy {accuracy} outside [0, 1]")
         records.append(SweepRecord(
             config_id=int(vals["config_id"]),
             weight_bits=tuple(int(vals[f"b_w_{i}"]) for i in range(L)),
             activation_bits=tuple(int(vals[f"b_a_{i}"]) for i in range(L)),
-            accuracy=float(vals["accuracy"]),
+            accuracy=accuracy,
             bops=float(vals["bops"]),
             sparsities=tuple(float(vals[f"sparsity_{i}"]) for i in range(L)),
             seed=int(vals["seed"]),
@@ -355,14 +356,16 @@ def save_allocation(sol: AllocationSolution, path: str) -> None:
 
 
 def load_allocation(path: str) -> AllocationSolution:
+    """A save_allocation file; a field not of its JSON type raises ValueError.
+    Its widths are checked where its schema is built (`check_bit_width`)."""
     doc = read_document(path, "hessquant-allocation", (1,))
     return AllocationSolution(
-        weight_bits=tuple(doc["weight_bits"]),
-        activation_bits=tuple(doc["activation_bits"]),
-        omega_value=float(doc["omega"]),
-        bops=float(doc["bops"]),
-        feasible=bool(doc["feasible"]),
-        budget=float(doc["budget"]),
+        weight_bits=tuple(typed(doc["weight_bits"], list, f"{path}: weight_bits")),
+        activation_bits=tuple(typed(doc["activation_bits"], list, f"{path}: activation_bits")),
+        omega_value=typed(doc["omega"], float, f"{path}: omega"),
+        bops=typed(doc["bops"], float, f"{path}: bops"),
+        feasible=typed(doc["feasible"], bool, f"{path}: feasible"),
+        budget=typed(doc["budget"], float, f"{path}: budget"),
         input_bits=doc.get("input_bits", 16),
-        explored=int(doc.get("explored", 0)),
+        explored=typed(doc.get("explored", 0), int, f"{path}: explored"),
     )

@@ -146,14 +146,15 @@ def _typed(default, value, key: str):
 def _consume(path: str, inputs: dict, hint: str, load):
     """load(path) for a file the command reads, with its SHA-256 recorded in
     `inputs`.  A missing file, or one whose load raises ValueError, KeyError,
-    TypeError or OverflowError, is a data error."""
+    TypeError or OverflowError, is a data error naming the path once."""
     if not os.path.exists(path):
         raise DataError(f"missing artifact {path} ({hint})")
     inputs[path] = sha256_file(path)
     try:
         return load(path)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise DataError(f"malformed artifact {path}: {exc}") from None
+        named = str(exc).startswith(path)
+        raise DataError(f"malformed artifact {'' if named else path + ': '}{exc}") from None
 
 
 @contextlib.contextmanager
@@ -386,13 +387,8 @@ def cmd_export_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]
 def cmd_opt_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     g = _consume(os.path.join(out_dir, "graph.json"), inputs, "run export-ir first",
                  ir.load_graph)
-    diags = ir.validate(g)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_IR, []
     stages = [("input", g)]
-    g = ir.infer_shapes(g)
+    g = ir.infer_shapes(g)  # an IRError, the graph's first fault, exits 6
     stages.append(("infer_shapes", g))
     g = ir.fold_constants(g)
     stages.append(("fold_constants", g))
@@ -414,15 +410,10 @@ RUN_IR_ROWS = 1024
 def cmd_run_ir(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]:
     graph_path = os.path.join(out_dir, cfg["run_ir"]["graph"])
     g = _consume(graph_path, inputs, "run export-ir first", ir.load_graph)
-    diags = ir.validate(g)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_IR, []
+    shapes = ir.infer_shapes(g).tensors  # an IRError, the graph's first fault, exits 6
     if "logits" not in g.outputs:
         raise DataError(f"{graph_path} has no logits output")
     model, mean, std = _load_model(out_dir, inputs)
-    shapes = ir.infer_shapes(g).tensors
     for name, width in (("x", len(mean)), ("logits", model.sizes[-1])):
         got = shapes[name].shape[-1] if name in shapes else None
         if got != width:

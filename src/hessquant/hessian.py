@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
-from .ioutil import read_document, write_json_atomic
+from .ioutil import read_document, typed, write_json_atomic
 from .nn import MLPModel
 
 CALIBRATION_SIZE = 1024
@@ -178,15 +178,12 @@ def save_trace_report(report: TraceReport, path: str) -> None:
 def load_trace_report(path: str) -> TraceReport:
     """A save_trace_report file.  Version 1 files load too: the estimator's
     standard errors, probe count and seeds they also hold are ignored.  A
-    trace that is not finite, also one written as a string, raises
-    ValueError."""
+    field not of its JSON type raises ValueError."""
     doc = read_document(path, "hessquant-traces", (1, 2))
-    traces, avg_traces = ([float(t) for t in doc[k]] for k in ("traces", "avg_traces"))
-    nn.check_finite(traces + avg_traces, f"{path}: traces")
     return TraceReport(
-        traces=traces,
-        avg_traces=avg_traces,
-        weight_counts=[int(c) for c in doc["weight_counts"]],
-        batch_sha256=doc["batch_sha256"],
-        sizes=[int(s) for s in doc.get("sizes", [])],
+        traces=typed(doc["traces"], [float], f"{path}: traces"),
+        avg_traces=typed(doc["avg_traces"], [float], f"{path}: avg_traces"),
+        weight_counts=typed(doc["weight_counts"], [int], f"{path}: weight_counts"),
+        batch_sha256=typed(doc["batch_sha256"], str, f"{path}: batch_sha256"),
+        sizes=typed(doc.get("sizes", []), [int], f"{path}: sizes"),
     )

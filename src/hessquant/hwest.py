@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .allocate import ArchSpec
-from .ioutil import read_document
+from .ioutil import read_document, typed
 from .quantize import QuantSchema, accumulator_widths
 
 
@@ -123,8 +123,10 @@ def estimate(arch: ArchSpec, schema: QuantSchema,
 
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
+    """A coefficients file: every field a JSON number (ValueError otherwise)."""
     doc = read_document(path, "hessquant-coeffs", None)
-    return EstimatorCoeffs(**{f.name: float(doc[f.name]) for f in fields(EstimatorCoeffs)})
+    return EstimatorCoeffs(**{f.name: typed(doc[f.name], float, f"{path}: {f.name}")
+                              for f in fields(EstimatorCoeffs)})
 
 
 def estimate_json(est: ResourceEstimate) -> dict:

@@ -1,4 +1,5 @@
-"""Small helpers for deterministic file I/O: canonical JSON, atomic writes, hashing."""
+"""Small helpers for deterministic file I/O: canonical JSON, atomic writes,
+hashing, and the one check of a document field's JSON type."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -79,6 +82,36 @@ def loads_finite(text: str):
     """json.loads that refuses, with ValueError, what no artifact holds: the
     NaN and Infinity tokens and numbers past the largest float."""
     return json.loads(text, parse_constant=_finite, parse_float=_finite)
+
+
+# Per kind, the Python types json gives its values, and its name.
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          bool: ((bool,), "a boolean"), str: ((str,), "a string"), list: ((list,), "a list"),
+          dict: ((dict,), "an object")}
+
+
+def typed(value, kind, where: str):
+    """`value`, a field of a parsed JSON document, if it is of `kind`;
+    ValueError "<where> must be <kind>, got <value>" otherwise.  Nothing is
+    coerced.  kind is int (never a bool), float (any number but a bool,
+    returned as a float), bool, str, list or dict, or [kind], a list of that
+    kind (nested once for a matrix), whose faulty item is named <where>[i]."""
+    if type(kind) is not list:
+        types, name = _KINDS[kind]
+        if type(value) not in types:
+            raise ValueError(f"{where} must be {name}, got {reprlib.repr(value)}")
+        return float(value) if kind is float else value
+    [item] = kind
+    values = typed(value, list, where)
+    # the entries' types in one pass in C, over every row of a matrix; only a
+    # fault or an integer to return as a float goes item by item
+    leaf, entries = item, values
+    if type(item) is list:
+        [leaf], entries = item, chain.from_iterable(typed(values, [list], where))
+    found = set(map(type, entries))
+    if not found.issubset(_KINDS[leaf][0]) or leaf is float and int in found:
+        return [typed(v, item, f"{where}[{i}]") for i, v in enumerate(values)]
+    return values
 
 
 def read_document(path: str, fmt: str, versions: tuple[int, ...] | None) -> dict:

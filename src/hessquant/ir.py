@@ -14,9 +14,10 @@ with the bound (1 << width) - 1, float64 below 2^53, int64 below 2^63 and
 Python-int objects past that.  A Requant node picks the form it multiplies
 in the same way from its static bound * mantissa + 2^(shift-1).
 
-`infer_shapes` is also the one structural and attribute check; `validate`
-reports its first error, or else breaches of the lowered-graph rules that
-inference does not know (Quant scales positive and finite, zero points 0).
+`infer_shapes` is also the one structural and attribute check, the rules
+of a lowered graph included: a Quant's scale and zero point are constants,
+the scale positive and finite and the zero point 0.  `validate` reports its
+first error.
 
 The exported form of an IntegerModel is Quant(input), then per hidden layer
 Quant(weights) -> MatMul -> Add(bias) -> Requant, whose unsigned clip is the
@@ -40,8 +41,8 @@ from functools import partial
 
 import numpy as np
 
-from .ioutil import dumps_canonical, loads_finite, write_atomic
-from .quantize import (MAX_BITS, MIN_BITS, DyadicScale, IntegerModel, _int_range,
+from .ioutil import dumps_canonical, loads_finite, typed, write_atomic
+from .quantize import (MIN_BITS, DyadicScale, IntegerModel, _int_range, check_bit_width,
                        int_codes, sum_of_products_bits)
 
 NODE_KINDS = ("Quant", "MatMul", "Add", "Mul", "Softmax", "Constant", "Requant")
@@ -219,18 +220,19 @@ def _is_int(v) -> bool:
 
 def _code_range(node: IRNode, *keys: str) -> tuple[int, int]:
     """(qmin, qmax) of the codes a Quant or Requant node emits; IRError naming
-    the node when bits, signed or one of keys is missing, or bits is not an
-    integer in MIN_BITS..MAX_BITS or signed not a boolean."""
+    the node when bits, signed or one of keys is missing, bits fails
+    `check_bit_width` or signed is not a boolean."""
     where = f"node {node.output}: {node.kind}"
     for key in (*keys, "bits", "signed"):
         if key not in node.attrs:
             raise IRError(f"{where} missing attribute {key}")
-    bits, signed = node.attrs["bits"], node.attrs["signed"]
-    if not _is_int(bits) or not isinstance(signed, (bool, np.bool_)):
-        raise IRError(f"{where} bits must be an integer and signed a boolean")
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise IRError(f"{where} width {bits} outside {MIN_BITS}..{MAX_BITS}")
-    return _int_range(int(bits), bool(signed))
+    try:
+        bits = check_bit_width(node.attrs["bits"])
+    except (TypeError, ValueError) as exc:
+        raise IRError(f"{where} {exc}") from None
+    if not isinstance(node.attrs["signed"], (bool, np.bool_)):
+        raise IRError(f"{where} signed must be a boolean")
+    return _int_range(bits, bool(node.attrs["signed"]))
 
 
 def _quant_params(node: IRNode) -> tuple[int, int]:
@@ -274,10 +276,14 @@ def infer_shapes(g: IRGraph) -> IRGraph:
     a graph input and an initializer, defined twice, undefined, defined by
     a later node (a cycle when it closes one) or an unproduced output; an
     initializer unlike its declared shape; a missing or malformed Quant or
-    Requant attribute (widths lie in MIN_BITS..MAX_BITS); an integer MatMul
-    whose inner dimension is dynamic on both operands, leaving it unbounded.
+    Requant attribute (widths pass `check_bit_width`); a Quant scale or zero
+    point that is not a scalar constant (an initializer or an earlier
+    Constant), a scale not positive and finite, a zero point not 0; an
+    integer MatMul whose inner dimension is dynamic on both operands,
+    leaving it unbounded.
     """
     info: dict[str, TensorInfo] = {}
+    consts = dict(g.initializers)
     for name in g.inputs:
         if name not in g.tensors:
             raise IRError(f"graph input {name} has no declared tensor info")
@@ -308,10 +314,16 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             raise IRError(f"node {node.output}: {node.kind} takes "
                           f"{_ARITY[node.kind]} inputs, got {len(node.inputs)}")
         if node.kind == "Quant":
-            data, scale, zp = (need(node, n) for n in node.inputs)
-            if scale.shape not in ((), (1,)) or zp.shape not in ((), (1,)):
+            data, *params = (need(node, n) for n in node.inputs)
+            if (any(p.shape not in ((), (1,)) for p in params)
+                    or not all(name in consts for name in node.inputs[1:])):
                 raise IRError(f"node {node.output}: Quant scale and zero point "
-                              "must be scalars")
+                              "must be scalar constants")
+            scale, zp = (np.asarray(consts[name]).item() for name in node.inputs[1:])
+            if not 0 < scale < math.inf:
+                raise IRError(f"node {node.output}: Quant scale must be positive and finite")
+            if zp != 0:
+                raise IRError(f"node {node.output}: nonzero zero point on a lowered graph")
             _quant_params(node)
             out = TensorInfo(shape=data.shape, kind="int", bits=int(node.attrs["bits"]),
                              signed=bool(node.attrs["signed"]))
@@ -355,6 +367,7 @@ def infer_shapes(g: IRGraph) -> IRGraph:
                              signed=bool(node.attrs["signed"]))
         else:  # Constant
             out = _initializer_info(node.attrs["value"])
+            consts[node.output] = node.attrs["value"]
         if node.output in info:
             raise IRError(f"node {node.output}: output name already defined")
         info[node.output] = out
@@ -397,7 +410,7 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray, spare: tuple) -> np.ndarray:
     return ufunc(a, b)
 
 
-def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int,
+def _quant_eval(x: np.ndarray, scale: float, qmin: int, qmax: int,
                 spare: bool) -> np.ndarray:
     """Quant codes of x in float64, ties rounded half to even (widths stop at
     MAX_BITS, well inside its exact integers); x is overwritten when spare is
@@ -407,8 +420,6 @@ def _quant_eval(x: np.ndarray, scale: float, zp: int, qmin: int, qmax: int,
         t = t / scale
     else:
         t /= scale
-    if zp:
-        t -= zp
     np.rint(t, out=t)
     np.clip(t, qmin, qmax, out=t)
     return t
@@ -511,11 +522,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         # the form every operand is computed in: the output's own
         held = partial(_in_tier, bound=_bound(out_info)) if out_info.kind == "int" else _real
         if node.kind == "Quant":
-            zp = vals[2].item()
-            if isinstance(zp, float) and not zp.is_integer():
-                raise EvalError(f"node {node.output}: Quant zero point {zp} is not an integer")
-            out = _quant_eval(vals[0], vals[1].item(), int(zp),
-                              *_quant_params(node), any(v is vals[0] for v in spare))
+            out = _quant_eval(vals[0], vals[1].item(), *_quant_params(node),
+                              any(v is vals[0] for v in spare))
         elif node.kind == "MatMul":
             out = held(vals[0]) @ held(vals[1])
         elif node.kind in ("Add", "Mul"):
@@ -596,33 +604,14 @@ def merge_scales_relu(g: IRGraph) -> IRGraph:
 
 
 def validate(g: IRGraph) -> list[str]:
-    """Diagnostics of a lowered graph; an empty list means it is well formed.
-
-    The first `infer_shapes` error, if any, is the one diagnostic: every
-    structural and attribute check lives there.  A graph that infers is
-    then held to the rules of a lowered graph, which inference does not
-    know: a Quant scale given as a constant must be positive and finite,
-    and a constant zero point must be zero.
-    """
+    """Diagnostics of a lowered graph: the first `infer_shapes` error, where
+    every structural, attribute and lowered-graph check lives, or an empty
+    list when it is well formed."""
     try:
         infer_shapes(g)
     except IRError as exc:
         return [str(exc)]
-    # inference has checked that Quant scales and zero points are scalars and
-    # that no Constant output shadows an initializer
-    consts = dict(g.initializers)
-    consts.update((n.output, n.attrs["value"]) for n in g.nodes if n.kind == "Constant")
-    diags: list[str] = []
-    for node in g.nodes:
-        if node.kind != "Quant":
-            continue
-        scale, zp = (np.asarray(consts[name]).item() if name in consts else None
-                     for name in node.inputs[1:])
-        if scale is not None and not 0 < scale < math.inf:
-            diags.append(f"node {node.output}: Quant scale must be positive and finite")
-        if zp is not None and zp != 0:
-            diags.append(f"node {node.output}: nonzero zero point on a lowered graph")
-    return diags
+    return []
 
 
 def _find_cycle(g: IRGraph) -> list[str] | None:
@@ -661,18 +650,26 @@ def _tensor_doc(a: np.ndarray) -> dict:
             "data": [int(v) for v in a.ravel()]}
 
 
+def _fields(doc, keys: tuple[str, ...], where: str) -> list:
+    """The values of keys in the JSON object doc; ParseError naming where
+    when doc is not an object or lacks one of them."""
+    doc = typed(doc, dict, where)
+    if missing := [key for key in keys if key not in doc]:
+        raise ParseError(f"{where}: missing field {missing[0]!r}")
+    return [doc[key] for key in keys]
+
+
 def _tensor_from_doc(doc: dict, where: str) -> np.ndarray:
+    kind, shape, data = _fields(doc, ("kind", "shape", "data"), where)
+    if kind not in ("real", "int"):
+        raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
+    shape = typed(shape, [int], f"{where}: shape")
+    values = (int_codes(typed(data, [int], f"{where}: data")) if kind == "int"
+              else np.array(typed(data, [float], f"{where}: data")))
     try:
-        shape, data, kind = tuple(doc["shape"]), doc["data"], doc["kind"]
-        if kind in ("real", "int"):
-            what, types = ("integers", int) if kind == "int" else ("numbers", (int, float))
-            if bad := [v for v in data if isinstance(v, bool) or not isinstance(v, types)]:
-                raise TypeError(f"{kind} data must be {what}, got {bad[0]!r}")
-            values = int_codes(data) if kind == "int" else np.array([float(v) for v in data])
-            return values.reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
+        return values.reshape(shape)
+    except ValueError as exc:
         raise ParseError(f"{where}: bad tensor document ({exc})") from None
-    raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
 
 
 def _info_doc(t: TensorInfo) -> dict:
@@ -682,22 +679,18 @@ def _info_doc(t: TensorInfo) -> dict:
 
 
 def _info_from_doc(doc: dict, where: str) -> TensorInfo:
-    try:
-        shape, kind = tuple(doc["shape"]), doc["kind"]
-        if kind == "real":
-            return TensorInfo(shape=shape, kind="real")
-        if kind != "int":
-            raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
-        bits, signed = doc["bits"], doc["signed"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{where}: bad tensor info ({exc})") from None
-    if isinstance(bits, bool) or not isinstance(bits, int):
-        raise ParseError(f"{where}: bits must be an integer, got {bits!r}")
+    kind, shape = _fields(doc, ("kind", "shape"), where)
+    shape = tuple(typed(shape, [int], f"{where}: shape"))
+    if kind == "real":
+        return TensorInfo(shape=shape, kind="real")
+    if kind != "int":
+        raise ParseError(f"{where}: kind must be 'real' or 'int', got {kind!r}")
+    bits, signed = _fields(doc, ("bits", "signed"), where)
+    bits = typed(bits, int, f"{where}: bits")
     if not MIN_BITS <= bits <= MAX_TENSOR_BITS:
         raise ParseError(f"{where}: bits {bits} outside {MIN_BITS}..{MAX_TENSOR_BITS}")
-    if not isinstance(signed, bool):
-        raise ParseError(f"{where}: signed must be a boolean, got {signed!r}")
-    return TensorInfo(shape=shape, kind="int", bits=bits, signed=signed)
+    return TensorInfo(shape=shape, kind="int", bits=bits,
+                      signed=typed(signed, bool, f"{where}: signed"))
 
 
 def serialize(g: IRGraph) -> str:
@@ -720,63 +713,36 @@ def serialize(g: IRGraph) -> str:
     return dumps_canonical(doc)
 
 
-def _is_names(v) -> bool:
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
-
-
 def parse(text: str) -> IRGraph:
     """Inverse of serialize; raises ParseError naming the bad location."""
     try:
-        doc = loads_finite(text)
+        doc = typed(loads_finite(text), dict, "top level")
+        if (version := typed(doc.get("version"), int, "version")) != 1:
+            raise ParseError(f"unsupported version {version}")
+        inputs, outputs, tensors, inits, node_docs = _fields(
+            doc, ("inputs", "outputs", "tensors", "initializers", "nodes"), "top level")
+        nodes = []
+        for i, nd in enumerate(typed(node_docs, list, "nodes")):
+            where = f"nodes[{i}]"
+            kind, node_inputs, output = _fields(nd, ("kind", "inputs", "output"), where)
+            attrs = dict(typed(nd.get("attrs", {}), dict, f"{where}: attrs"))
+            if typed(kind, str, f"{where}: kind") == "Constant":
+                if "value" not in attrs:
+                    raise ParseError(f"{where}: Constant needs a value attribute")
+                attrs["value"] = _tensor_from_doc(attrs["value"], where)
+            nodes.append(IRNode(kind=kind,
+                                inputs=tuple(typed(node_inputs, [str], f"{where}: inputs")),
+                                output=typed(output, str, f"{where}: output"), attrs=attrs))
+        return IRGraph(nodes=nodes, inputs=typed(inputs, [str], "inputs"),
+                       outputs=typed(outputs, [str], "outputs"),
+                       tensors={name: _info_from_doc(t, f"tensors[{name}]")
+                                for name, t in typed(tensors, dict, "tensors").items()},
+                       initializers={name: _tensor_from_doc(t, f"initializers[{name}]")
+                                     for name, t in typed(inits, dict, "initializers").items()})
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # typed's, or a number past the floats
         raise ParseError(str(exc)) from None
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    if doc.get("version") != 1:
-        raise ParseError(f"unsupported version {doc.get('version')!r}")
-    for key in ("inputs", "outputs", "tensors", "initializers", "nodes"):
-        if key not in doc:
-            raise ParseError(f"missing top-level field {key!r}")
-    for key in ("inputs", "outputs"):
-        if not _is_names(doc[key]):
-            raise ParseError(f"{key} must be a list of strings")
-    for key in ("tensors", "initializers"):
-        if not isinstance(doc[key], dict):
-            raise ParseError(f"{key} must be an object")
-    if not isinstance(doc["nodes"], list):
-        raise ParseError("nodes must be a list")
-
-    nodes = []
-    for i, nd in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise ParseError(f"{where}: must be an object")
-        for key in ("kind", "inputs", "output"):
-            if key not in nd:
-                raise ParseError(f"{where}: missing field {key!r}")
-        for key in ("kind", "output"):
-            if not isinstance(nd[key], str):
-                raise ParseError(f"{where}: {key} must be a string")
-        if not _is_names(nd["inputs"]):
-            raise ParseError(f"{where}: inputs must be a list of strings")
-        attrs = nd.get("attrs", {})
-        if not isinstance(attrs, dict):
-            raise ParseError(f"{where}: attrs must be an object")
-        attrs = dict(attrs)
-        if nd["kind"] == "Constant":
-            if "value" not in attrs:
-                raise ParseError(f"{where}: Constant needs a value attribute")
-            attrs["value"] = _tensor_from_doc(attrs["value"], where)
-        nodes.append(IRNode(kind=nd["kind"], inputs=tuple(nd["inputs"]),
-                            output=nd["output"], attrs=attrs))
-    tensors = {name: _info_from_doc(t, f"tensors[{name}]")
-               for name, t in doc["tensors"].items()}
-    inits = {name: _tensor_from_doc(t, f"initializers[{name}]")
-             for name, t in doc["initializers"].items()}
-    return IRGraph(nodes=nodes, inputs=list(doc["inputs"]), outputs=list(doc["outputs"]),
-                   tensors=tensors, initializers=inits)
 
 
 def save_graph(g: IRGraph, path: str) -> None:

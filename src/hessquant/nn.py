@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset
-from .ioutil import read_document, write_json_atomic
+from .ioutil import read_document, typed, write_json_atomic
 
 # Adam's moment decay rates and the epsilon of its denominator
 ADAM_BETA1 = 0.9
@@ -127,21 +127,15 @@ def mlp(sizes: list[int], seed: int = 0) -> MLPModel:
     return MLPModel(layers=layers)
 
 
-def check_finite(x, name: str) -> np.ndarray:
-    """x as a float64 array; ValueError naming it when an entry is not finite."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return x
-
-
 def check_matrix(x: np.ndarray, cols: int | None = None, name: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got shape {x.shape}")
     if cols is not None and x.shape[1] != cols:
         raise ShapeError(f"{name} must have {cols} columns, got {x.shape[1]}")
-    return check_finite(x, name)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite values")
+    return x
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -437,22 +431,21 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
     """A save_model checkpoint.  A malformed one, one whose `activations`
-    are not the fixed list or whose `params` are not a flat list, or one with
-    a parameter or standardization statistic that is not finite raises
+    are not the fixed list, or one with a field not of its JSON type raises
     ValueError, KeyError or TypeError."""
     doc = read_document(path, "hessquant-model", (1,))
-    skeleton = mlp(doc["sizes"], seed=0)
+    skeleton = mlp(typed(doc["sizes"], [int], f"{path}: sizes"), seed=0)
     want = _activation_names(skeleton.n_layers)
     if doc["activations"] != want:
         raise ValueError(f"{path}: activations must be {want}, got {doc['activations']}")
-    params = check_finite(doc["params"], "params")
-    if params.ndim != 1:
-        raise ValueError(f"{path}: params must be a flat list of numbers")
-    model = replace_parameters(skeleton, params)
+    model = replace_parameters(skeleton, np.array(typed(doc["params"], [float],
+                                                        f"{path}: params")))
     stats = doc.get("standardization")
     if stats is None:
         return model, None, None
-    mean, std = (check_finite(stats[k], f"standardization {k}") for k in ("mean", "std"))
+    stats = typed(stats, dict, f"{path}: standardization")
+    mean, std = (np.array(typed(stats[k], [float], f"{path}: standardization.{k}"))
+                 for k in ("mean", "std"))
     if mean.shape != (model.layers[0].fan_in,) or std.shape != mean.shape:
         raise ValueError(f"{path}: standardization does not match the input width")
     return model, mean, std

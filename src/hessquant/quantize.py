@@ -45,7 +45,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
-from .ioutil import read_document, write_json_atomic
+from .ioutil import read_document, typed, write_json_atomic
 from .nn import MLPModel, TrainConfig, TrainHistory
 
 MIN_BITS = 2
@@ -82,8 +82,7 @@ class QuantParams:
     beta: float
 
     def __post_init__(self):
-        if not MIN_BITS <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in {MIN_BITS}..{MAX_BITS}, got {self.bits}")
+        check_bit_width(self.bits)
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.beta < self.alpha:
@@ -216,8 +215,8 @@ def _rescale_dyadic(value, mantissa_bits: int, name: str) -> DyadicScale:
 
 
 def int_codes(values) -> np.ndarray:
-    """Integer codes as int64 when every value fits, else Python-int objects."""
-    vals = [int(v) for v in values]
+    """Integers as int64 codes when every value fits, else Python-int objects."""
+    vals = list(values)
     try:
         return np.array(vals, dtype=np.int64)
     except OverflowError:
@@ -632,7 +631,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
             prev_scale = 2.0 ** -e_a
         layers.append(IntLayer(q_weights=q_w.astype(np.int64),
                                weight_bits=schema.weight_bits[i], weight_scale=w_scale,
-                               q_bias=int_codes(q_b), act_bits=schema.activation_bits[i],
+                               q_bias=int_codes(map(int, q_b)), act_bits=schema.activation_bits[i],
                                requant=requant, act_exp=e_a))
     return IntegerModel(layers=layers, input_scale=input_scale,
                         accumulator_bits=accumulator_bits, schema=schema)
@@ -702,13 +701,13 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
 
 def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> None:
     """Raise ValueError unless the layers chain and match the schema's
-    widths, and every hidden layer, but not the last, has a requantization
-    multiplier and an integer act_exp."""
+    widths, every weight code lies in its layer's width, and every hidden
+    layer, but not the last, has a requantization multiplier and an act_exp."""
     if len(layers) != schema.n_layers:
         raise ValueError(f"{path}: {len(layers)} layers, schema has {schema.n_layers}")
     for i, layer in enumerate(layers):
         if i < len(layers) - 1:
-            if layer.requant is None or type(layer.act_exp) is not int:
+            if layer.requant is None or layer.act_exp is None:
                 raise ValueError(f"{path}: hidden layer {i} needs a requant and an "
                                  f"integer act_exp")
         elif (layer.requant, layer.act_exp) != (None, None):
@@ -722,16 +721,21 @@ def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> Non
         if (layer.weight_bits, layer.act_bits) != (schema.weight_bits[i],
                                                    schema.activation_bits[i]):
             raise ValueError(f"{path}: layer {i} widths differ from the schema's")
+        lo, hi = _int_range(layer.weight_bits, signed=True)
+        if w.size and not lo <= w.min() <= w.max() <= hi:
+            raise ValueError(f"{path}: layer {i} has a weight code outside "
+                             f"{layer.weight_bits} bits")
 
 
-def _stored_scale(doc: dict, path: str, name: str, dyadic: bool = False):
+def _stored_scale(doc, path: str, name: str, dyadic: bool = False):
     """A stored {mantissa, shift} as a DyadicScale, or else as the float it
     must equal exactly: ValueError unless both are integers, the mantissa
     positive and the shift in 0..1074 (a float's smallest exponent), or for
     a float unless it is one; OverflowError past the largest float."""
-    m, c = doc["mantissa"], doc["shift"]
-    if not (type(m) is int and type(c) is int and m > 0 and 0 <= c <= 1074):
-        raise ValueError(f"{path}: {name} {m!r} / 2^{c!r} is not a positive dyadic")
+    doc = typed(doc, dict, f"{path}: {name}")
+    m, c = (typed(doc[key], int, f"{path}: {name} {key}") for key in ("mantissa", "shift"))
+    if not (m > 0 and 0 <= c <= 1074):
+        raise ValueError(f"{path}: {name} {m} / 2^{c} is not a positive dyadic")
     if dyadic:
         return DyadicScale(mantissa=m, shift=c)
     scale = m / (1 << c)
@@ -741,33 +745,42 @@ def _stored_scale(doc: dict, path: str, name: str, dyadic: bool = False):
 
 
 def load_integer_model(path: str) -> IntegerModel:
-    """A save_integer_model file.  A malformed one, one with a scale that is
-    not positive (or, but for a requantization multiplier, not exactly a
-    float), one whose output scale differs from the one its scales derive,
-    one whose input width or layers disagree with its schema or do not
-    chain, or one with a hidden layer lacking a requant or an integer
-    act_exp or a last layer having either, raises ValueError, KeyError,
-    TypeError or OverflowError."""
+    """A save_integer_model file.  A malformed one, one with a field not of
+    its JSON type, a scale that is not positive (or, but for a
+    requantization multiplier, not exactly a float), one whose output scale
+    differs from the one its scales derive, or one whose layers fail
+    `_check_layers` raises ValueError, KeyError, TypeError or OverflowError."""
     doc = read_document(path, "hessquant-integer-model", (1,))
-    schema = QuantSchema(weight_bits=tuple(doc["schema"]["weight_bits"]),
-                         activation_bits=tuple(doc["schema"]["activation_bits"]),
-                         input_bits=doc["schema"]["input_bits"])
-    if doc["input"]["bits"] != schema.input_bits:
-        raise ValueError(f"{path}: input is {doc['input']['bits']} bits, schema has "
+    sec = typed(doc["schema"], dict, f"{path}: schema")
+    schema = QuantSchema(*(tuple(typed(sec[key], list, f"{path}: schema.{key}"))
+                           for key in ("weight_bits", "activation_bits")),
+                         input_bits=sec["input_bits"])
+    inp = typed(doc["input"], dict, f"{path}: input")
+    if typed(inp["bits"], int, f"{path}: input.bits") != schema.input_bits:
+        raise ValueError(f"{path}: input is {inp['bits']} bits, schema has "
                          f"{schema.input_bits}")
-    layers = [IntLayer(
-        q_weights=np.array(entry["q_weights"], dtype=np.int64),
-        weight_bits=entry["weight_bits"],
-        weight_scale=_stored_scale(entry["weight_scale"], path, f"layer {i} weight scale"),
-        q_bias=int_codes(entry["q_bias"]),
-        act_bits=entry["act_bits"],
-        requant=None if entry["requant"] is None else
-            _stored_scale(entry["requant"], path, f"layer {i} requant", dyadic=True),
-        act_exp=entry["act_exp"],
-    ) for i, entry in enumerate(doc["layers"])]
+
+    def layer(i: int, entry) -> IntLayer:
+        where = f"{path}: layers[{i}]."
+        entry = typed(entry, dict, where[:-1])
+        requant, act_exp = entry["requant"], entry["act_exp"]
+        return IntLayer(
+            q_weights=int_codes(typed(entry["q_weights"], [[int]], where + "q_weights")),
+            weight_bits=typed(entry["weight_bits"], int, where + "weight_bits"),
+            weight_scale=_stored_scale(entry["weight_scale"], path, f"layer {i} weight scale"),
+            q_bias=int_codes(typed(entry["q_bias"], [int], where + "q_bias")),
+            act_bits=typed(entry["act_bits"], int, where + "act_bits"),
+            requant=None if requant is None else
+                _stored_scale(requant, path, f"layer {i} requant", dyadic=True),
+            act_exp=None if act_exp is None else typed(act_exp, int, where + "act_exp"))
+
+    layers = [layer(i, entry) for i, entry in
+              enumerate(typed(doc["layers"], list, f"{path}: layers"))]
     _check_layers(layers, schema, path)
-    im = IntegerModel(layers=layers, accumulator_bits=doc["accumulator_bits"], schema=schema,
-                      input_scale=_stored_scale(doc["input"], path, "input scale"))
+    im = IntegerModel(layers=layers, schema=schema,
+                      accumulator_bits=typed(doc["accumulator_bits"], int,
+                                             f"{path}: accumulator_bits"),
+                      input_scale=_stored_scale(inp, path, "input scale"))
     stored = _stored_scale(doc["output_scale"], path, "output scale")
     if stored != im.output_scale:
         raise ValueError(f"{path}: output scale {stored!r} differs from the "

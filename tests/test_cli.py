@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -253,6 +254,15 @@ def intmodel_with_layer_entry(layer, key, value):
     return tamper
 
 
+def intmodel_with_a_weight_code(code):
+    """An intmodel.json whose first weight code is code."""
+    def tamper(out):
+        doc = read_json(out, "intmodel.json")
+        doc["layers"][0]["q_weights"][0][0] = code
+        return json.dumps(doc)
+    return tamper
+
+
 def intmodel_with_another_output_scale(out):
     """An intmodel.json whose stored output scale is half the derived one."""
     doc = read_json(out, "intmodel.json")
@@ -298,6 +308,8 @@ def graph_with_signedness_as_a_string(out):
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("layers", 0, "requant")), ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("output_scale",)), ()),
     ("export-ir", "intmodel.json", intmodel_with_another_output_scale, ()),
+    ("export-ir", "intmodel.json", intmodel_with_a_weight_code(1000), ()),
+    ("export-ir", "intmodel.json", intmodel_with_a_weight_code(2 ** 63), ()),
     ("export-ir", "intmodel.json", intmodel_with_layer_entry(0, "requant", None), ()),
     ("export-ir", "intmodel.json", intmodel_with_layer_entry(0, "act_exp", None), ()),
     ("export-ir", "intmodel.json",
@@ -312,7 +324,9 @@ def graph_with_signedness_as_a_string(out):
         "model-nan", "model-nan-std", "traces", "allocation", "allocation-bits-40",
         "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
-        "intmodel-zero-scale-output", "intmodel-output-scale-mismatch", "intmodel-hidden-without-requant",
+        "intmodel-zero-scale-output", "intmodel-output-scale-mismatch",
+        "intmodel-weight-code-past-its-width", "intmodel-weight-code-past-int64",
+        "intmodel-hidden-without-requant",
         "intmodel-hidden-without-act-exp", "intmodel-last-with-requant", "graph",
         "graph-tensors-not-an-object", "graph-signed-a-string", "sweep", "dataset-at-trace", "dataset-at-run-ir"])
 def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
@@ -327,9 +341,12 @@ def test_exit_3_on_a_malformed_artifact(tmp_path, pipeline, capsys,
 
 
 @pytest.mark.parametrize("command", ["trace", "run-ir"])
-@pytest.mark.parametrize("params", [lambda p: 5, lambda p: [p]], ids=["a-number", "nested"])
+@pytest.mark.parametrize("params, message", [
+    (lambda p: 5, "params must be a list, got 5"),
+    (lambda p: [p], "params[0] must be a number, got ["),
+], ids=["a-number", "nested"])
 def test_exit_3_on_a_model_whose_params_are_not_a_flat_list(tmp_path, pipeline, capsys,
-                                                           command, params):
+                                                           command, params, message):
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
     copy_artifacts(out, alt_out, ("dataset.csv", "graph.json"))
@@ -338,7 +355,7 @@ def test_exit_3_on_a_model_whose_params_are_not_a_flat_list(tmp_path, pipeline, 
     Path(alt_out, "model.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(command, config) == 3
-    assert "params must be a flat list" in capsys.readouterr().err
+    assert f"{os.path.join(alt_out, 'model.json')}: {message}" in capsys.readouterr().err
 
 
 def test_run_ir_exits_3_on_a_graph_without_a_logits_output(tmp_path, pipeline, capsys):
@@ -357,8 +374,9 @@ def test_run_ir_exits_3_on_a_graph_without_a_logits_output(tmp_path, pipeline, c
 
 def with_field(name, keys, value):
     """The text of the pipeline's artifact `name` with the field at keys (a
-    path of keys) set to value, or deleted when value is None; a float
-    value is written as the token json writes for it, such as Infinity."""
+    path of keys) set to value, or to value(old value) when it is callable,
+    or deleted when value is None; a float value is written as the token
+    json writes for it, such as Infinity."""
     def tamper(out):
         doc = read_json(out, name)
         node = doc
@@ -367,7 +385,7 @@ def with_field(name, keys, value):
         if value is None:
             del node[keys[-1]]
         else:
-            node[keys[-1]] = value
+            node[keys[-1]] = value(node[keys[-1]]) if callable(value) else value
         return json.dumps(doc)
     return tamper
 
@@ -376,7 +394,7 @@ def with_field(name, keys, value):
     ("allocate", "traces.json", ("avg_traces", 0), float("inf"), ("model.json",),
      "Infinity is not a finite JSON number"),
     ("allocate", "traces.json", ("avg_traces", 0), "Infinity", ("model.json",),
-     "traces contains non-finite values"),
+     "avg_traces[0] must be a number, got 'Infinity'"),
     ("opt-ir", "graph.json", ("initializers", "out_scale", "data", 0), float("inf"), (),
      "Infinity is not a finite JSON number"),
     ("run-ir", "graph.json", ("initializers", "w0_scale", "data", 0), float("nan"),
@@ -456,6 +474,53 @@ def test_exit_3_on_an_allocation_width_that_is_not_an_integer(tmp_path, pipeline
     err = capsys.readouterr().err
     assert f"malformed artifact {os.path.join(alt_out, 'allocation.json')}" in err
     assert f"bit width {width!r} is not an integer" in err
+
+
+@pytest.mark.parametrize("command, name, keys, value, upstream, message", [
+    ("export-ir", "intmodel.json", ("layers", 0, "q_weights", 0, 0), lambda v: v + 0.5, (),
+     "layers[0].q_weights[0][0] must be an integer, got "),
+    ("export-ir", "intmodel.json", ("layers", 0, "q_bias", 0), str, (),
+     "layers[0].q_bias[0] must be an integer, got '"),
+    ("export-ir", "intmodel.json", ("layers", 0, "q_bias", 0), lambda v: v + 0.7, (),
+     "layers[0].q_bias[0] must be an integer, got "),
+    ("export-ir", "intmodel.json", ("layers", 0, "weight_bits"), float, (),
+     "layers[0].weight_bits must be an integer, got "),
+    ("export-ir", "intmodel.json", ("accumulator_bits",), str, (),
+     "accumulator_bits must be an integer, got '32'"),
+    ("trace", "model.json", ("params", 0), str, ("dataset.csv",),
+     "params[0] must be a number, got '"),
+    ("trace", "model.json", ("standardization", "mean", 0), str, ("dataset.csv",),
+     "standardization.mean[0] must be a number, got '"),
+    ("quantize", "allocation.json", ("feasible",), "false", ("model.json", "dataset.csv"),
+     "feasible must be a boolean, got 'false'"),
+    ("estimate", "allocation.json", ("omega",), str, (), "omega must be a number, got '"),
+    ("estimate", "allocation.json", ("explored",), str, (),
+     "explored must be an integer, got '"),
+    ("allocate", "traces.json", ("traces", 0), str, ("model.json",),
+     "traces[0] must be a number, got '"),
+    ("allocate", "traces.json", ("weight_counts", 0), str, ("model.json",),
+     "weight_counts[0] must be an integer, got '"),
+], ids=["intmodel-weight-code-plus-a-half", "intmodel-bias-a-string",
+        "intmodel-bias-plus-0.7", "intmodel-weight-bits-a-float",
+        "intmodel-accumulator-bits-a-string", "model-param-a-string",
+        "model-mean-a-string", "allocation-feasible-a-string", "allocation-omega-a-string",
+        "allocation-explored-a-string", "traces-trace-a-string",
+        "traces-weight-count-a-string"])
+def test_exit_3_on_a_field_of_another_json_type(tmp_path, pipeline, capsys, command, name,
+                                                keys, value, upstream, message):
+    # each used to load, by truncation or coercion, and most exited 0; the
+    # message names the artifact once and then the field
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, upstream)
+    path = os.path.join(alt_out, name)
+    Path(path).write_text(with_field(name, keys, value)(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    err = capsys.readouterr().err
+    assert f"data error: malformed artifact {path}: {message}" in err
+    assert err.count(path) == 1
+    assert not os.path.exists(os.path.join(alt_out, f"manifest-{command}.json"))
 
 
 @pytest.mark.parametrize("command", ["trace", "allocate", "quantize", "run-ir", "estimate"])
@@ -802,11 +867,11 @@ def _zero_scale(node, inits):
     ("h1", _wide_codes, "width 40"),
     ("h1", _real_input, "needs an integer input"),
     ("h0", _drop_bits, "missing attribute bits"),
-    ("h0", _set_attrs(bits="abc"), "bits must be an integer"),
+    ("h0", _set_attrs(bits="abc"), "bit width 'abc' is not an integer"),
     ("h0", _set_attrs(bits=1), "width 1 outside"),
     ("h0", _set_attrs(bits=33), "width 33 outside"),
     ("h0", _set_attrs(bits=70), "width 70 outside"),
-    ("h0", _set_attrs(signed=0), "signed a boolean"),
+    ("h0", _set_attrs(signed=0), "signed must be a boolean"),
     ("h0", _set_attrs(rounding="weird"), "unknown rounding mode 'weird'"),
     ("h0", _zero_scale, "scale must be positive and finite"),
 ], ids=["missing-attribute", "scale", "width", "real-input", "quant-missing-bits",
@@ -1163,8 +1228,11 @@ def test_report_exits_3_on_a_sweep_for_another_architecture_of_the_same_depth(
 
 
 @pytest.mark.parametrize("field, value", [("sparsities", (2.0, 0.0, 0.0)),
-                                          ("weight_bits", (40, 6, 8))],
-                         ids=["sparsity-2", "width-40"])
+                                          ("weight_bits", (40, 6, 8)),
+                                          *[("accuracy", a) for a in (math.nan, math.inf,
+                                                                      -1.0, 2.5)]],
+                         ids=["sparsity-2", "width-40", "accuracy-nan", "accuracy-inf",
+                              "accuracy-minus-1", "accuracy-2.5"])
 def test_report_exits_3_on_a_sweep_record_out_of_range(tmp_path, capsys, field, value):
     config, out = write_config(tmp_path)
     os.makedirs(out)
@@ -1188,11 +1256,12 @@ def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, 
     Path(out, "sweep.csv").write_text(allocate.sweep_csv([allocate.SweepRecord(
         config_id=0, weight_bits=(4, 6, 8), activation_bits=(7, 9, 11), accuracy=0.5,
         bops=1.0, sparsities=(0.0, 0.0, 0.0), seed=0)]))
-    # a list, values JSON reads as infinite (1e400) or not a number, and a
-    # fractional threshold
+    # a list, values JSON reads as infinite (1e400) or not a number, a
+    # fractional threshold and a threshold written as a string
     for key, value in [("dsp_threshold", "[1]"), ("lut_per_bit_product", "1e400"),
                        ("dsp_threshold", "1e400"), ("lut_per_bit_product", "NaN"),
-                       ("dsp_threshold", "NaN"), ("dsp_threshold", "11.9")]:
+                       ("dsp_threshold", "NaN"), ("dsp_threshold", "11.9"),
+                       ("dsp_threshold", '"11"')]:
         doc = {"dsp_threshold": "12", "lut_per_bit_product": "1.0", "lut_per_acc_bit": "1.0",
                "ff_per_acc_bit": "1.0", "softmax_lut": "1.0", "softmax_ff": "1.0",
                key: value}

@@ -229,7 +229,7 @@ QUANT = {"bits": 8, "signed": True, "narrow": False, "rounding": "half_even"}
      "integer input"),
     ("Quant", {k: v for k, v in QUANT.items() if k != "bits"}, "real",
      "missing attribute bits"),
-    ("Quant", dict(QUANT, bits="abc"), "real", "bits must be an integer"),
+    ("Quant", dict(QUANT, bits="abc"), "real", "bit width 'abc' is not an integer"),
     ("Quant", dict(QUANT, bits=1), "int", "width 1 outside"),
     ("Quant", dict(QUANT, bits=33), "real", "width 33 outside"),
     ("Quant", dict(QUANT, bits=70), "real", "width 70 outside"),
@@ -250,13 +250,16 @@ def test_malformed_requant_is_a_diagnostic_not_a_crash(node, attrs, kind, messag
 
 
 @pytest.mark.parametrize("zero_point", [0.5, float("nan")], ids=["half", "nan"])
-def test_a_fractional_or_nan_zero_point_is_an_eval_error(zero_point):
-    # validate flags any nonzero constant zero point, but evaluate does not
-    # run it: a zero point it cannot use must not be truncated or crash
+def test_a_fractional_or_nan_zero_point_is_refused_at_inference(zero_point):
+    # validate and evaluate refuse the same graph with the same inference
+    # error: a zero point is never truncated, and no graph runs with one
     g = quant_graph(QUANT)
     g.initializers["z"] = np.array(zero_point)
-    with pytest.raises(ir.EvalError, match="node q: Quant zero point"):
+    message = "node q: nonzero zero point on a lowered graph"
+    assert ir.validate(g) == [message]
+    with pytest.raises(ir.IRError) as err:
         ir.evaluate(g, {"a": np.array([1.0, 2.0])})
+    assert str(err.value) == message and not isinstance(err.value, ir.EvalError)
 
 
 # --- constant folding -----------------------------------------------------------
@@ -505,12 +508,12 @@ INT_INFO_DOC = {"kind": "int", "bits": 8, "signed": True, "shape": [-1]}
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("tensors", [], "tensors must be an object"),
-    ("initializers", 7, "initializers must be an object"),
-    ("attrs", 5, "nodes[0]: attrs must be an object"),
-    ("inputs", "x", "inputs must be a list of strings"),
-    ("outputs", ["y", 3], "outputs must be a list of strings"),
-    ("nodes", 5, "nodes must be a list"),
+    ("tensors", [], "tensors must be an object, got []"),
+    ("initializers", 7, "initializers must be an object, got 7"),
+    ("attrs", 5, "nodes[0]: attrs must be an object, got 5"),
+    ("inputs", "x", "inputs must be a list, got 'x'"),
+    ("outputs", ["y", 3], "outputs[1] must be a string, got 3"),
+    ("nodes", 5, "nodes must be a list, got 5"),
     ("tensors.x", {**INT_INFO_DOC, "signed": "false"},
      "tensors[x]: signed must be a boolean, got 'false'"),
     ("tensors.x", {**INT_INFO_DOC, "bits": 8.9}, "tensors[x]: bits must be an integer, got 8.9"),
@@ -519,10 +522,24 @@ INT_INFO_DOC = {"kind": "int", "bits": 8, "signed": True, "shape": [-1]}
     ("initializers.w", {"kind": "float", "shape": [1], "data": [1]},
      "initializers[w]: kind must be 'real' or 'int', got 'float'"),
     ("initializers.w", {"kind": "int", "shape": [1], "data": [8.9]},
-     "initializers[w]: bad tensor document (int data must be integers, got 8.9)"),
+     "initializers[w]: data[0] must be an integer, got 8.9"),
     ("initializers.w", {"kind": "real", "shape": [1], "data": ["1.5"]},
-     "initializers[w]: bad tensor document (real data must be numbers, got '1.5')"),
-])
+     "initializers[w]: data[0] must be a number, got '1.5'"),
+], ids=[  # each case keeps the name it was first given
+    "tensors-value0-tensors must be an object",
+    "initializers-7-initializers must be an object",
+    "attrs-5-nodes[0]: attrs must be an object",
+    "inputs-x-inputs must be a list of strings",
+    "outputs-value4-outputs must be a list of strings",
+    "nodes-5-nodes must be a list",
+    "tensors.x-value6-tensors[x]: signed must be a boolean, got 'false'",
+    "tensors.x-value7-tensors[x]: bits must be an integer, got 8.9",
+    "tensors.x-value8-tensors[x]: kind must be 'real' or 'int', got 'float'",
+    "initializers.w-value9-initializers[w]: kind must be 'real' or 'int', got 'float'",
+    "initializers.w-value10-initializers[w]: bad tensor document (int data must be integers, "
+    "got 8.9)",
+    "initializers.w-value11-initializers[w]: bad tensor document (real data must be numbers, "
+    "got '1.5')"])
 def test_parse_names_a_field_of_the_wrong_type(field, value, message):
     doc = json.loads(ir.serialize(base_single_node_graph()))
     *parents, key = field.split(".")
