@@ -298,7 +298,7 @@ def cmd_allocate(cfg: dict, out_dir: str, inputs: dict) -> tuple[int, list[str]]
     model, _, _ = _load_model(out_dir, inputs)
     report = _consume(os.path.join(out_dir, "traces.json"), inputs, "run trace first",
                       hessian.load_trace_report)
-    if report.sizes and report.sizes != list(model.sizes):
+    if report.sizes != list(model.sizes):
         raise DataError("traces.json was computed for a different architecture")
     sec = cfg["allocation"]
     arch = allocate.ArchSpec.from_model(model, sparsities=nn.sparsity(model),

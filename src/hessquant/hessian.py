@@ -13,7 +13,7 @@ the exact block product `layer_hvp` is an independent check.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,20 +94,28 @@ def hutchinson_trace(model: MLPModel, batch: Dataset, layer: int,
 
 @dataclass
 class TraceReport:
-    """Per-layer Hessian traces plus enough metadata to reproduce them.
-
-    avg_traces holds trace / weight count (the mean-eigenvalue convention the
-    allocator consumes); traces keeps the raw values.
-    """
+    """Per-layer Hessian traces plus enough metadata to reproduce them:
+    the layer sizes of the model and the digest of the batch they were
+    taken on."""
     traces: list[float]
-    avg_traces: list[float]
-    weight_counts: list[int]
     batch_sha256: str
-    sizes: list[int] = field(default_factory=list)
+    sizes: list[int]
 
     def __post_init__(self):
-        if len({len(self.traces), len(self.avg_traces), len(self.weight_counts)}) != 1:
-            raise ValueError("per-layer fields disagree on layer count")
+        if len(self.sizes) != len(self.traces) + 1:
+            raise ValueError(f"{len(self.traces)} traces need {len(self.traces) + 1} "
+                             f"sizes, got {len(self.sizes)}")
+
+    @property
+    def weight_counts(self) -> list[int]:
+        """Each layer's fan-in times fan-out."""
+        return [a * b for a, b in zip(self.sizes, self.sizes[1:])]
+
+    @property
+    def avg_traces(self) -> list[float]:
+        """trace / weight count, the mean-eigenvalue convention the allocator
+        consumes."""
+        return [t / c for t, c in zip(self.traces, self.weight_counts)]
 
 
 def batch_digest(batch: Dataset) -> str:
@@ -150,10 +158,7 @@ def layer_sensitivities(model: MLPModel, batch: Dataset) -> TraceReport:
         for i, sq in enumerate(row_sq_norms(g)):
             per_row[i] += p[:, c] * sq
     traces = [float(np.mean(np.einsum("ij,ij->i", h, h) * r)) for h, r in zip(hs, per_row)]
-    counts = [layer.weights.size for layer in model.layers]
-    return TraceReport(traces=traces, avg_traces=[t / c for t, c in zip(traces, counts)],
-                       weight_counts=counts, batch_sha256=batch_digest(batch),
-                       sizes=list(model.sizes))
+    return TraceReport(traces=traces, batch_sha256=batch_digest(batch), sizes=list(model.sizes))
 
 
 def exact_trace(model: MLPModel, batch: Dataset, layer: int) -> float:
@@ -166,24 +171,20 @@ def exact_trace(model: MLPModel, batch: Dataset, layer: int) -> float:
 def save_trace_report(report: TraceReport, path: str) -> None:
     write_json_atomic(path, {
         "format": "hessquant-traces",
-        "version": 2,
+        "version": 3,
         "traces": report.traces,
-        "avg_traces": report.avg_traces,
-        "weight_counts": report.weight_counts,
         "batch_sha256": report.batch_sha256,
         "sizes": report.sizes,
     })
 
 
 def load_trace_report(path: str) -> TraceReport:
-    """A save_trace_report file.  Version 1 files load too: the estimator's
-    standard errors, probe count and seeds they also hold are ignored.  A
-    field not of its JSON type raises ValueError."""
-    doc = read_document(path, "hessquant-traces", (1, 2))
+    """A save_trace_report file.  A field not of its JSON type raises
+    ValueError.  Version 1 and 2 files, which also stored the averages and
+    weight counts, are refused: rerun trace."""
+    doc = read_document(path, "hessquant-traces", (3,))
     return TraceReport(
         traces=typed(doc["traces"], [float], f"{path}: traces"),
-        avg_traces=typed(doc["avg_traces"], [float], f"{path}: avg_traces"),
-        weight_counts=typed(doc["weight_counts"], [int], f"{path}: weight_counts"),
         batch_sha256=typed(doc["batch_sha256"], str, f"{path}: batch_sha256"),
-        sizes=typed(doc.get("sizes", []), [int], f"{path}: sizes"),
+        sizes=typed(doc["sizes"], [int], f"{path}: sizes"),
     )

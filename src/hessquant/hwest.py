@@ -35,9 +35,8 @@ class EstimatorCoeffs:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        if self.dsp_threshold < 2 or self.dsp_threshold != int(self.dsp_threshold):
-            raise ValueError(f"dsp_threshold must be a whole number >= 2, got {self.dsp_threshold}")
-        object.__setattr__(self, "dsp_threshold", int(self.dsp_threshold))
+        if not isinstance(self.dsp_threshold, int) or self.dsp_threshold < 2:
+            raise ValueError(f"dsp_threshold must be an integer >= 2, got {self.dsp_threshold}")
         for name in ("lut_per_bit_product", "lut_per_acc_bit", "ff_per_acc_bit",
                      "softmax_lut", "softmax_ff"):
             if getattr(self, name) < 0:
@@ -123,9 +122,10 @@ def estimate(arch: ArchSpec, schema: QuantSchema,
 
 
 def load_coeffs(path: str) -> EstimatorCoeffs:
-    """A coefficients file: every field a JSON number (ValueError otherwise)."""
+    """A coefficients file: every field a JSON number, and an integer where
+    its default is one (ValueError otherwise)."""
     doc = read_document(path, "hessquant-coeffs", None)
-    return EstimatorCoeffs(**{f.name: typed(doc[f.name], float, f"{path}: {f.name}")
+    return EstimatorCoeffs(**{f.name: typed(doc[f.name], type(f.default), f"{path}: {f.name}")
                               for f in fields(EstimatorCoeffs)})
 
 

@@ -28,7 +28,8 @@ rounding mode, so a graph in the older split-scale template (Mul -> Relu ->
 Mul -> Quant rounding ties up, for each Requant) is refused.
 
 Serialization is a canonical JSON document with top-level fields
-{version, inputs, outputs, tensors, initializers, nodes}; see README for the
+{version, inputs, outputs, tensors, initializers, nodes}, whose tensors
+declare the graph inputs and outputs only; see README for the
 field-by-field description.
 """
 
@@ -41,6 +42,7 @@ from functools import partial
 
 import numpy as np
 
+from . import nn
 from .ioutil import dumps_canonical, loads_finite, typed, write_atomic
 from .quantize import (MIN_BITS, DyadicScale, IntegerModel, _int_range, check_bit_width,
                        int_codes, sum_of_products_bits)
@@ -154,7 +156,7 @@ def export_graph(im: IntegerModel) -> IRGraph:
     inits["in_scale"] = np.array(im.input_scale, dtype=np.float64)
 
     nodes.append(IRNode("Quant", ("x", "in_scale", "zero"), "h0", {
-        "bits": im.schema.input_bits, "signed": True, "narrow": False,
+        "bits": im.input_bits, "signed": True, "narrow": False,
         "rounding": "half_even"}))
 
     h = "h0"
@@ -270,14 +272,15 @@ def infer_shapes(g: IRGraph) -> IRGraph:
     worst-case bounds (`quantize.sum_of_products_bits` for MatMul, one more
     bit for Add, the operands' sum for Mul) and the only static bounds
     `evaluate` picks exact arithmetic by, so over-estimating is safe and
-    under-estimating is not.  An undeclared initializer is typed by its
-    values.  Raises IRError naming the node or tensor at the first fault:
+    under-estimating is not.  Initializers and Constant values are typed
+    by their values; only the graph inputs' info is taken as declared.
+    Raises IRError naming the node or tensor at the first fault:
     an unsupported or unknown operator or a wrong input count; a name both
     a graph input and an initializer, defined twice, undefined, defined by
-    a later node (a cycle when it closes one) or an unproduced output; an
-    initializer unlike its declared shape; a missing or malformed Quant or
-    Requant attribute (widths pass `check_bit_width`); a Quant scale or zero
-    point that is not a scalar constant (an initializer or an earlier
+    a later node (a cycle when it closes one) or an unproduced output; a
+    declared output unlike its inferred info; a missing or malformed Quant
+    or Requant attribute (widths pass `check_bit_width`); a Quant scale or
+    zero point that is not a scalar constant (an initializer or an earlier
     Constant), a scale not positive and finite, a zero point not 0; an
     integer MatMul whose inner dimension is dynamic on both operands,
     leaving it unbounded.
@@ -291,10 +294,7 @@ def infer_shapes(g: IRGraph) -> IRGraph:
             raise IRError(f"name {name} is both a graph input and an initializer")
         info[name] = g.tensors[name]
     for name, arr in g.initializers.items():
-        info[name] = g.tensors[name] if name in g.tensors else _initializer_info(arr)
-        if info[name].shape != np.shape(arr):
-            raise IRError(f"initializer {name} has shape {np.shape(arr)}, "
-                          f"declared {info[name].shape}")
+        info[name] = _initializer_info(arr)
 
     def need(node: IRNode, name: str) -> TensorInfo:
         if name in info:
@@ -375,6 +375,9 @@ def infer_shapes(g: IRGraph) -> IRGraph:
     for name in g.outputs:
         if name not in info:
             raise IRError(f"declared output {name} is never produced")
+        if name in g.tensors and g.tensors[name] != info[name]:
+            raise IRError(f"declared output {name} is {g.tensors[name]}, "
+                          f"inferred {info[name]}")
     out_g = g.copy()
     out_g.tensors = info
     return out_g
@@ -453,13 +456,6 @@ def _bound(info: TensorInfo) -> int:
     return (1 << info.bits) - 1
 
 
-def _check_width(name: str, a: np.ndarray, info: TensorInfo) -> None:
-    lo, hi = _int_range(info.bits, info.signed)
-    if a.size and (int(a.min()) < lo or int(a.max()) > hi):
-        raise EvalError(f"{name} holds values outside its declared "
-                        f"{info.bits}-bit {'signed' if info.signed else 'unsigned'} range")
-
-
 def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Reference interpretation of the graph on the given inputs.
 
@@ -475,8 +471,8 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
     in float64.
 
     Graph inputs are checked against their declared shapes, and integer
-    inputs and initializers against their declared widths, before use.
-    Evaluation runs in place: an elementwise node writes
+    inputs against their declared widths, before use (an initializer's width
+    is its values').  Evaluation runs in place: an elementwise node writes
     into an operand this call allocated that no later node reads, and each
     tensor leaves the environment after its last consumer.  Graph inputs,
     initializers and Constant values are never written.  Returns the
@@ -496,7 +492,10 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             with np.errstate(invalid="ignore"):  # inf % 1 is NaN
                 if x.dtype.kind in "fO" and not np.all(np.mod(x, 1) == 0):
                     raise EvalError(f"input {name} holds a value that is not an integer")
-            _check_width(f"input {name}", x, t)  # before a cast could wrap or overflow
+            lo, hi = _int_range(t.bits, t.signed)  # before a cast could wrap or overflow
+            if x.size and (int(x.min()) < lo or int(x.max()) > hi):
+                raise EvalError(f"input {name} holds values outside its declared {t.bits}-bit "
+                                f"{'signed' if t.signed else 'unsigned'} range")
             x = _in_tier(x.astype(object if t.bits > 62 else np.int64, copy=False), _bound(t))
         if x.ndim != len(t.shape) or any(d not in (-1, s) for d, s in zip(t.shape, x.shape)):
             raise EvalError(f"input {name} has shape {x.shape}, declared {t.shape}")
@@ -505,7 +504,6 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
         raise EvalError(f"unknown input {extra}")
     for name, arr in g.initializers.items():
         if info[name].kind == "int":
-            _check_width(f"initializer {name}", arr, info[name])
             arr = _in_tier(arr, _bound(info[name]))
         env[name] = arr
 
@@ -530,14 +528,7 @@ def evaluate(g: IRGraph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]
             ufunc = np.add if node.kind == "Add" else np.multiply
             out = _into(ufunc, *map(held, vals), spare)
         elif node.kind == "Softmax":
-            z = _real(vals[0])
-            if z is vals[0] and not spare:
-                z = z - z.max(axis=-1, keepdims=True)
-            else:
-                z -= z.max(axis=-1, keepdims=True)
-            np.exp(z, out=z)
-            z /= z.sum(axis=-1, keepdims=True)
-            out = z
+            out = nn.softmax(_real(vals[0]))
         elif node.kind == "Requant":
             out = _requant_eval(vals[0], *_requant_params(node), _bound(info[node.inputs[0]]),
                                 any(v is vals[0] for v in spare))
@@ -563,7 +554,8 @@ def fold_constants(g: IRGraph) -> IRGraph:
     Initializers and prior Constant outputs count as constant, so constant
     subgraphs collapse in one pass (which also makes the pass idempotent).
     Quant-over-initializer weights is the main customer: it folds to an
-    integer Constant tensor.
+    integer Constant tensor.  Only the inputs' declared info is kept: a
+    folded output, typed by its values, is inferred again.
     """
     known: dict[str, np.ndarray] = dict(g.initializers)
     new_nodes: list[IRNode] = []
@@ -584,6 +576,7 @@ def fold_constants(g: IRGraph) -> IRGraph:
     used = {n for node in new_nodes for n in node.inputs} | set(g.outputs)
     out = g.copy()
     out.nodes = new_nodes
+    out.tensors = {name: g.tensors[name] for name in g.inputs if name in g.tensors}
     out.initializers = {k: v for k, v in g.initializers.items() if k in used}
     return infer_shapes(out)
 
@@ -645,9 +638,7 @@ def _tensor_doc(a: np.ndarray) -> dict:
     if a.dtype == np.float64 or np.issubdtype(a.dtype, np.floating):
         return {"kind": "real", "shape": list(a.shape),
                 "data": [float(v) for v in np.asarray(a, dtype=np.float64).ravel()]}
-    bits, signed = _int_bits_of_array(a)
-    return {"kind": "int", "bits": bits, "signed": signed, "shape": list(a.shape),
-            "data": [int(v) for v in a.ravel()]}
+    return {"kind": "int", "shape": list(a.shape), "data": [int(v) for v in a.ravel()]}
 
 
 def _fields(doc, keys: tuple[str, ...], where: str) -> list:
@@ -694,7 +685,9 @@ def _info_from_doc(doc: dict, where: str) -> TensorInfo:
 
 
 def serialize(g: IRGraph) -> str:
-    """Canonical JSON text of the graph (byte-stable across round trips)."""
+    """Canonical JSON text of the graph (byte-stable across round trips).
+    Of the tensors' info only the graph inputs' and outputs' is written;
+    inference derives the rest."""
     nodes = []
     for node in g.nodes:
         attrs = dict(node.attrs)
@@ -706,7 +699,8 @@ def serialize(g: IRGraph) -> str:
         "version": 1,
         "inputs": list(g.inputs),
         "outputs": list(g.outputs),
-        "tensors": {name: _info_doc(t) for name, t in g.tensors.items()},
+        "tensors": {name: _info_doc(g.tensors[name]) for name in (*g.inputs, *g.outputs)
+                    if name in g.tensors},
         "initializers": {name: _tensor_doc(a) for name, a in g.initializers.items()},
         "nodes": nodes,
     }
@@ -714,13 +708,19 @@ def serialize(g: IRGraph) -> str:
 
 
 def parse(text: str) -> IRGraph:
-    """Inverse of serialize; raises ParseError naming the bad location."""
+    """Inverse of serialize; raises ParseError naming the bad location, a
+    `tensors` entry for a name neither a graph input nor an output included."""
     try:
         doc = typed(loads_finite(text), dict, "top level")
         if (version := typed(doc.get("version"), int, "version")) != 1:
             raise ParseError(f"unsupported version {version}")
         inputs, outputs, tensors, inits, node_docs = _fields(
             doc, ("inputs", "outputs", "tensors", "initializers", "nodes"), "top level")
+        inputs, outputs = typed(inputs, [str], "inputs"), typed(outputs, [str], "outputs")
+        for name in typed(tensors, dict, "tensors"):
+            if name not in inputs and name not in outputs:
+                raise ParseError(f"tensors[{name}]: not a graph input or output; "
+                                 "only those are declared")
         nodes = []
         for i, nd in enumerate(typed(node_docs, list, "nodes")):
             where = f"nodes[{i}]"
@@ -733,10 +733,9 @@ def parse(text: str) -> IRGraph:
             nodes.append(IRNode(kind=kind,
                                 inputs=tuple(typed(node_inputs, [str], f"{where}: inputs")),
                                 output=typed(output, str, f"{where}: output"), attrs=attrs))
-        return IRGraph(nodes=nodes, inputs=typed(inputs, [str], "inputs"),
-                       outputs=typed(outputs, [str], "outputs"),
+        return IRGraph(nodes=nodes, inputs=inputs, outputs=outputs,
                        tensors={name: _info_from_doc(t, f"tensors[{name}]")
-                                for name, t in typed(tensors, dict, "tensors").items()},
+                                for name, t in tensors.items()},
                        initializers={name: _tensor_from_doc(t, f"initializers[{name}]")
                                      for name, t in typed(inits, dict, "initializers").items()})
     except json.JSONDecodeError as exc:

@@ -431,8 +431,9 @@ def save_model(model: MLPModel, path: str, mean: np.ndarray | None = None,
 
 def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | None]:
     """A save_model checkpoint.  A malformed one, one whose `activations`
-    are not the fixed list, or one with a field not of its JSON type raises
-    ValueError, KeyError or TypeError."""
+    are not the fixed list, one with a field not of its JSON type or one
+    with a standardization std that is not positive raises ValueError,
+    KeyError or TypeError."""
     doc = read_document(path, "hessquant-model", (1,))
     skeleton = mlp(typed(doc["sizes"], [int], f"{path}: sizes"), seed=0)
     want = _activation_names(skeleton.n_layers)
@@ -448,4 +449,7 @@ def load_model(path: str) -> tuple[MLPModel, np.ndarray | None, np.ndarray | Non
                  for k in ("mean", "std"))
     if mean.shape != (model.layers[0].fan_in,) or std.shape != mean.shape:
         raise ValueError(f"{path}: standardization does not match the input width")
+    if (bad := np.flatnonzero(std <= 0)).size:
+        raise ValueError(f"{path}: standardization.std[{bad[0]}] must be positive, "
+                         f"got {std[bad[0]]}")
     return model, mean, std

@@ -532,7 +532,13 @@ class IntegerModel:
     layers: list[IntLayer]
     input_scale: float             # QAT's real input scale
     accumulator_bits: int
-    schema: QuantSchema
+    input_bits: int                # width of the input codes
+
+    @property
+    def schema(self) -> QuantSchema:
+        """The widths of the layers and the input, as one QuantSchema."""
+        return QuantSchema(tuple(l.weight_bits for l in self.layers),
+                           tuple(l.act_bits for l in self.layers), self.input_bits)
 
     @property
     def output_scale(self) -> float:
@@ -545,8 +551,8 @@ class IntegerModel:
 
     @property
     def input_params(self) -> QuantParams:
-        """The symmetric input quantizer: input_scale at schema.input_bits."""
-        bits, scale = self.schema.input_bits, self.input_scale
+        """The symmetric input quantizer: input_scale at input_bits."""
+        bits, scale = self.input_bits, self.input_scale
         beta = scale * (2 ** bits - 1) / 2
         return QuantParams(scale=scale, zero_point=0, bits=bits, signed=True,
                            symmetric=True, alpha=-beta, beta=beta)
@@ -634,7 +640,7 @@ def lower(fq: FakeQuantModel, accumulator_bits: int = 32) -> IntegerModel:
                                q_bias=int_codes(map(int, q_b)), act_bits=schema.activation_bits[i],
                                requant=requant, act_exp=e_a))
     return IntegerModel(layers=layers, input_scale=input_scale,
-                        accumulator_bits=accumulator_bits, schema=schema)
+                        accumulator_bits=accumulator_bits, input_bits=schema.input_bits)
 
 
 def int_forward(im: IntegerModel, x: np.ndarray):
@@ -674,15 +680,10 @@ def _scale_doc(scale: float) -> dict:
 def save_integer_model(im: IntegerModel, path: str) -> None:
     doc = {
         "format": "hessquant-integer-model",
-        "version": 1,
+        "version": 2,
         "accumulator_bits": im.accumulator_bits,
-        "input": {"bits": im.schema.input_bits, **_scale_doc(im.input_scale)},
+        "input": {"bits": im.input_bits, **_scale_doc(im.input_scale)},
         "output_scale": _scale_doc(im.output_scale),
-        "schema": {
-            "weight_bits": list(im.schema.weight_bits),
-            "activation_bits": list(im.schema.activation_bits),
-            "input_bits": im.schema.input_bits,
-        },
         "layers": [
             {
                 "weight_bits": l.weight_bits,
@@ -699,12 +700,10 @@ def save_integer_model(im: IntegerModel, path: str) -> None:
     write_json_atomic(path, doc)
 
 
-def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> None:
-    """Raise ValueError unless the layers chain and match the schema's
-    widths, every weight code lies in its layer's width, and every hidden
-    layer, but not the last, has a requantization multiplier and an act_exp."""
-    if len(layers) != schema.n_layers:
-        raise ValueError(f"{path}: {len(layers)} layers, schema has {schema.n_layers}")
+def _check_layers(layers: list[IntLayer], path: str) -> None:
+    """Raise ValueError unless the layers chain, every weight code lies in
+    its layer's width, and every hidden layer, but not the last, has a
+    requantization multiplier and an act_exp."""
     for i, layer in enumerate(layers):
         if i < len(layers) - 1:
             if layer.requant is None or layer.act_exp is None:
@@ -718,9 +717,6 @@ def _check_layers(layers: list[IntLayer], schema: QuantSchema, path: str) -> Non
         if layer.q_bias.shape != (w.shape[1],):
             raise ValueError(f"{path}: layer {i} has {layer.q_bias.size} biases for "
                              f"{w.shape[1]} outputs")
-        if (layer.weight_bits, layer.act_bits) != (schema.weight_bits[i],
-                                                   schema.activation_bits[i]):
-            raise ValueError(f"{path}: layer {i} widths differ from the schema's")
         lo, hi = _int_range(layer.weight_bits, signed=True)
         if w.size and not lo <= w.min() <= w.max() <= hi:
             raise ValueError(f"{path}: layer {i} has a weight code outside "
@@ -748,17 +744,12 @@ def load_integer_model(path: str) -> IntegerModel:
     """A save_integer_model file.  A malformed one, one with a field not of
     its JSON type, a scale that is not positive (or, but for a
     requantization multiplier, not exactly a float), one whose output scale
-    differs from the one its scales derive, or one whose layers fail
-    `_check_layers` raises ValueError, KeyError, TypeError or OverflowError."""
-    doc = read_document(path, "hessquant-integer-model", (1,))
-    sec = typed(doc["schema"], dict, f"{path}: schema")
-    schema = QuantSchema(*(tuple(typed(sec[key], list, f"{path}: schema.{key}"))
-                           for key in ("weight_bits", "activation_bits")),
-                         input_bits=sec["input_bits"])
+    differs from the one its scales derive, or one whose widths or layers
+    fail `QuantSchema` or `_check_layers` raises ValueError, KeyError,
+    TypeError or OverflowError.  A version 1 file, which also stored its
+    widths as a schema, is refused: rerun quantize."""
+    doc = read_document(path, "hessquant-integer-model", (2,))
     inp = typed(doc["input"], dict, f"{path}: input")
-    if typed(inp["bits"], int, f"{path}: input.bits") != schema.input_bits:
-        raise ValueError(f"{path}: input is {inp['bits']} bits, schema has "
-                         f"{schema.input_bits}")
 
     def layer(i: int, entry) -> IntLayer:
         where = f"{path}: layers[{i}]."
@@ -776,11 +767,12 @@ def load_integer_model(path: str) -> IntegerModel:
 
     layers = [layer(i, entry) for i, entry in
               enumerate(typed(doc["layers"], list, f"{path}: layers"))]
-    _check_layers(layers, schema, path)
-    im = IntegerModel(layers=layers, schema=schema,
+    im = IntegerModel(layers=layers, input_bits=typed(inp["bits"], int, f"{path}: input.bits"),
                       accumulator_bits=typed(doc["accumulator_bits"], int,
                                              f"{path}: accumulator_bits"),
                       input_scale=_stored_scale(inp, path, "input scale"))
+    im.schema  # refuses no layers, and sends every width through check_bit_width
+    _check_layers(layers, path)
     stored = _stored_scale(doc["output_scale"], path, "output scale")
     if stored != im.output_scale:
         raise ValueError(f"{path}: output scale {stored!r} differs from the "

@@ -215,6 +215,15 @@ def truncated_intmodel(out):
     return json.dumps(doc)
 
 
+def model_with_std(value):
+    """A model.json whose first standardization std is value."""
+    def tamper(out):
+        doc = read_json(out, "model.json")
+        doc["standardization"]["std"][0] = value
+        return json.dumps(doc)
+    return tamper
+
+
 def model_with_a_nan(where):
     """A model.json whose first entry of where (a path of keys) is NaN."""
     def tamper(out):
@@ -227,9 +236,9 @@ def model_with_a_nan(where):
     return tamper
 
 
-def intmodel_with_other_input_bits(out):
+def intmodel_with_one_input_bit(out):
     doc = read_json(out, "intmodel.json")
-    doc["input"]["bits"] = doc["schema"]["input_bits"] - 1
+    doc["input"]["bits"] = 1
     return json.dumps(doc)
 
 
@@ -278,8 +287,7 @@ def graph_with_tensors_as_a_list(out):
 
 def graph_with_signedness_as_a_string(out):
     doc = read_json(out, "graph.json")
-    info = next(t for t in doc["tensors"].values() if t["kind"] == "int")
-    info["signed"] = "false"
+    doc["tensors"]["x"].update(kind="int", bits=16, signed="false")
     return json.dumps(doc)
 
 
@@ -291,6 +299,8 @@ def graph_with_signedness_as_a_string(out):
     ("trace", "model.json", model_with_a_nan(("params",)), ("dataset.csv",)),
     ("allocate", "model.json", model_with_a_nan(("standardization", "std")),
      ("traces.json",)),
+    ("trace", "model.json", model_with_std(-1.0), ("dataset.csv",)),
+    ("trace", "model.json", model_with_std(0.0), ("dataset.csv",)),
     ("allocate", "traces.json", '{"format": "hessquant-traces", "version": 2}', ("model.json",)),
     ("quantize", "allocation.json",
      '{"format": "hessquant-allocation", "version": 1, "weight_bits": 4}', ("model.json",)),
@@ -299,9 +309,9 @@ def graph_with_signedness_as_a_string(out):
      '"activation_bits": [8, 8, 8], "omega": 0, "bops": 0, "feasible": true, '
      '"budget": 1}', ()),
     ("export-ir", "intmodel.json",
-     '{"format": "hessquant-integer-model", "version": 1, "schema": []}', ()),
+     '{"format": "hessquant-integer-model", "version": 2, "input": []}', ()),
     ("export-ir", "intmodel.json", truncated_intmodel, ()),
-    ("export-ir", "intmodel.json", intmodel_with_other_input_bits, ()),
+    ("export-ir", "intmodel.json", intmodel_with_one_input_bit, ()),
     ("export-ir", "intmodel.json", intmodel_with_a_zero_scale(("input",)), ()),
     ("export-ir", "intmodel.json",
      intmodel_with_a_zero_scale(("layers", 1, "weight_scale")), ()),
@@ -321,7 +331,7 @@ def graph_with_signedness_as_a_string(out):
     ("trace", "dataset.csv", "0,1,2\n", ("model.json",)),
     ("run-ir", "dataset.csv", "0,1,2\n", ("graph.json", "model.json")),
 ], ids=["model-format", "model-truncated", "model-not-an-object", "model-three-means",
-        "model-nan", "model-nan-std", "traces", "allocation", "allocation-bits-40",
+        "model-nan", "model-nan-std", "model-negative-std", "model-zero-std", "traces", "allocation", "allocation-bits-40",
         "intmodel", "intmodel-two-of-three", "intmodel-input-bits",
         "intmodel-zero-scale-input", "intmodel-zero-scale-weight", "intmodel-zero-scale-requant",
         "intmodel-zero-scale-output", "intmodel-output-scale-mismatch",
@@ -359,12 +369,13 @@ def test_exit_3_on_a_model_whose_params_are_not_a_flat_list(tmp_path, pipeline, 
 
 
 def test_run_ir_exits_3_on_a_graph_without_a_logits_output(tmp_path, pipeline, capsys):
-    # logits stays among the graph's tensors, so only its outputs tell
+    # logits stays a node's output, so only the graph's outputs tell
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
     doc = read_json(out, "graph.json")
     doc["outputs"] = ["probabilities"]
+    del doc["tensors"]["logits"]
     Path(alt_out, "graph.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert run("run-ir", config) == 3
@@ -391,10 +402,10 @@ def with_field(name, keys, value):
 
 
 @pytest.mark.parametrize("command, name, keys, value, upstream, message", [
-    ("allocate", "traces.json", ("avg_traces", 0), float("inf"), ("model.json",),
+    ("allocate", "traces.json", ("traces", 0), float("inf"), ("model.json",),
      "Infinity is not a finite JSON number"),
-    ("allocate", "traces.json", ("avg_traces", 0), "Infinity", ("model.json",),
-     "avg_traces[0] must be a number, got 'Infinity'"),
+    ("allocate", "traces.json", ("traces", 0), "Infinity", ("model.json",),
+     "traces[0] must be a number, got 'Infinity'"),
     ("opt-ir", "graph.json", ("initializers", "out_scale", "data", 0), float("inf"), (),
      "Infinity is not a finite JSON number"),
     ("run-ir", "graph.json", ("initializers", "w0_scale", "data", 0), float("nan"),
@@ -403,14 +414,14 @@ def with_field(name, keys, value):
      "-Infinity is not a finite JSON number"),
     ("trace", "model.json", ("version",), 2, ("dataset.csv",),
      "unsupported hessquant-model version 2"),
-    ("allocate", "traces.json", ("version",), 3, ("model.json",),
-     "unsupported hessquant-traces version 3"),
+    ("allocate", "traces.json", ("version",), 1, ("model.json",),
+     "unsupported hessquant-traces version 1"),
     ("quantize", "allocation.json", ("version",), "1", ("model.json", "dataset.csv"),
      "unsupported hessquant-allocation version '1'"),
     ("export-ir", "intmodel.json", ("version",), None, (),
      "unsupported hessquant-integer-model version None"),
 ], ids=["traces-infinity", "traces-infinity-as-a-string", "graph-infinity", "graph-nan", "intmodel-minus-infinity",
-        "model-version-2", "traces-version-3", "allocation-version-a-string",
+        "model-version-2", "traces-version-1", "allocation-version-a-string",
         "intmodel-no-version"])
 def test_exit_3_on_a_number_that_is_not_finite_or_an_unknown_version(
         tmp_path, pipeline, capsys, command, name, keys, value, upstream, message):
@@ -435,11 +446,12 @@ def test_exit_3_on_a_declared_width_outside_the_cap(tmp_path, pipeline, capsys, 
     _, _, out = pipeline
     config, alt_out = write_config(tmp_path)
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
-    Path(alt_out, "graph.json").write_text(
-        with_field("graph.json", ("tensors", "b0", "bits"), bits)(out))
+    Path(alt_out, "graph.json").write_text(with_field(
+        "graph.json", ("tensors", "x"), {"kind": "int", "bits": bits, "signed": True,
+                                         "shape": [-1, 16]})(out))
     capsys.readouterr()
     assert run(command, config) == 3
-    assert f"tensors[b0]: bits {bits} outside 2..{ir.MAX_TENSOR_BITS}" in capsys.readouterr().err
+    assert f"tensors[x]: bits {bits} outside 2..{ir.MAX_TENSOR_BITS}" in capsys.readouterr().err
 
 
 def test_a_31_bit_schema_with_a_96_bit_accumulator_runs_through_the_ir(tmp_path, pipeline):
@@ -451,8 +463,8 @@ def test_a_31_bit_schema_with_a_96_bit_accumulator_runs_through_the_ir(tmp_path,
     copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
     for command in ("quantize", "export-ir", "opt-ir", "run-ir"):
         assert run(command, config) == 0, command
-    widths = {name: t["bits"] for name, t in read_json(alt_out, "graph.json")["tensors"].items()
-              if t["kind"] == "int"}
+    inferred = ir.infer_shapes(ir.load_graph(os.path.join(alt_out, "graph.json"))).tensors
+    widths = {name: t.bits for name, t in inferred.items() if t.kind == "int"}
     assert quantize.MAX_BITS < max(widths.values()) <= ir.MAX_TENSOR_BITS
     assert widths["accb0"] > 64
 
@@ -498,14 +510,14 @@ def test_exit_3_on_an_allocation_width_that_is_not_an_integer(tmp_path, pipeline
      "explored must be an integer, got '"),
     ("allocate", "traces.json", ("traces", 0), str, ("model.json",),
      "traces[0] must be a number, got '"),
-    ("allocate", "traces.json", ("weight_counts", 0), str, ("model.json",),
-     "weight_counts[0] must be an integer, got '"),
+    ("allocate", "traces.json", ("sizes", 0), str, ("model.json",),
+     "sizes[0] must be an integer, got '"),
 ], ids=["intmodel-weight-code-plus-a-half", "intmodel-bias-a-string",
         "intmodel-bias-plus-0.7", "intmodel-weight-bits-a-float",
         "intmodel-accumulator-bits-a-string", "model-param-a-string",
         "model-mean-a-string", "allocation-feasible-a-string", "allocation-omega-a-string",
         "allocation-explored-a-string", "traces-trace-a-string",
-        "traces-weight-count-a-string"])
+        "traces-size-a-string"])
 def test_exit_3_on_a_field_of_another_json_type(tmp_path, pipeline, capsys, command, name,
                                                 keys, value, upstream, message):
     # each used to load, by truncation or coercion, and most exited 0; the
@@ -535,6 +547,111 @@ def test_exit_3_on_a_model_with_another_activation(tmp_path, pipeline, capsys, c
     capsys.readouterr()
     assert run(command, config) == 3
     assert "activations must be ['relu', 'relu', 'softmax']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "quantize", "run-ir"])
+def test_exit_3_on_a_model_with_a_negative_std(tmp_path, pipeline, capsys, command):
+    # each used to exit 0 on features standardized with a flipped sign
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "allocation.json", "graph.json"))
+    Path(alt_out, "model.json").write_text(model_with_std(-1.0)(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert "standardization.std[0] must be positive, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["opt-ir", "run-ir"])
+def test_exit_3_on_a_graph_declaring_an_intermediate_tensor(tmp_path, pipeline, capsys,
+                                                            command):
+    # inference types acc0 and acc1 itself: their declarations used to pass unread
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("dataset.csv", "model.json"))
+    doc = read_json(out, "graph.json")
+    doc["tensors"]["acc0"] = {"kind": "int", "bits": 32, "signed": True, "shape": []}
+    doc["tensors"]["acc1"] = {"kind": "int", "bits": 32, "signed": True,
+                              "shape": [10000000, 64]}
+    Path(alt_out, "graph.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    assert "tensors[acc0]: not a graph input or output" in capsys.readouterr().err
+
+
+def test_exit_6_on_a_declared_output_unlike_its_inferred_info(tmp_path, pipeline, capsys):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    Path(alt_out).mkdir()
+    Path(alt_out, "graph.json").write_text(
+        with_field("graph.json", ("tensors", "logits", "shape"), [-1, 6])(out))
+    capsys.readouterr()
+    assert run("opt-ir", config) == 6
+    assert "declared output logits is" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(alt_out, "graph_opt.json"))
+
+
+def previous_graph(out):
+    """graph.json as the previous format wrote it: every tensor's info, and
+    an integer tensor's width and signedness beside its data."""
+    g = ir.infer_shapes(ir.load_graph(os.path.join(out, "graph.json")))
+    doc = json.loads(ir.serialize(g))
+    doc["tensors"] = {name: ir._info_doc(t) for name, t in g.tensors.items()}
+    for name, t in doc["initializers"].items():
+        if t["kind"] == "int":
+            t.update(bits=g.tensors[name].bits, signed=g.tensors[name].signed)
+    return json.dumps(doc, sort_keys=True)
+
+
+def previous_intmodel(out):
+    """intmodel.json as version 1 wrote it, with its widths also in a schema."""
+    doc = read_json(out, "intmodel.json")
+    doc["version"] = 1
+    doc["schema"] = {"weight_bits": [l["weight_bits"] for l in doc["layers"]],
+                     "activation_bits": [l["act_bits"] for l in doc["layers"]],
+                     "input_bits": doc["input"]["bits"]}
+    return json.dumps(doc)
+
+
+def previous_traces(out):
+    """traces.json as version 2 wrote it, with its averages and weight counts."""
+    doc = read_json(out, "traces.json")
+    counts = [a * b for a, b in zip(doc["sizes"], doc["sizes"][1:])]
+    doc.update(version=2, weight_counts=counts,
+               avg_traces=[t / c for t, c in zip(doc["traces"], counts)])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command, name, text, upstream, message", [
+    ("opt-ir", "graph.json", previous_graph, (), "tensors[acc0]: not a graph input or output"),
+    ("export-ir", "intmodel.json", previous_intmodel, (),
+     "unsupported hessquant-integer-model version 1"),
+    ("allocate", "traces.json", previous_traces, ("model.json",),
+     "unsupported hessquant-traces version 2"),
+], ids=["graph", "intmodel", "traces"])
+def test_exit_3_on_a_file_in_the_previous_format(tmp_path, pipeline, capsys, command, name,
+                                                 text, upstream, message):
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, upstream)
+    Path(alt_out, name).write_text(text(out))
+    capsys.readouterr()
+    assert run(command, config) == 3
+    err = capsys.readouterr().err
+    assert f"malformed artifact {os.path.join(alt_out, name)}" in err and message in err
+
+
+def test_allocate_reads_the_traces_themselves(tmp_path, pipeline):
+    # the averages used to be stored beside the traces, and only they were read
+    _, _, out = pipeline
+    config, alt_out = write_config(tmp_path)
+    copy_artifacts(out, alt_out, ("model.json",))
+    doc = read_json(out, "traces.json")
+    doc["traces"] = [100 * t for t in doc["traces"]]
+    Path(alt_out, "traces.json").write_text(json.dumps(doc))
+    assert run("allocate", config) == 0
+    before, after = read_json(out, "allocation.json"), read_json(alt_out, "allocation.json")
+    assert after["weight_bits"] == before["weight_bits"]
+    assert after["omega"] == pytest.approx(100 * before["omega"], rel=1e-12)
 
 
 @pytest.mark.parametrize("command, section, learning_rate",
@@ -1261,7 +1378,7 @@ def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, 
     for key, value in [("dsp_threshold", "[1]"), ("lut_per_bit_product", "1e400"),
                        ("dsp_threshold", "1e400"), ("lut_per_bit_product", "NaN"),
                        ("dsp_threshold", "NaN"), ("dsp_threshold", "11.9"),
-                       ("dsp_threshold", '"11"')]:
+                       ("dsp_threshold", '"11"'), ("dsp_threshold", "11.0")]:
         doc = {"dsp_threshold": "12", "lut_per_bit_product": "1.0", "lut_per_acc_bit": "1.0",
                "ff_per_acc_bit": "1.0", "softmax_lut": "1.0", "softmax_ff": "1.0",
                key: value}
@@ -1269,4 +1386,7 @@ def test_exit_2_on_a_coefficients_file_with_a_value_of_the_wrong_type(tmp_path, 
                           + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
         capsys.readouterr()
         assert run(command, config) == 2, (key, value)
-        assert "bad coefficients file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad coefficients file" in err
+        if value == "11.0":  # used to load as the integer it equals
+            assert "dsp_threshold must be an integer, got 11.0" in err

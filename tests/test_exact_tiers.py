@@ -197,11 +197,8 @@ def _layer(w, b, requant, act_bits=32) -> qz.IntLayer:
 
 
 def _model(layers) -> qz.IntegerModel:
-    n = len(layers)
-    return qz.IntegerModel(
-        layers=layers, input_scale=2.0 ** -31, accumulator_bits=96,
-        schema=qz.QuantSchema(weight_bits=(32,) * n, activation_bits=(32,) * n,
-                              input_bits=32))
+    return qz.IntegerModel(layers=layers, input_scale=2.0 ** -31, accumulator_bits=96,
+                           input_bits=32)
 
 
 def _inputs(codes: np.ndarray) -> np.ndarray:

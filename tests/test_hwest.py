@@ -26,9 +26,9 @@ def test_default_coeffs_are_valid():
 def test_coeffs_validation():
     with pytest.raises(ValueError):
         hwest.EstimatorCoeffs(dsp_threshold=1)
-    with pytest.raises(ValueError, match="dsp_threshold must be a whole number"):
-        hwest.EstimatorCoeffs(dsp_threshold=11.9)
-    assert type(hwest.EstimatorCoeffs(dsp_threshold=12.0).dsp_threshold) is int
+    for value in (11.9, 12.0):  # a float threshold is refused, not truncated
+        with pytest.raises(ValueError, match="dsp_threshold must be an integer >= 2"):
+            hwest.EstimatorCoeffs(dsp_threshold=value)
     with pytest.raises(ValueError):
         hwest.EstimatorCoeffs(lut_per_bit_product=-0.1)
     for name in ("dsp_threshold", "lut_per_bit_product", "softmax_ff"):

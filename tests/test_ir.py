@@ -140,12 +140,17 @@ def test_infer_shapes_tracks_integer_widths():
         nodes=[ir.IRNode("MatMul", ("a", "b"), "c", {})],
         inputs=["a", "b"], outputs=["c"],
         tensors={"a": ir.TensorInfo((-1, 8), "int", bits=8, signed=True),
-                 "b": ir.TensorInfo((8, 4), "int", bits=8, signed=True),
-                 "c": ir.TensorInfo((-1, 4), "int", bits=64, signed=True)},
+                 "b": ir.TensorInfo((8, 4), "int", bits=8, signed=True)},
         initializers={})
     g2 = ir.infer_shapes(g)
     assert g2.tensors["c"].bits == 8 + 8 + 3
     assert g2.tensors["c"].shape == (-1, 4)
+    # a declared output must have the info inference gives it
+    g.tensors["c"] = ir.TensorInfo((-1, 4), "int", bits=64, signed=True)
+    diags = ir.validate(g)
+    assert len(diags) == 1 and diags[0].startswith("declared output c is ")
+    g.tensors["c"] = g2.tensors["c"]
+    assert ir.validate(g) == []
 
 
 def test_evaluate_survives_wide_accumulators():
@@ -154,9 +159,7 @@ def test_evaluate_survives_wide_accumulators():
     g = ir.IRGraph(
         nodes=[ir.IRNode("MatMul", ("a", "w"), "c", {})],
         inputs=["a"], outputs=["c"],
-        tensors={"a": ir.TensorInfo((-1, 2), "int", bits=42, signed=True),
-                 "w": ir.TensorInfo((2, 2), "int", bits=42, signed=True),
-                 "c": ir.TensorInfo((-1, 2), "int", bits=85, signed=True)},
+        tensors={"a": ir.TensorInfo((-1, 2), "int", bits=42, signed=True)},
         initializers={"w": big})
     out = ir.evaluate(g, {"a": np.full((1, 2), 2 ** 40, dtype=object)})
     assert out["c"][0, 0] == 2 * 2 ** 80
@@ -454,19 +457,25 @@ def test_validate_reports_an_integer_matmul_with_no_static_inner_dimension():
     assert acc.tolist() == [[1000 * 128 * 128] * 4]
 
 
-def test_an_initializer_unlike_its_declared_shape_is_rejected():
-    # widths count the declared inner dimension of 4, which 5-term sums
-    # would exceed
+def test_an_initializer_is_typed_by_its_values():
+    # a declaration of w is not read: the width counts its inner dimension of 5
     g = ir.IRGraph(
         nodes=[ir.IRNode("MatMul", ("x", "w"), "acc", {})],
         inputs=["x"], outputs=["acc"],
         tensors={"x": ir.TensorInfo((-1, -1), "int", bits=8, signed=True),
                  "w": ir.TensorInfo((4, 1), "int", bits=8, signed=True)},
-        initializers={"w": np.full((5, 1), -128, dtype=np.int64)})
-    message = "initializer w has shape (5, 1), declared (4, 1)"
-    assert ir.validate(g) == [message]
-    with pytest.raises(ir.IRError, match=re.escape(message)):
-        ir.evaluate(g, {"x": np.full((1, 5), -128)})
+        initializers={"w": np.array([[-128], [-64], [0], [64], [127]])})
+    info = ir.infer_shapes(g).tensors
+    assert info["w"] == ir.TensorInfo((5, 1), "int", bits=8, signed=True)
+    assert info["acc"].bits == 8 + 8 + 3
+    acc = ir.evaluate(g, {"x": np.full((1, 5), -128)})["acc"]
+    assert acc.tolist() == [[128]]
+
+
+def test_softmax_node_is_nn_softmax_bit_for_bit(graph):
+    x = np.random.default_rng(3).normal(size=(64, 16))
+    out = ir.evaluate(graph, {"x": x})
+    assert out["probabilities"].tobytes() == nn.softmax(out["logits"]).tobytes()
 
 
 # --- serialization ---------------------------------------------------------------
@@ -477,9 +486,23 @@ def test_serialize_layout(graph):
     assert set(doc) == {"version", "inputs", "outputs", "tensors",
                         "initializers", "nodes"}
     assert doc["inputs"] == ["x"]
-    # tensors are stored flat with an explicit shape
-    some = next(iter(doc["initializers"].values()))
-    assert set(some) >= {"shape", "data", "kind"}
+    # only the graph's interface is declared; inference types the rest
+    assert set(doc["tensors"]) == {"x", "logits", "probabilities"}
+    # tensors are stored flat with an explicit shape, an integer one's width
+    # and signedness left to its values
+    assert all(set(t) == {"shape", "data", "kind"} for t in doc["initializers"].values())
+    folded = json.loads(ir.serialize(ir.fold_constants(graph)))
+    assert set(folded["tensors"]) == {"x", "logits", "probabilities"}
+    values = [n["attrs"]["value"] for n in folded["nodes"] if n["kind"] == "Constant"]
+    assert values and all(set(v) == {"shape", "data", "kind"} for v in values)
+
+
+def test_parse_refuses_a_declared_intermediate_tensor(graph):
+    doc = json.loads(ir.serialize(graph))
+    doc["tensors"]["acc0"] = {"kind": "int", "bits": 32, "signed": True, "shape": []}
+    with pytest.raises(ir.ParseError, match=re.escape("tensors[acc0]: not a graph input "
+                                                      "or output")):
+        ir.parse(json.dumps(doc))
 
 
 def test_serialize_parse_round_trip_is_stable(graph):

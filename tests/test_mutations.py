@@ -44,9 +44,6 @@ READERS = {
 VALUES = ("x", None, True, -1, 2.5, math.inf, 10 ** 30, [], {})
 # Fields whose documented form may be null, so null is not a type change.
 NULLABLE = {("model.json", ("standardization",))}
-# Fields a reader skips: an initializer's bits and signed, which serialize
-# writes, but parse derives from the data.
-UNREAD = {("initializers", "bits"), ("initializers", "signed")}
 CELLS = ("x", "", "-1", "2.5", "nan", "1e309", "1" + "0" * 30)
 
 
@@ -98,8 +95,7 @@ def mutations(name, doc):
         for value in VALUES:
             parent[path[-1]] = value
             changes = changes_type(old, value) and not (
-                value is None and (name, path) in NULLABLE
-                or (path[0], *path[2:]) in UNREAD)
+                value is None and (name, path) in NULLABLE)
             yield f"{label}={value!r:.8}", json.dumps(doc), changes
         if isinstance(parent, dict):
             del parent[path[-1]]
